@@ -18,41 +18,23 @@ the reciprocal convention (|w| <= 1) and converts via z = 1/w.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .closedform import REGISTRY, closed_sum
 from .errors import DomainError, TrisumError
-from .harness import SUITES, emit_report, run_suite
-from .quadrature import IntegrandSpec, integrate, series_via_quadrature
-from .series import SeriesFamily, _validate, sum_series
+from .harness import SUITES, _fmt, columns, emit_report, run_suite
+from .quadrature import IntegrandSpec, Kernel, Variant, integrate, series_via_quadrature
+from .series import SeriesFamily, sum_series, validate
 from .specfun import catalan, clausen2, dilog
 
-__all__ = ["CliConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
-_FAMILIES = tuple(f.value for f in SeriesFamily)
-_CLOSED_FORM_FAMILIES = ("A1", "A2", "B1", "B2")
 _METHODS = ("closed", "series", "quadrature", "all")
 _FORMATS = ("table", "json", "csv")
 _SERIES_TOL = 1e-13
 _QUAD_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation, after --w has been folded into z."""
-    subcommand: str
-    family: str | None = None
-    z: float | None = None
-    m: int = 0
-    method: str = "all"
-    tol: float = 1e-10
-    out: str | None = None
-    format: str = "table"
-    suite: str | None = None
-    kernel: str | None = None
-    variant: str | None = None
 
 
 def _add_z_group(parser: argparse.ArgumentParser) -> None:
@@ -77,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("eval", help="evaluate one series family at (z, m)")
-    p.add_argument("--family", required=True, choices=_FAMILIES)
+    p.add_argument("--family", required=True, choices=[f.value for f in SeriesFamily])
     _add_z_group(p)
     p.add_argument("--m", type=int, default=0, help="binomial weight order")
     p.add_argument("--method", choices=_METHODS, default="all")
@@ -92,9 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("integral", help="evaluate one log-singular integral")
-    p.add_argument("--kernel", required=True, choices=("lnx", "lnratio"))
-    p.add_argument("--variant", required=True,
-                   choices=("thm1", "thm2", "c1", "c2", "c3", "c4"))
+    p.add_argument("--kernel", required=True, choices=[k.value for k in Kernel])
+    p.add_argument("--variant", required=True, choices=[v.value for v in Variant])
     _add_z_group(p)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -107,32 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_z(args: argparse.Namespace) -> float | None:
-    w = getattr(args, "w", None)
-    if w is None:
-        return getattr(args, "z", None)
-    if w == 0.0 or not math.isfinite(w):
-        raise DomainError(f"--w must be finite and nonzero, got {w!r}")
-    return 1.0 / w
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    tol = getattr(args, "tol", 1e-10)
-    if tol is not None and not (isinstance(tol, float) and math.isfinite(tol) and tol > 0):
+def _normalize(args: argparse.Namespace) -> None:
+    """Check --tol and fold --w into args.z."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"--tol must be a positive finite value, got {tol!r}")
-    return CliConfig(
-        subcommand=args.subcommand,
-        family=getattr(args, "family", None),
-        z=_resolve_z(args),
-        m=getattr(args, "m", 0),
-        method=getattr(args, "method", "all"),
-        tol=1e-10 if tol is None else tol,
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "table"),
-        suite=getattr(args, "suite", None),
-        kernel=getattr(args, "kernel", None),
-        variant=getattr(args, "variant", None),
-    )
+    w = getattr(args, "w", None)
+    if w is not None:
+        if w == 0.0 or not math.isfinite(w):
+            raise DomainError(f"--w must be finite and nonzero, got {w!r}")
+        args.z = 1.0 / w
 
 
 def _write(text: str, out: str | None) -> None:
@@ -143,92 +108,85 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _g(x: float) -> str:
-    return format(x, ".17g")
-
-
 # -- eval --------------------------------------------------------------------
 
-def _cmd_eval(cfg: CliConfig, suite_tol: float | None) -> int:
-    family = SeriesFamily(cfg.family)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    family = SeriesFamily(args.family)
     # the series defines the object, so its convergence domain gates every
     # method, closed form included
-    _validate(family, cfg.z, cfg.m, _SERIES_TOL)
+    spec = validate(family, args.z, args.m)
 
-    # methods always run at their tight internal tolerances; cfg.tol is the
+    # methods always run at their tight internal tolerances; args.tol is the
     # agreement gate for --method all
     values: dict[str, float] = {}
-    wants_closed = cfg.method == "closed" or (
-        cfg.method == "all" and family.value in _CLOSED_FORM_FAMILIES)
+    wants_closed = args.method == "closed" or (args.method == "all" and spec.outer)
     if wants_closed:
         # raises for C families, which have no closed form
-        values["closed"] = closed_sum(family, cfg.z, cfg.m).total
-    if cfg.method in ("series", "all"):
-        values["series"] = sum_series(family, cfg.z, cfg.m, tol=_SERIES_TOL)
-    if cfg.method in ("quadrature", "all"):
+        values["closed"] = closed_sum(family, args.z, args.m).total
+    if args.method in ("series", "all"):
+        values["series"] = sum_series(family, args.z, args.m, tol=_SERIES_TOL)
+    if args.method in ("quadrature", "all"):
         values["quadrature"] = series_via_quadrature(
-            family, cfg.z, cfg.m, tol=_QUAD_TOL)
+            family, args.z, args.m, tol=_QUAD_TOL)
 
     vals = list(values.values())
     diff = max((abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:]),
                default=0.0)
     ref = values.get("closed", vals[0])
-    agree = diff <= cfg.tol * max(1.0, abs(ref))
+    agree = diff <= args.tol * max(1.0, abs(ref))
 
-    if cfg.format == "json":
-        import json as _json
+    if args.format == "json":
         doc = {
-            "family": family.value, "z": cfg.z, "m": cfg.m,
-            "method": cfg.method, "tol": cfg.tol,
+            "family": family.value, "z": args.z, "m": args.m,
+            "method": args.method, "tol": args.tol,
             "values": values, "max_abs_diff": diff,
-            "agree": agree if cfg.method == "all" else None,
+            "agree": agree if args.method == "all" else None,
         }
-        text = _json.dumps(doc, indent=2) + "\n"
-    elif cfg.format == "csv":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
         lines = ["family,z,m,method,value"]
         for name, v in values.items():
-            lines.append(f"{family.value},{cfg.z:g},{cfg.m},{name},{_g(v)}")
+            lines.append(f"{family.value},{args.z:g},{args.m},{name},{_fmt(v)}")
         text = "\n".join(lines) + "\n"
-    elif cfg.method != "all":
-        text = _g(vals[0]) + "\n"
+    elif args.method != "all":
+        text = _fmt(vals[0]) + "\n"
     else:
         width = max(map(len, values))
-        lines = [f"{name.ljust(width)}  {_g(v)}" for name, v in values.items()]
+        lines = [f"{name.ljust(width)}  {_fmt(v)}" for name, v in values.items()]
         verdict = "agree" if agree else "DISAGREE"
-        lines.append(f"max deviation {diff:.3e}  tolerance {cfg.tol:g}  {verdict}")
+        lines.append(f"max deviation {diff:.3e}  tolerance {args.tol:g}  {verdict}")
         text = "\n".join(lines) + "\n"
 
-    _write(text, cfg.out)
-    return 0 if (cfg.method != "all" or agree) else 1
+    _write(text, args.out)
+    return 0 if (args.method != "all" or agree) else 1
 
 
 # -- verify ------------------------------------------------------------------
 
-def _cmd_verify(cfg: CliConfig, suite_tol: float | None) -> int:
-    records = run_suite(cfg.suite, suite_tol)
-    text = emit_report(records, cfg.format, suite=cfg.suite,
-                       tol=records[0].tol if records else suite_tol)
-    _write(text, cfg.out)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    records = run_suite(args.suite, args.tol)
+    text = emit_report(records, args.format, suite=args.suite,
+                       tol=records[0].tol if records else args.tol)
+    _write(text, args.out)
     return 0 if all(r.passed for r in records) else 1
 
 
 # -- integral ----------------------------------------------------------------
 
-def _cmd_integral(cfg: CliConfig, suite_tol: float | None) -> int:
-    spec = IntegrandSpec(cfg.kernel, cfg.z, cfg.m, cfg.variant)
-    value = integrate(spec, tol=max(1e-14, cfg.tol))
-    if cfg.format == "json":
-        import json as _json
-        text = _json.dumps({
-            "kernel": cfg.kernel, "variant": cfg.variant,
-            "z": cfg.z, "m": cfg.m, "tol": cfg.tol, "value": value,
+def _cmd_integral(args: argparse.Namespace) -> int:
+    spec = IntegrandSpec(args.kernel, args.z, args.m, args.variant)
+    value = integrate(spec, tol=max(1e-14, args.tol))
+    if args.format == "json":
+        text = json.dumps({
+            "kernel": args.kernel, "variant": args.variant,
+            "z": args.z, "m": args.m, "tol": args.tol, "value": value,
         }, indent=2) + "\n"
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         text = ("kernel,variant,z,m,value\n"
-                f"{cfg.kernel},{cfg.variant},{cfg.z:g},{cfg.m},{_g(value)}\n")
+                f"{args.kernel},{args.variant},{args.z:g},{args.m},{_fmt(value)}\n")
     else:
-        text = _g(value) + "\n"
-    _write(text, cfg.out)
+        text = _fmt(value) + "\n"
+    _write(text, args.out)
     return 0
 
 
@@ -246,11 +204,10 @@ def _special_values() -> list[tuple[str, str, complex]]:
     ]
 
 
-def _cmd_constants(cfg: CliConfig, suite_tol: float | None) -> int:
-    rows = [(e.id, e.family.value, f"{e.z:g}", str(e.m), _g(e.value()),
+def _cmd_constants(args: argparse.Namespace) -> int:
+    rows = [(e.id, e.family.value, f"{e.z:g}", str(e.m), _fmt(e.value()),
              e.expression()) for e in REGISTRY.values()]
-    if cfg.format == "json":
-        import json as _json
+    if args.format == "json":
         doc = {
             "registry": [
                 {"id": e.id, "family": e.family.value, "z": e.z, "m": e.m,
@@ -263,29 +220,23 @@ def _cmd_constants(cfg: CliConfig, suite_tol: float | None) -> int:
                 for name, expr, val in _special_values()
             ],
         }
-        text = _json.dumps(doc, indent=2) + "\n"
-    elif cfg.format == "csv":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
         lines = ["id,family,z,m,value,expression"]
         for row in rows:
             rid, fam, z, m, value, expr = row
             lines.append(f'{rid},{fam},{z},{m},{value},"{expr}"')
         text = "\n".join(lines) + "\n"
     else:
-        headers = ("id", "family", "z", "m", "value", "expression")
-        widths = [max(len(h), *(len(r[i]) for r in rows))
-                  for i, h in enumerate(headers)]
-        def line(cells):
-            return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-        out = [line(headers), "  ".join("-" * w for w in widths)]
-        out.extend(line(r) for r in rows)
+        out = columns(("id", "family", "z", "m", "value", "expression"), rows)
         out.append("")
         out.append("special values")
         for name, expr, val in _special_values():
-            shown = _g(val.real) if val.imag == 0 else \
-                f"{_g(val.real)} {'+' if val.imag >= 0 else '-'} {_g(abs(val.imag))} i"
+            shown = _fmt(val.real) if val.imag == 0 else \
+                f"{_fmt(val.real)} {'+' if val.imag >= 0 else '-'} {_fmt(abs(val.imag))} i"
             out.append(f"  {name.ljust(9)}  = {expr.ljust(20)}  = {shown}")
         text = "\n".join(out) + "\n"
-    _write(text, cfg.out)
+    _write(text, args.out)
     return 0
 
 
@@ -304,12 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        # verify distinguishes "no --tol" (per-suite default) from an
-        # explicit value, so keep the raw tol before _config applies the
-        # global default
-        suite_tol = getattr(args, "tol", None) if args.subcommand == "verify" else None
-        cfg = _config(args)
-        return _DISPATCH[cfg.subcommand](cfg, suite_tol)
+        _normalize(args)
+        return _DISPATCH[args.subcommand](args)
     except (TrisumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NonConvergent, UnknownConstant
+from .errors import DomainError, UnknownConstant
 from .jets import coeff_a, coeff_b
 from .roots import CubicRoots, solve_cubic
-from .series import SeriesFamily
+from .series import FAMILIES, SeriesFamily, validate
 from .specfun import catalan, dilog
 
 __all__ = [
@@ -43,9 +43,6 @@ __all__ = [
     "REGISTRY",
     "reference_constant",
 ]
-
-_CLOSED_FORM_FAMILIES = (SeriesFamily.A1, SeriesFamily.A2, SeriesFamily.B1, SeriesFamily.B2)
-
 
 def _check_lam(lam: complex) -> complex:
     lam = complex(lam)
@@ -100,33 +97,27 @@ class ClosedFormBreakdown:
 
 
 def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBreakdown:
-    """Evaluate one closed-form family (A1, A2, B1, B2)."""
+    """Evaluate one family in powers of 1/z by its closed form."""
     family = SeriesFamily(family)
-    if family not in _CLOSED_FORM_FAMILIES:
+    if not FAMILIES[family].outer:
         raise DomainError(
             f"family {family.value} has no closed form; its value is defined "
             f"by series and quadrature only"
         )
     z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
-    if abs(z) < 1.0:
-        raise NonConvergent(f"family {family.value} requires |z| >= 1, got {z!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
+    spec = validate(family, z, m)
 
     rts = solve_cubic(z)
-    full_numerator = family in (SeriesFamily.A1, SeriesFamily.B1)
-    mirrored = family in (SeriesFamily.B1, SeriesFamily.B2)
+    coeff = coeff_b if spec.shifted else coeff_a
+    basis = C_mirror if spec.kind == "B" else C_of
 
     contribs = []
     for which in (1, 2, 3):
         lam = rts.roots[which - 1]
-        coeffs = (coeff_a if full_numerator else coeff_b)(m, z, rts, which)
+        coeffs = coeff(m, z, rts, which)
         inner = 0j
         for r in range(m + 1):
-            basis = C_mirror(r, lam) if mirrored else C_of(r, lam)
-            inner += coeffs[r] * basis
+            inner += coeffs[r] * basis(r, lam)
         contribs.append(inner)
 
     grand = sum(contribs, start=0j)

@@ -31,13 +31,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .closedform import REGISTRY, closed_sum
 from .errors import DomainError, UnknownSuite
 from .quadrature import beta_term_integral, series_via_quadrature, tanh_sinh
-from .series import base_term, sum_series
+from .series import FAMILIES, base_term, sum_series
 from .specfun import catalan, clausen2, dilog, harmonic, odd_harmonic
 
 __all__ = ["VerificationRecord", "SUITES", "run_suite", "emit_report"]
@@ -60,9 +61,9 @@ _DEFAULT_TOL = {
 
 _GRID_Z = (2.0, 3.0, -4.0, -8.0, 5.0, -2.0)
 _GRID_M = (0, 1, 2, 3, 4)
-_GRID_FAMILIES = ("A1", "A2", "B1", "B2")
+_GRID_FAMILIES = tuple(f.value for f, spec in FAMILIES.items() if spec.outer)
 _CONCLUDING_Z = (0.25, 0.5, 0.9)
-_CONCLUDING_FAMILIES = ("C1", "C2", "C3", "C4")
+_CONCLUDING_FAMILIES = tuple(f.value for f, spec in FAMILIES.items() if not spec.outer)
 _SERIES_TOL = 1e-13
 _QUAD_TOL = 1e-12
 
@@ -272,14 +273,42 @@ def run_suite(name: str, tol: float | None = None) -> list[VerificationRecord]:
 
 # -- report rendering -------------------------------------------------------
 
-def _fmt(x, digits: int = 17) -> str:
+def _fmt(x, spec: str = ".17g") -> str:
+    """One value as a JSON literal; numbers that are not int use spec."""
     if x is None:
         return "null"
+    if isinstance(x, str):
+        return json.dumps(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    return format(x, f".{digits}g")
+    return format(x, spec)
+
+
+# json and csv report columns: (name, getter, number format)
+_COLUMNS = (
+    ("id", attrgetter("id"), ".17g"),
+    ("family", attrgetter("family"), ".17g"),
+    ("z", attrgetter("z"), ".17g"),
+    ("m", attrgetter("m"), ".17g"),
+    ("closed", attrgetter("closed"), ".17g"),
+    ("series_oracle", attrgetter("series_oracle"), ".17g"),
+    ("quad_oracle", attrgetter("quad_oracle"), ".17g"),
+    ("abs_diff", attrgetter("abs_diff"), ".17g"),
+    ("rel_diff", attrgetter("rel_diff"), ".17g"),
+    ("tol", attrgetter("tol"), ".17g"),
+    ("pass", attrgetter("passed"), ".17g"),
+    ("runtime_ms", attrgetter("runtime_ms"), ".3f"),
+)
+
+
+def _csv_cell(value, spec: str) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "pass" if value else "FAIL"
+    return value if isinstance(value, str) else _fmt(value, spec)
 
 
 def _json_report(records, suite, tol) -> str:
@@ -289,55 +318,33 @@ def _json_report(records, suite, tol) -> str:
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     lines.append(f'  "generated_at": "{stamp}",')
     lines.append('  "records": [')
-    body = []
-    for r in records:
-        row = (
-            "    {"
-            f'"id": {json.dumps(r.id)}, '
-            f'"family": {json.dumps(r.family) if r.family else "null"}, '
-            f'"z": {_fmt(r.z)}, '
-            f'"m": {_fmt(r.m)}, '
-            f'"closed": {_fmt(r.closed)}, '
-            f'"series_oracle": {_fmt(r.series_oracle)}, '
-            f'"quad_oracle": {_fmt(r.quad_oracle)}, '
-            f'"abs_diff": {_fmt(r.abs_diff)}, '
-            f'"rel_diff": {_fmt(r.rel_diff)}, '
-            f'"tol": {_fmt(r.tol)}, '
-            f'"pass": {_fmt(r.passed)}, '
-            f'"runtime_ms": {r.runtime_ms:.3f}'
-            "}"
-        )
-        body.append(row)
-    lines.append(",\n".join(body))
+    lines.append(",\n".join(
+        "    {" + ", ".join([f'"{name}": {_fmt(get(r), spec)}'
+                            for name, get, spec in _COLUMNS]) + "}"
+        for r in records
+    ))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-_CSV_COLUMNS = ["id", "family", "z", "m", "closed", "series_oracle",
-                "quad_oracle", "abs_diff", "rel_diff", "tol", "pass", "runtime_ms"]
-
-
 def _csv_report(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(name for name, _, _ in _COLUMNS)
     for r in records:
-        writer.writerow([
-            r.id,
-            r.family or "",
-            "" if r.z is None else format(r.z, ".17g"),
-            "" if r.m is None else r.m,
-            "" if r.closed is None else format(r.closed, ".17g"),
-            "" if r.series_oracle is None else format(r.series_oracle, ".17g"),
-            "" if r.quad_oracle is None else format(r.quad_oracle, ".17g"),
-            format(r.abs_diff, ".17g"),
-            format(r.rel_diff, ".17g"),
-            format(r.tol, ".17g"),
-            "pass" if r.passed else "FAIL",
-            f"{r.runtime_ms:.3f}",
-        ])
+        writer.writerow([_csv_cell(get(r), spec) for _, get, spec in _COLUMNS])
     return buf.getvalue()
+
+
+def columns(headers, rows) -> list[str]:
+    """Fixed-width text table as lines: headers, a dash rule, then rows."""
+    widths = [max(map(len, col)) for col in zip(headers, *rows)]
+
+    def line(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    return [line(headers), "  ".join("-" * w for w in widths), *map(line, rows)]
 
 
 def _table_report(records) -> str:
@@ -356,14 +363,10 @@ def _table_report(records) -> str:
             f"{r.abs_diff:.2e}",
             "pass" if r.passed else "FAIL",
         ])
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    def line(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    sep = "  ".join("-" * w for w in widths)
+    lines = columns(headers, rows)
     n_pass = sum(1 for r in records if r.passed)
     footer = f"{len(records)} records, {n_pass} passed, {len(records) - n_pass} failed"
-    return "\n".join([line(headers), sep, *map(line, rows), sep, footer]) + "\n"
+    return "\n".join([*lines, lines[1], footer]) + "\n"
 
 
 def emit_report(records, fmt: str = "table", path: str | None = None,

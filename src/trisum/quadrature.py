@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, NonConvergent
-from .series import SeriesFamily
+from .errors import DomainError, NoConvergence
+from .series import FAMILIES, SeriesFamily, validate
 
 __all__ = [
     "Kernel",
@@ -55,12 +55,12 @@ class Variant(str, enum.Enum):
     C4 = "c4"                # as C2 but lnratio kernel
 
 
-_C_KERNEL = {
-    Variant.C1: Kernel.LNX,
-    Variant.C2: Kernel.LNX,
-    Variant.C3: Kernel.LNRATIO,
-    Variant.C4: Kernel.LNRATIO,
-}
+_KIND_KERNEL = {"A": Kernel.LNX, "B": Kernel.LNRATIO}
+
+# the c1..c4 variants are the integrals of the alternating families of the
+# same name, so they take those families' kernels
+_C_KERNEL = {Variant(f.value.lower()): _KIND_KERNEL[spec.kind]
+             for f, spec in FAMILIES.items() if not spec.outer}
 
 
 @dataclass(frozen=True)
@@ -209,19 +209,11 @@ def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
     the closed forms."""
     family = SeriesFamily(family)
     z = float(z)
-    if family in (SeriesFamily.A1, SeriesFamily.A2, SeriesFamily.B1, SeriesFamily.B2):
-        if abs(z) < 1.0:
-            raise NonConvergent(f"family {family.value} requires |z| >= 1, got {z!r}")
-        kernel = Kernel.LNX if family in (SeriesFamily.A1, SeriesFamily.A2) else Kernel.LNRATIO
-        variant = Variant.THM1 if family in (SeriesFamily.A1, SeriesFamily.B1) else Variant.THM2
+    spec = validate(family, z, m)
+    kernel = _KIND_KERNEL[spec.kind]
+    if spec.outer:
+        variant = Variant.THM2 if spec.shifted else Variant.THM1
         raw = integrate(IntegrandSpec(kernel, z, m, variant), tol)
         return raw if m % 2 == 0 else -raw
-    if abs(z) > 1.0:
-        raise NonConvergent(f"family {family.value} requires |z| <= 1, got {z!r}")
-    if m != 0:
-        raise DomainError(f"family {family.value} takes no binomial order")
-    variant = Variant(family.value.lower())
-    raw = integrate(IntegrandSpec(_C_KERNEL[variant], z, 0, variant), tol)
-    if family in (SeriesFamily.C1, SeriesFamily.C3):
-        return -raw
-    return -z * raw
+    raw = integrate(IntegrandSpec(kernel, z, 0, Variant(family.value.lower())), tol)
+    return -z * raw if spec.shifted else -raw

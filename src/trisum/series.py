@@ -25,12 +25,16 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import DomainError, NonConvergent, TooManyTerms
 from .specfun import harmonic
 
 __all__ = [
     "SeriesFamily",
+    "FamilySpec",
+    "FAMILIES",
+    "validate",
     "TermValue",
     "base_term",
     "sum_series",
@@ -53,8 +57,33 @@ class SeriesFamily(str, enum.Enum):
     C4 = "C4"
 
 
-_AB_FAMILIES = (SeriesFamily.A1, SeriesFamily.A2, SeriesFamily.B1, SeriesFamily.B2)
-_C_FAMILIES = (SeriesFamily.C1, SeriesFamily.C2, SeriesFamily.C3, SeriesFamily.C4)
+@dataclass(frozen=True)
+class FamilySpec:
+    """What defines one family, for every layer that computes it.
+
+    kind     "A": numerator H_{3k+1} - H_k, log x kernel;
+             "B": numerator H_{2k} - H_k, log(x/(1-x)) kernel, mirrored basis
+    outer    True: powers of 1/z, real |z| >= 1, has a closed form;
+             False: alternating powers of z, real |z| <= 1, m = 0
+    shifted  outer: weight C(k+m,k)/z^{k+m+1} instead of C(k,m)/z^{k+1};
+             alternating: odd index z^{2k+1} instead of even z^{2k}
+    """
+
+    kind: str
+    outer: bool
+    shifted: bool
+
+
+FAMILIES = MappingProxyType({
+    SeriesFamily.A1: FamilySpec("A", outer=True, shifted=False),
+    SeriesFamily.A2: FamilySpec("A", outer=True, shifted=True),
+    SeriesFamily.B1: FamilySpec("B", outer=True, shifted=False),
+    SeriesFamily.B2: FamilySpec("B", outer=True, shifted=True),
+    SeriesFamily.C1: FamilySpec("A", outer=False, shifted=False),
+    SeriesFamily.C2: FamilySpec("A", outer=False, shifted=True),
+    SeriesFamily.C3: FamilySpec("B", outer=False, shifted=False),
+    SeriesFamily.C4: FamilySpec("B", outer=False, shifted=True),
+})
 
 
 @dataclass(frozen=True)
@@ -110,14 +139,21 @@ def _max_terms() -> int:
     return cap
 
 
-def _validate(family: SeriesFamily, z: float, m: int, tol: float) -> None:
+def validate(family: SeriesFamily | str, z: float, m: int) -> FamilySpec:
+    """Check one (family, z, m) input and return the family's spec.
+
+    Every layer calls this, so all of them check in one order (m, then
+    z finite, then the family's domain) and raise the same error:
+    DomainError for a bad m or a non-finite z, NonConvergent for z
+    outside the region where the series converges.
+    """
+    family = SeriesFamily(family)
+    spec = FAMILIES[family]
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if not (isinstance(tol, float) and math.isfinite(tol)) or tol < 1e-15:
-        raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
-    if family in _AB_FAMILIES:
+    if spec.outer:
         if abs(z) < 1.0:
             raise NonConvergent(
                 f"family {family.value} requires |z| >= 1, got z = {z!r}"
@@ -129,6 +165,7 @@ def _validate(family: SeriesFamily, z: float, m: int, tol: float) -> None:
             raise NonConvergent(
                 f"family {family.value} requires |z| <= 1, got z = {z!r}"
             )
+    return spec
 
 
 def _binom_step(k: int) -> float:
@@ -145,12 +182,13 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     """
     family = SeriesFamily(family)
     z = float(z)
-    _validate(family, z, m, tol)
+    if not (isinstance(tol, float) and math.isfinite(tol)) or tol < 1e-15:
+        raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
+    spec = validate(family, z, m)
 
     cap = _max_terms()
-    kind = "A" if family in (SeriesFamily.A1, SeriesFamily.A2,
-                             SeriesFamily.C1, SeriesFamily.C2) else "B"
-    ab_layer = family in _AB_FAMILIES
+    kind = spec.kind
+    ab_layer = spec.outer
 
     total = 0.0
     comp = 0.0
@@ -161,11 +199,10 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     inv_binom = 1.0          # 1/C(3n,n) at the current base index n
     n = 0                    # base index; advances by 1 (AB) or 2 (C)
     if ab_layer:
-        z_pow = (1.0 / z) * (z ** -m if family in (SeriesFamily.A2, SeriesFamily.B2) else 1.0)
+        z_pow = (1.0 / z) * (z ** -m if spec.shifted else 1.0)
     else:
-        odd = family in (SeriesFamily.C2, SeriesFamily.C4)
-        z_pow = z if odd else 1.0
-        if odd:
+        z_pow = z if spec.shifted else 1.0
+        if spec.shifted:
             inv_binom = _binom_step(0)  # advance base index 0 -> 1
             n = 1
     z_step = 1.0 / z if ab_layer else z * z
@@ -174,8 +211,7 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
         num = _numerator_float(kind, n)
         base = num * inv_binom / (3 * n + 1)
         if ab_layer:
-            binom = math.comb(k, m) if family in (SeriesFamily.A1, SeriesFamily.B1) \
-                else math.comb(k + m, k)
+            binom = math.comb(k + m, k) if spec.shifted else math.comb(k, m)
             term = base * binom * z_pow
         else:
             term = base * z_pow if k % 2 == 0 else -base * z_pow

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from trisum.errors import DomainError, NonConvergent, TooManyTerms
-from trisum.series import SeriesFamily, base_term, sum_series
+from trisum.closedform import closed_sum
+from trisum.errors import DomainError, NonConvergent, TooManyTerms, TrisumError
+from trisum.quadrature import series_via_quadrature
+from trisum.series import FAMILIES, SeriesFamily, base_term, sum_series
 
 # reference sums computed independently with multiprecision arithmetic
 A1_Z2_M0_REF = 0.52395769463509576811
@@ -163,3 +165,26 @@ class TestSumSeries:
         monkeypatch.setenv("TRISUM_MAX_TERMS", "0")
         with pytest.raises(DomainError):
             sum_series("A1", 2.0)
+
+
+# every bad (family, z, m): one z outside the domain plus the non-finite
+# ones, crossed with each kind of bad m (the alternating families take m = 0)
+_BAD_INPUTS = [
+    (family.value, z, m)
+    for family, spec in FAMILIES.items()
+    for z in (0.5 if spec.outer else 2.0, math.nan, math.inf)
+    for m in (-1, 2.0, True, *(() if spec.outer else (1,)))
+]
+
+
+@pytest.mark.parametrize("family,z,m", _BAD_INPUTS)
+def test_layers_reject_bad_input_alike(family, z, m):
+    layers = [sum_series, series_via_quadrature]
+    if FAMILIES[SeriesFamily(family)].outer:
+        layers.append(closed_sum)
+    raised = set()
+    for layer in layers:
+        with pytest.raises(TrisumError) as info:
+            layer(family, z, m)
+        raised.add((type(info.value), str(info.value)))
+    assert len(raised) == 1, raised
