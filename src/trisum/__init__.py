@@ -34,7 +34,7 @@ from .errors import (
     UnknownSuite,
 )
 from .harness import SUITES, VerificationRecord, emit_report, run_suite
-from .jets import Jet, coeff_a, coeff_b, jet_div, jet_mul, jet_poly, jet_pow
+from .jets import coeff_a, coeff_b
 from .quadrature import (
     IntegrandSpec,
     Kernel,
@@ -56,8 +56,8 @@ __all__ = [
     "HarmonicCache", "harmonic", "odd_harmonic", "dilog", "clausen2", "catalan",
     # cubic roots
     "CubicRoots", "solve_cubic",
-    # truncated Taylor arithmetic and partial fractions
-    "Jet", "jet_poly", "jet_mul", "jet_div", "jet_pow", "coeff_a", "coeff_b",
+    # partial fractions
+    "coeff_a", "coeff_b",
     # series summation
     "SeriesFamily", "TermValue", "base_term", "sum_series",
     # quadrature

@@ -26,7 +26,11 @@ class RepeatedRoots(TrisumError, ArithmeticError):
 
 
 class SingularDivision(TrisumError, ZeroDivisionError):
-    """Truncated power series division by a series with (near-)zero constant term."""
+    """Truncated power series division by a series with (near-)zero constant term.
+
+    No function in the package raises it; it stays exported for callers
+    that catch it.
+    """
 
 
 class NonConvergent(TrisumError, ValueError):

@@ -1,155 +1,73 @@
-"""Truncated Taylor (jet) arithmetic over the complex numbers.
+"""Partial-fraction coefficients at one root of the resolvent cubic.
 
-A jet holds the coefficients of a function's expansion about some
-center, up to a fixed order.  Multiplication is the truncated Cauchy
-product and division is power-series long division.  The point of the
-module is ``coeff_a`` / ``coeff_b``: the partial-fraction coefficients
-of the two rational functions
+``coeff_a`` / ``coeff_b`` give the coefficients a_r of 1/(x - lam)^{r+1}
+in the partial-fraction expansions of
 
     x^m (1-x)^{2m} / (x(1-x)^2 - z)^{m+1}        (coeff_a)
     1             / (x(1-x)^2 - z)^{m+1}         (coeff_b)
 
-at one root of the resolvent cubic.  Since the denominator is monic
-with the three cubic roots as zeros, dividing out the two other root
-factors leaves exactly the jet whose coefficients are the a_r.
+at the root lam.  The denominator is monic with the three cubic roots
+as zeros, so with t = x - lam and d = lam - w for each other root w,
+a_r is the order (m - r) Taylor coefficient in t of
+
+    (lam + t)^m (lam - 1 + t)^{2m} / ((d_1 + t)(d_2 + t))^{m+1}
+
+(the numerator factor only for coeff_a; (1-x)^{2m} = (x-1)^{2m} since
+the power is even).  Every factor is a binomial (c + t)^p with closed
+Taylor coefficients, so the expansion is a few truncated Cauchy
+products of length m + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DomainError, SingularDivision
+from .errors import DomainError
 from .roots import CubicRoots
 
-__all__ = ["Jet", "jet_poly", "jet_mul", "jet_pow", "jet_div", "coeff_a", "coeff_b"]
-
-_DIV_FLOOR = 1e-300
+__all__ = ["coeff_a", "coeff_b"]
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Taylor coefficients about a fixed center, coeffs[j] for (x-c)^j."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise DomainError("a jet needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        return jet_mul(self, other)
-
-    def __truediv__(self, other: "Jet") -> "Jet":
-        return jet_div(self, other)
-
-    def __pow__(self, p: int) -> "Jet":
-        return jet_pow(self, p)
+def _binomial(c: complex, p: int, n: int) -> list[complex]:
+    # Taylor coefficients of (c + t)^p in t up to t^n, for any integer p:
+    # C(p, j) c^{p-j}, each from the last by the factor (p-j+1)/(j c)
+    out = [c ** p]
+    for j in range(1, n + 1):
+        out.append(out[-1] * ((p - j + 1) / j) / c)
+    return out
 
 
-def _const(value: complex, order: int) -> Jet:
-    return Jet((complex(value),) + (0j,) * order)
+def _mul(a: list[complex], b: list[complex]) -> list[complex]:
+    # truncated Cauchy product of two equal-length coefficient lists
+    n = len(a)
+    out = []
+    for k in range(n):
+        acc = 0j
+        for i in range(k + 1):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return out
 
 
-def jet_poly(center: complex, order: int, poly: str | complex) -> Jet:
-    """Jet of one of the linear factors about ``center``.
-
-    ``poly`` is "x", "1-x", or a complex number w meaning (x - w).
-    """
-    if order < 0:
-        raise DomainError(f"jet order must be nonnegative, got {order}")
-    c = complex(center)
-    if isinstance(poly, str):
-        if poly == "x":
-            c0, c1 = c, 1.0 + 0j
-        elif poly == "1-x":
-            c0, c1 = 1.0 - c, -1.0 + 0j
-        else:
-            raise DomainError(f"unknown polynomial spec {poly!r}")
-    else:
-        c0, c1 = c - complex(poly), 1.0 + 0j
-    coeffs = [c0, c1] + [0j] * (order - 1)
-    return Jet(tuple(coeffs[: order + 1]))
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    if a.order != b.order:
-        raise DomainError(f"jet orders differ: {a.order} vs {b.order}")
-    n = a.order
-    ac, bc = a.coeffs, b.coeffs
-    out = [0j] * (n + 1)
-    for i in range(n + 1):
-        ai = ac[i]
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * bc[j]
-    return Jet(tuple(out))
-
-
-def jet_pow(a: Jet, p: int) -> Jet:
-    if not isinstance(p, int) or p < 0:
-        raise DomainError(f"jet power must be a nonnegative integer, got {p!r}")
-    result = _const(1.0, a.order)
-    base = a
-    while p:
-        if p & 1:
-            result = jet_mul(result, base)
-        base = jet_mul(base, base) if p > 1 else base
-        p >>= 1
-    return result
-
-
-def jet_div(a: Jet, b: Jet) -> Jet:
-    if a.order != b.order:
-        raise DomainError(f"jet orders differ: {a.order} vs {b.order}")
-    b0 = b.coeffs[0]
-    if abs(b0) <= _DIV_FLOOR:
-        raise SingularDivision(f"leading divisor coefficient too small: {b0!r}")
-    n = a.order
-    ac, bc = a.coeffs, b.coeffs
-    out = [0j] * (n + 1)
-    for k in range(n + 1):
-        acc = ac[k]
-        for j in range(1, k + 1):
-            acc -= bc[j] * out[k - j]
-        out[k] = acc / b0
-    return Jet(tuple(out))
-
-
-def _coeffs(m: int, z: float, roots: CubicRoots, which: int, unit_num: bool) -> list[complex]:
+def _pole_expansion(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[complex]]:
+    """The selected root lam and the Taylor coefficients about it, to
+    order m, of 1/((x - w_1)(x - w_2))^{m+1} over the other two roots."""
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"coefficient order m must be a nonnegative integer, got {m!r}")
     if which not in (1, 2, 3):
         raise DomainError(f"root selector must be 1, 2, or 3, got {which!r}")
     lam = roots.roots[which - 1]
-    others = [r for i, r in enumerate(roots.roots) if i != which - 1]
-    if unit_num:
-        num = _const(1.0, m)
-    else:
-        num = jet_mul(
-            jet_pow(jet_poly(lam, m, "x"), m),
-            jet_pow(jet_poly(lam, m, "1-x"), 2 * m),
-        )
-    den = jet_mul(
-        jet_pow(jet_poly(lam, m, others[0]), m + 1),
-        jet_pow(jet_poly(lam, m, others[1]), m + 1),
-    )
-    g = jet_div(num, den)
-    # a_r multiplies 1/(x - lam)^{r+1}; it is the order (m-r) coefficient
-    return [g.coeffs[m - r] for r in range(m + 1)]
+    w1, w2 = (r for i, r in enumerate(roots.roots) if i != which - 1)
+    return lam, _mul(_binomial(lam - w1, -(m + 1), m), _binomial(lam - w2, -(m + 1), m))
 
 
 def coeff_a(m: int, z: float, roots: CubicRoots, which: int) -> list[complex]:
     """Partial-fraction coefficients [a_0 .. a_m] at the selected root for
     the numerator x^m (1-x)^{2m}."""
-    return _coeffs(m, z, roots, which, unit_num=False)
+    lam, den = _pole_expansion(m, roots, which)
+    num = _mul(_binomial(lam, m, m), _binomial(lam - 1.0, 2 * m, m))
+    # a_r multiplies 1/(x - lam)^{r+1}; it is the order (m-r) coefficient
+    return _mul(num, den)[::-1]
 
 
 def coeff_b(m: int, z: float, roots: CubicRoots, which: int) -> list[complex]:
     """Same as coeff_a but with numerator 1."""
-    return _coeffs(m, z, roots, which, unit_num=True)
+    return _pole_expansion(m, roots, which)[1][::-1]

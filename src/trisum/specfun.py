@@ -35,22 +35,39 @@ _EXACT_LIMIT = 512
 _TWO_PI = 2.0 * _PI
 
 
-def _bernoulli_numbers(count: int) -> list[Fraction]:
-    # B_0 .. B_{count-1} by the defining recurrence sum_{j<=n} C(n+1,j) B_j = 0
-    values = [Fraction(1)]
-    for n in range(1, count):
-        acc = sum(Fraction(math.comb(n + 1, j)) * values[j] for j in range(n))
-        values.append(-acc / (n + 1))
-    return values
-
-
-# Coefficients B_n / (n+1)! of the expansion of Li2 in powers of -log(1-z).
-# Odd entries beyond n = 1 vanish and are dropped.
-_LOG_SERIES = [
-    (n, float(b) / math.factorial(n + 1))
-    for n, b in enumerate(_bernoulli_numbers(52))
-    if b != 0
-]
+# Coefficients float(B_n) / (n+1)! of the expansion of Li2 in powers of
+# -log(1-z), for the Bernoulli numbers B_0 .. B_51; odd entries beyond
+# n = 1 vanish and are dropped.  tests/test_specfun.py rebuilds
+# the table from the exact Bernoulli recurrence.
+_LOG_SERIES = (
+    (0, 1.0),
+    (1, -0.25),
+    (2, 0.027777777777777776),
+    (4, -0.0002777777777777778),
+    (6, 4.72411186696901e-06),
+    (8, -9.185773074661964e-08),
+    (10, 1.8978869988971e-09),
+    (12, -4.0647616451442256e-11),
+    (14, 8.921691020456453e-13),
+    (16, -1.9939295860721074e-14),
+    (18, 4.518980029619918e-16),
+    (20, -1.0356517612181247e-17),
+    (22, 2.3952186210261865e-19),
+    (24, -5.58178587432501e-21),
+    (26, 1.3091507554183215e-22),
+    (28, -3.0874198024267407e-24),
+    (30, 7.315975652702204e-26),
+    (32, -1.740845657234001e-27),
+    (34, 4.1576356446139e-29),
+    (36, -9.962148488284622e-31),
+    (38, 2.3940344248961652e-32),
+    (40, -5.76834735536739e-34),
+    (42, 1.393179479647008e-35),
+    (44, -3.3721219654850894e-37),
+    (46, 8.178208777562102e-39),
+    (48, -1.987010831152386e-40),
+    (50, 4.835778518040551e-42),
+)
 
 
 class HarmonicCache:

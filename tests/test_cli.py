@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -51,6 +52,16 @@ def test_eval_divergent_z_exits_2(capsys):
     code, out, err = run(capsys, "eval", "--family", "A1", "--z", "0.5", "--m", "0")
     assert code == 2
     assert "|z| >= 1" in err
+
+
+def test_eval_huge_z_quadrature_is_quiet(capsys):
+    # the integrand overflows at some nodes; that must not leak a numpy
+    # RuntimeWarning onto stderr of a call that succeeds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eval", "--family", "A1", "--z", "1e300",
+                             "--m", "1", "--method", "quadrature")
+    assert (code, out, err) == (0, "-0\n", "")
 
 
 def test_eval_w_flag_is_reciprocal(capsys):

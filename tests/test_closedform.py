@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from trisum.closedform import (
     reference_constant,
 )
 from trisum.errors import DomainError, NonConvergent, UnknownConstant
+from trisum.harness import _GRID_FAMILIES, _GRID_M, _GRID_Z
 from trisum.quadrature import tanh_sinh
 from trisum.series import sum_series
 from trisum.specfun import dilog
@@ -140,6 +142,53 @@ class TestClosedSum:
             closed_sum("A1", 2.0, -1)
         with pytest.raises(DomainError):
             closed_sum("A1", math.inf, 0)
+
+
+def _mp_base_terms(kind, count):
+    # base terms (H_{3k+1} - H_k) or (H_{2k} - H_k) over (3k+1) C(3k,k),
+    # k < count, at 50 working digits
+    with mp.workdps(50):
+        h = [mp.mpf(0)]
+        for j in range(1, 3 * count + 2):
+            h.append(h[-1] + mp.mpf(1) / j)
+        return [
+            ((h[3 * k + 1] if kind == "A" else h[2 * k]) - h[k])
+            / ((3 * k + 1) * mp.binomial(3 * k, k))
+            for k in range(count)
+        ]
+
+
+def _mp_direct_sum(base, family, z, m):
+    # the defining series: weight C(k,m)/z^{k+1} (A1, B1) or
+    # C(k+m,k)/z^{k+m+1} (A2, B2), summed until a term is below 1e-42
+    # of the sum
+    with mp.workdps(50):
+        zz = mp.mpf(z)
+        total = mp.mpf(0)
+        for k, b in enumerate(base):
+            if family[1] == "1":
+                term = b * mp.binomial(k, m) / zz ** (k + 1)
+            else:
+                term = b * mp.binomial(k + m, k) / zz ** (k + m + 1)
+            total += term
+            if k > m and abs(term) < mp.mpf(10) ** -42 * abs(total):
+                return total
+    raise AssertionError(f"reference sum for {family} z={z} m={m} needs more terms")
+
+
+def test_theorem_grid_matches_multiprecision_relative():
+    # tier-1 layer comparisons use tol * max(1, |ref|), which is absolute
+    # for the small values at larger m; this checks the closed form
+    # relative to its own size on every point of the theorem-grid suite
+    base = {kind: _mp_base_terms(kind, 120) for kind in "AB"}
+    points = [(f, z, m) for f in _GRID_FAMILIES for z in _GRID_Z for m in _GRID_M]
+    assert len(points) == 120
+    worst = (0.0, None)
+    for family, z, m in points:
+        want = _mp_direct_sum(base[family[0]], family, z, m)
+        got = closed_sum(family, z, m).total
+        worst = max(worst, (float(abs((mp.mpf(got) - want) / want)), (family, z, m)))
+    assert worst[0] <= 1e-7, worst
 
 
 class TestRegistry:

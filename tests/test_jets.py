@@ -2,82 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from trisum.errors import DomainError, SingularDivision
-from trisum.jets import Jet, coeff_a, coeff_b, jet_div, jet_mul, jet_poly, jet_pow
+from trisum.errors import DomainError
+from trisum.jets import coeff_a, coeff_b
 from trisum.roots import solve_cubic
-
-
-class TestJetAlgebra:
-    def test_poly_variants(self):
-        j = jet_poly(2.0, 3, "x")
-        assert j.coeffs == (2 + 0j, 1 + 0j, 0j, 0j)
-        j = jet_poly(2.0, 1, "1-x")
-        assert j.coeffs == (-1 + 0j, -1 + 0j)
-        j = jet_poly(1j, 2, 3 + 0j)
-        assert j.coeffs == (-3 + 1j, 1 + 0j, 0j)
-
-    def test_mul_is_cauchy_product(self):
-        a = Jet((1 + 0j, 2 + 0j, 3 + 0j))
-        b = Jet((4 + 0j, 5 + 0j, 6 + 0j))
-        assert jet_mul(a, b).coeffs == (4 + 0j, 13 + 0j, 28 + 0j)
-
-    def test_div_geometric(self):
-        # 1/(1 + t) = 1 - t + t^2 - ...
-        one = Jet((1 + 0j, 0j, 0j))
-        d = Jet((1 + 0j, 1 + 0j, 0j))
-        assert jet_div(one, d).coeffs == (1 + 0j, -1 + 0j, 1 + 0j)
-
-    def test_pow_matches_repeated_mul(self):
-        a = Jet((1 + 1j, 0.5 - 2j, 3 + 0j, -1j))
-        p3 = jet_pow(a, 3)
-        ref = jet_mul(jet_mul(a, a), a)
-        for g, w in zip(p3.coeffs, ref.coeffs):
-            assert g == pytest.approx(w, rel=1e-15)
-
-    def test_pow_zero_is_one(self):
-        a = Jet((2 + 0j, 1 + 0j))
-        assert jet_pow(a, 0).coeffs == (1 + 0j, 0j)
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            jet_mul(Jet((1 + 0j,)), Jet((1 + 0j, 0j)))
-
-    def test_singular_division(self):
-        with pytest.raises(SingularDivision):
-            jet_div(Jet((1 + 0j, 0j)), Jet((0j, 1 + 0j)))
-
-    def test_operator_sugar(self):
-        a = Jet((1 + 0j, 2 + 0j))
-        b = Jet((1 + 0j, 1 + 0j))
-        assert (a * b).coeffs == jet_mul(a, b).coeffs
-        assert (a / b).coeffs == jet_div(a, b).coeffs
-        assert (a ** 2).coeffs == jet_mul(a, a).coeffs
-
-    @settings(max_examples=80)
-    @given(
-        st.lists(
-            st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-            min_size=1, max_size=6,
-        ),
-        st.lists(
-            st.complex_numbers(min_magnitude=0, max_magnitude=10,
-                               allow_nan=False, allow_infinity=False),
-            min_size=1, max_size=6,
-        ),
-    )
-    def test_mul_div_roundtrip(self, ac, bc):
-        n = min(len(ac), len(bc))
-        a = Jet(tuple(ac[:n]))
-        b = Jet(tuple(bc[:n]))
-        if abs(b.coeffs[0]) < 1e-3:
-            return
-        back = jet_mul(jet_div(a, b), b)
-        scale = max(1.0, max(abs(c) for c in a.coeffs))
-        for g, w in zip(back.coeffs, a.coeffs):
-            assert abs(g - w) <= 1e-9 * scale
 
 
 class TestPartialFractionCoefficients:
@@ -117,8 +45,8 @@ class TestPartialFractionCoefficients:
         with pytest.raises(DomainError):
             coeff_a(-1, 2.0, roots, 1)
 
-    @pytest.mark.parametrize("z", [2.0, 3.0, -4.0, -8.0])
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("z", [2.0, 3.0, -4.0, -8.0, 1.0, -1.0, 30.0, -30.0])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6, 7, 8])
     def test_reconstruction_a(self, z, m):
         # summing a_r/(x-root)^{r+1} over all roots rebuilds the rational function
         roots = solve_cubic(z)
@@ -136,8 +64,8 @@ class TestPartialFractionCoefficients:
             want = x ** m * (1 - x) ** (2 * m) / den
             assert abs(acc - want) <= 1e-10 * max(1.0, abs(want))
 
-    @pytest.mark.parametrize("z", [2.0, -4.0, 5.0])
-    @pytest.mark.parametrize("m", [0, 2, 4])
+    @pytest.mark.parametrize("z", [2.0, -4.0, 5.0, 1.0, -1.0, 30.0, -30.0])
+    @pytest.mark.parametrize("m", [0, 2, 4, 5, 6, 7, 8])
     def test_reconstruction_b(self, z, m):
         roots = solve_cubic(z)
         rng = random.Random(hash((z, m, "b")) & 0xFFFF)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,18 @@ class TestCatalogIntegrals:
         got = series_via_quadrature(family, z, tol=1e-12)
         want = sum_series(family, z, tol=1e-13)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("variant,z,m", [
+        ("thm1", 1e300, 1), ("thm2", -1e300, 1), ("thm1", 1e10, 40),
+        ("c1", 1e300, 0), ("c2", -1e200, 0),
+    ])
+    def test_overflow_at_huge_z_is_silent(self, variant, z, m):
+        # the integrand overflows to inf at some nodes, which only makes a
+        # negligible term 0; no numpy RuntimeWarning may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate(IntegrandSpec(Kernel.LNX, z, m, Variant(variant)))
+        assert abs(got) < 1e-150
 
     def test_domain_mirrors_series(self):
         with pytest.raises(NonConvergent):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from trisum.errors import DomainError
 from trisum.specfun import (
+    _LOG_SERIES,
     HarmonicCache,
     catalan,
     clausen2,
@@ -29,6 +30,15 @@ H_30000_REF = 10.886184992119899362
 LI2_M3_2I_REF = complex(-2.07130716523151432116, 0.892273167900703485768)
 
 PI2_6 = math.pi ** 2 / 6
+
+
+def _bernoulli_numbers(count: int) -> list[Fraction]:
+    # B_0 .. B_{count-1} by the defining recurrence sum_{j<=n} C(n+1,j) B_j = 0
+    values = [Fraction(1)]
+    for n in range(1, count):
+        acc = sum(Fraction(math.comb(n + 1, j)) * values[j] for j in range(n))
+        values.append(-acc / (n + 1))
+    return values
 
 
 class TestHarmonic:
@@ -191,6 +201,15 @@ class TestDilog:
         for bad in (math.inf, math.nan, complex(math.inf, 1), complex(0, math.nan)):
             with pytest.raises(DomainError):
                 dilog(bad)
+
+    def test_log_series_table_matches_bernoulli_recurrence(self):
+        bern = _bernoulli_numbers(52)
+        assert bern[1] == Fraction(-1, 2) and bern[12] == Fraction(-691, 2730)
+        want = tuple(
+            (n, float(b) / math.factorial(n + 1)) for n, b in enumerate(bern) if b != 0
+        )
+        assert len(want) == 27
+        assert _LOG_SERIES == want
 
     @settings(max_examples=60)
     @given(
