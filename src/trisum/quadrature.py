@@ -3,14 +3,20 @@ series families are verified against.
 
 The substitution x = (1 + tanh((pi/2) sinh t))/2 pushes both endpoints
 out double-exponentially, so integrands with log singularities at 0 or
-1 are handled by the plain trapezoid rule in t.  Nodes are stored as
-(x, 1-x, weight) triples; integrands receive x and 1-x separately so
-that log(1-x) never suffers cancellation near x = 1.
+1 are handled by the plain trapezoid rule in t.  Integrands receive x
+and 1-x separately so that log(1-x) never suffers cancellation near
+x = 1.
 
 Level L uses step h = 2^-L on |t| <= 6, reusing all previous function
 values; refinement stops when successive levels differ by less than the
 tolerance.  With t capped at 6 the smallest 1-x stays above the double
 underflow threshold, so every stored node is usable.
+
+Each level is computed once, on its first use, and kept: its nodes x and
+1-x, its weights, and what the catalog integrands compute from the
+nodes alone, the kernels log x and log x - log(1-x) and u = x(1-x)^2.
+None of it depends on z, so every integral reuses it and only the
+z-dependent factor is computed per call.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,12 +103,25 @@ class IntegrandSpec:
                 )
 
 
-# per-level node cache: level -> (x, 1-x, weight) float64 arrays
+class _Level(NamedTuple):
+    """One refinement level: its nodes and weights, and the arrays every
+    catalog integrand computes from them whatever its z."""
+
+    x: np.ndarray
+    xc: np.ndarray            # 1 - x
+    w: np.ndarray
+    log_x: np.ndarray         # the lnx kernel
+    log_ratio: np.ndarray     # the lnratio kernel, log x - log(1-x)
+    u: np.ndarray             # x (1-x)^2
+
+
+# per-level cache: a level is built on its first use and kept; a reader
+# that finds it there takes no lock
 _nodes_lock = threading.Lock()
-_nodes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_nodes: dict[int, _Level] = {}
 
 
-def _build_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_level(level: int) -> _Level:
     h = 2.0 ** (-level)
     if level == 0:
         j = np.arange(-int(_T_MAX), int(_T_MAX) + 1, dtype=np.float64)
@@ -110,20 +130,32 @@ def _build_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         top = int(_T_MAX * 2 ** level)
         odd = np.arange(1, top + 1, 2, dtype=np.float64)
         t = np.concatenate([-odd[::-1], odd]) * h
-    u = 0.5 * math.pi * np.sinh(t)
-    x = 1.0 / (1.0 + np.exp(-2.0 * u))
-    xc = 1.0 / (1.0 + np.exp(2.0 * u))
-    w = 0.25 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-    return x, xc, w
+    s = 0.5 * math.pi * np.sinh(t)
+    x = 1.0 / (1.0 + np.exp(-2.0 * s))
+    xc = 1.0 / (1.0 + np.exp(2.0 * s))
+    w = 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
+    log_x = np.log(x)
+    return _Level(x, xc, w, log_x, log_x - np.log(xc), x * xc * xc)
 
 
-def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with _nodes_lock:
-        got = _nodes.get(level)
-        if got is None:
-            got = _build_level(level)
-            _nodes[level] = got
-        return got
+def _level_nodes(level: int) -> _Level:
+    got = _nodes.get(level)
+    if got is None:
+        with _nodes_lock:
+            got = _nodes.get(level)
+            if got is None:
+                got = _nodes[level] = _build_level(level)
+    return got
+
+
+class _OnLevel:
+    """An integrand that reads a level's cached arrays: values(level)
+    returns its values at the level's nodes."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
 
 
 def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
@@ -138,13 +170,16 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
         raise DomainError(f"tol must be a float >= {_MIN_TOL}, got {tol!r}")
     if not isinstance(max_level, int) or max_level < 2 or max_level > MAX_LEVEL:
         raise DomainError(f"max_level must be an integer in [2, {MAX_LEVEL}]")
+    if isinstance(f, _OnLevel):
+        values = f.values
+    else:
+        def values(lv):
+            return np.asarray(f(lv.x, lv.xc))
 
-    total = None
-    prev = None
+    total = prev = 0.0
     for level in range(max_level + 1):
-        x, xc, w = _level_nodes(level)
-        vals = np.asarray(f(x, xc))
-        contrib = np.sum(w * vals)
+        lv = _level_nodes(level)
+        contrib = (lv.w * values(lv)).sum().item()
         h = 2.0 ** (-level)
         if level == 0:
             total = contrib  # h = 1
@@ -152,53 +187,88 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
             total = 0.5 * total + h * contrib
         if level >= 2:
             err = abs(total - prev)
-            if err <= tol * max(1.0, abs(total)) and np.isfinite(err):
-                return complex(total) if np.iscomplexobj(vals) else float(total)
+            if err <= tol * max(1.0, abs(total)) and math.isfinite(err):
+                return total
         prev = total
     raise NoConvergence(
         f"tanh-sinh refinement did not reach tol = {tol} within level {max_level}"
     )
 
 
-def _integrand(spec: IntegrandSpec):
-    z, m, kernel = spec.z, spec.m, spec.kernel
-    if spec.variant in (Variant.THM1, Variant.THM2):
+def _integrand(kernel: Kernel, z: float, m: int, variant: Variant) -> _OnLevel:
+    lnx = kernel is Kernel.LNX
+    if variant in (Variant.THM1, Variant.THM2):
         p = m + 1
-        thm1 = spec.variant is Variant.THM1
+        if variant is Variant.THM1 and m > 0:
+            def f(lv):
+                k = lv.log_x if lnx else lv.log_ratio
+                num = lv.x ** m * lv.xc ** (2 * m)
+                return k * num / (lv.u - z) ** p
+        else:
+            def f(lv):
+                k = lv.log_x if lnx else lv.log_ratio
+                return k / (lv.u - z) ** p
 
-        def f(x, xc):
-            k = np.log(x) if kernel is Kernel.LNX else np.log(x) - np.log(xc)
-            u = x * xc * xc
-            num = x ** m * xc ** (2 * m) if (thm1 and m > 0) else 1.0
-            return k * num / (u - z) ** p
+        return _OnLevel(f)
 
-        return _quiet_at_huge_z(f, z, p)
+    weighted = variant in (Variant.C2, Variant.C4)
 
-    weighted = spec.variant in (Variant.C2, Variant.C4)
-
-    def f(x, xc):
-        k = np.log(x) if kernel is Kernel.LNX else np.log(x) - np.log(xc)
-        u = x * xc * xc
+    def f(lv):
+        k = lv.log_x if lnx else lv.log_ratio
+        u = lv.u
         w = 1.0 / (1.0 + (z * u) ** 2)
         return k * u * w if weighted else k * w
 
-    return _quiet_at_huge_z(f, z, 2)
+    return _OnLevel(f)
 
 
-def _quiet_at_huge_z(f, z: float, power: int):
-    # f raises a number of size at most |z| + 1 to this power (|u| <= 4/27
-    # on (0, 1)), so it can overflow only past this bound.  There the inf
-    # makes a term far below 1e-300 exactly 0, which is no fault to warn
-    # about; every other f skips the cost of entering an errstate.
+def _pole_distance(z: float) -> float:
+    # how far z lies outside [0, 4/27], the range of x(1-x)^2 on [0, 1]
+    return -z if z < 0.0 else z - 4.0 / 27.0
+
+
+def _extreme_z_errstate(z: float, m: int, variant: Variant):
+    """The np.errstate that silences the warnings an integral at this z
+    raises without fault, or None where it raises none."""
+    if variant in _C_KERNEL:
+        power, pole_distance = 2, None
+    else:
+        power, pole_distance = m + 1, _pole_distance(z)
+    # The integrand raises a number of size at most |z| + 1 to this power
+    # (|u| <= 4/27 on (0, 1)), so it can overflow only past this bound.
+    # There the inf makes a term far below 1e-300 exactly 0.
     if power * math.log(abs(z) + 1.0) > 700.0:
-        return np.errstate(over="ignore")(f)
-    return f
+        return np.errstate(over="ignore")
+    # Once pole_distance ** power < e^-700 (about 1e-304) the power can
+    # underflow to 0 at the nodes nearest the pole, and tanh_sinh refuses
+    # the inf and nan that follow.
+    if pole_distance is not None and power * -math.log(pole_distance) > 700.0:
+        return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    return None
+
+
+def _integrate(kernel: Kernel, z: float, m: int, variant: Variant, tol: float) -> float:
+    # inputs already checked, as IntegrandSpec or validate() checks them
+    f = _integrand(kernel, z, m, variant)
+    quiet = _extreme_z_errstate(z, m, variant)
+    try:
+        if quiet is None:    # skips the cost of entering an errstate
+            return tanh_sinh(f, tol)
+        with quiet:
+            return tanh_sinh(f, tol)
+    except NoConvergence as exc:
+        if variant in _C_KERNEL:
+            raise
+        raise NoConvergence(
+            f"{exc}; the integrand has a pole near [0, 1]: z = {z!r} lies "
+            f"{_pole_distance(z):.3g} outside [0, 4/27], the range of x(1-x)^2 there"
+        ) from None
 
 
 def integrate(spec: IntegrandSpec, tol: float = 1e-12) -> float:
     """Value of the catalog integral over (0, 1), as printed (no sign
     or prefactor normalization)."""
-    return tanh_sinh(_integrand(spec), tol)
+    return _integrate(spec.kernel, spec.z, spec.m, spec.variant, tol)
 
 
 def beta_term_integral(k: int, tol: float = 1e-12) -> float:
@@ -206,10 +276,10 @@ def beta_term_integral(k: int, tol: float = 1e-12) -> float:
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"index must be a nonnegative integer, got {k!r}")
 
-    def f(x, xc):
-        return x ** k * xc ** (2 * k) * np.log(x) if k else np.log(x)
+    def f(lv):
+        return lv.x ** k * lv.xc ** (2 * k) * lv.log_x if k else lv.log_x
 
-    return tanh_sinh(f, tol)
+    return tanh_sinh(_OnLevel(f), tol)
 
 
 def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
@@ -223,7 +293,7 @@ def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
     kernel = _KIND_KERNEL[spec.kind]
     if spec.outer:
         variant = Variant.THM2 if spec.shifted else Variant.THM1
-        raw = integrate(IntegrandSpec(kernel, z, m, variant), tol)
+        raw = _integrate(kernel, z, m, variant, tol)
         return raw if m % 2 == 0 else -raw
-    raw = integrate(IntegrandSpec(kernel, z, 0, Variant(family.value.lower())), tol)
+    raw = _integrate(kernel, z, 0, Variant(family.value.lower()), tol)
     return -z * raw if spec.shifted else -raw

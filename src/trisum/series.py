@@ -16,6 +16,12 @@ Summation is compensated, with a geometric tail bound: term ratios for
 every family decrease monotonically toward their limit, so the last
 observed ratio (inflated by 10%) bounds the remainder.  The term cap is
 10000 unless the TRISUM_MAX_TERMS environment variable overrides it.
+
+The base terms depend on k alone, so sum_series reads them from one
+double table per kind, shared by every call and every z.  The table
+starts empty and grows, by doubling, to the longest prefix a call has
+needed; a call only multiplies its entries by the binomial weight and
+the power of z.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -173,6 +180,34 @@ def _binom_step(k: int) -> float:
     return ((k + 1) * (2 * k + 1) * (2 * k + 2)) / ((3 * k + 1) * (3 * k + 2) * (3 * k + 3))
 
 
+# Base-term table per kind: _base[kind][n] is the double base term of index
+# n, _numerator_float(kind, n) * (1/C(3n,n)) / (3n+1), with 1/C(3n,n) carried
+# by the _binom_step recurrence from n = 0.  It depends on n alone, so every
+# sum_series call reads the same entries.  It starts empty and grows by
+# doubling to the longest prefix a call has needed.  A published list is
+# never changed: growth builds a longer one under the lock and then swaps it
+# in, so a reader holds either the old list or the new one, whole.
+_base_lock = threading.Lock()
+_base: dict[str, list[float]] = {"A": [], "B": []}
+
+
+def _grow_base(kind: str, n: int) -> list[float]:
+    """The kind's base-term table, grown to cover index n."""
+    with _base_lock:
+        table = _base[kind]
+        if n < len(table):
+            return table     # another thread grew it meanwhile
+        size = max(2 * len(table), n + 1)
+        grown = table[:]
+        inv_binom = 1.0      # 1/C(3j,j)
+        for j in range(size):
+            if j >= len(table):
+                grown.append(_numerator_float(kind, j) * inv_binom / (3 * j + 1))
+            inv_binom *= _binom_step(j)
+        _base[kind] = grown
+        return grown
+
+
 def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
                tol: float = 1e-13) -> float:
     """Sum one series family at real z to the requested tolerance.
@@ -188,7 +223,9 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
 
     cap = _max_terms()
     kind = spec.kind
+    table = _base[kind]
     ab_layer = spec.outer
+    step = 1 if ab_layer else 2   # base index advance per term
 
     total = 0.0
     comp = 0.0
@@ -196,20 +233,19 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     seen_nonzero = False
     zero_run = 0
 
-    inv_binom = 1.0          # 1/C(3n,n) at the current base index n
-    n = 0                    # base index; advances by 1 (AB) or 2 (C)
+    n = 0                    # base index
     if ab_layer:
         z_pow = (1.0 / z) * (z ** -m if spec.shifted else 1.0)
     else:
         z_pow = z if spec.shifted else 1.0
         if spec.shifted:
-            inv_binom = _binom_step(0)  # advance base index 0 -> 1
             n = 1
     z_step = 1.0 / z if ab_layer else z * z
 
     for k in range(cap):
-        num = _numerator_float(kind, n)
-        base = num * inv_binom / (3 * n + 1)
+        if n >= len(table):
+            table = _grow_base(kind, n)
+        base = table[n]
         if ab_layer:
             binom = math.comb(k + m, k) if spec.shifted else math.comb(k, m)
             term = base * binom * z_pow
@@ -239,10 +275,7 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
                 # underflowed or identically zero tail
                 return total
 
-        steps = 1 if ab_layer else 2
-        for _ in range(steps):
-            inv_binom *= _binom_step(n)
-            n += 1
+        n += step
         z_pow *= z_step
 
     raise TooManyTerms(

@@ -152,6 +152,19 @@ def test_integral_rejects_pole_in_range(capsys):
     assert err.startswith("error:")
 
 
+def test_integral_near_pole_fails_quietly(capsys):
+    # the pole sits 1e-300 from [0, 1]: the integrand underflows to 0 in
+    # its denominator there, which must give a typed error, not warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "integral", "--kernel", "lnx",
+                             "--variant", "thm2", "--z=-1e-300", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tanh-sinh refinement did not reach tol")
+    assert "pole near [0, 1]" in err and "lies 1e-300 outside [0, 4/27]" in err
+    assert "Warning" not in err
+
+
 def test_verify_table_exit_0(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "beta-terms")
     assert code == 0

@@ -68,7 +68,7 @@ class TestPartialFractionCoefficients:
     @pytest.mark.parametrize("m", [0, 2, 4, 5, 6, 7, 8])
     def test_reconstruction_b(self, z, m):
         roots = solve_cubic(z)
-        rng = random.Random(hash((z, m, "b")) & 0xFFFF)
+        rng = random.Random(hash((z, m, 2)) & 0xFFFF)
         for _ in range(20):
             x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if min(abs(x - r) for r in roots.roots) < 0.3:

@@ -55,7 +55,8 @@ class TestTanhSinh:
     def test_node_complement_consistency(self):
         from trisum.quadrature import _level_nodes
         for level in (0, 1, 4):
-            x, xc, w = _level_nodes(level)
+            nodes = _level_nodes(level)
+            x, xc, w = nodes.x, nodes.xc, nodes.w
             assert np.all(x > 0) and np.all(xc > 0)
             assert np.max(np.abs(x + xc - 1.0)) <= 1e-15
             assert np.all(w > 0)
@@ -126,6 +127,37 @@ class TestCatalogIntegrals:
             series_via_quadrature("A1", 0.5)
         with pytest.raises(NonConvergent):
             series_via_quadrature("C1", 2.0)
+
+
+def _written_out(kernel: str, z: float, m: int, variant: str):
+    """The catalog integrand computed from x and 1-x alone."""
+    def f(x, xc):
+        k = np.log(x) if kernel == "lnx" else np.log(x) - np.log(xc)
+        u = x * xc * xc
+        if variant in ("thm1", "thm2"):
+            num = x ** m * xc ** (2 * m) if (variant == "thm1" and m > 0) else 1.0
+            return k * num / (u - z) ** (m + 1)
+        w = 1.0 / (1.0 + (z * u) ** 2)
+        return k * u * w if variant in ("c2", "c4") else k * w
+    return f
+
+
+_CATALOG = (
+    [(kernel, variant, z, m) for kernel in ("lnx", "lnratio") for variant in ("thm1", "thm2")
+     for z in (-30.0, -2.0, -0.5, -1e-3, 0.2, 0.5, 2.0, 30.0) for m in (0, 1, 2, 4)]
+    + [(kernel, variant, z, 0) for variant, kernel in (
+        ("c1", "lnx"), ("c2", "lnx"), ("c3", "lnratio"), ("c4", "lnratio"))
+       for z in (-3.0, -1.0, -0.5, 0.0, 0.25, 0.9, 1.0, 3.0)]
+)
+
+
+@pytest.mark.parametrize("kernel,variant,z,m", _CATALOG)
+def test_catalog_integrand_reads_cache_bitwise(kernel, variant, z, m):
+    # the integrands read the per-level log x, log ratio and u arrays; the
+    # value must be the very float the formula on (x, 1-x) gives
+    got = integrate(IntegrandSpec(kernel, z, m, variant))
+    want = tanh_sinh(_written_out(kernel, z, m, variant))
+    assert got.hex() == want.hex()
 
 
 class TestBetaTermIntegral:

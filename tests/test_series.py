@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from trisum.closedform import closed_sum
 from trisum.errors import DomainError, NonConvergent, TooManyTerms, TrisumError
 from trisum.quadrature import series_via_quadrature
+from trisum import series
 from trisum.series import FAMILIES, SeriesFamily, base_term, sum_series
 
 # reference sums computed independently with multiprecision arithmetic
@@ -165,6 +168,74 @@ class TestSumSeries:
         monkeypatch.setenv("TRISUM_MAX_TERMS", "0")
         with pytest.raises(DomainError):
             sum_series("A1", 2.0)
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """An empty base-term table for the test, the module's own restored after."""
+    monkeypatch.setattr(series, "_base", {"A": [], "B": []})
+
+
+# one point per family with a short prefix, then one needing a longer one
+_SHORT_LONG = [
+    ("A1", 30.0, 1.0, 2), ("A2", -30.0, -1.0, 1), ("B1", 30.0, -1.0, 0),
+    ("B2", -30.0, 1.0, 4), ("C1", 0.1, 1.0, 0), ("C2", -0.1, 1.0, 0),
+    ("C3", 0.1, -1.0, 0), ("C4", -0.1, -1.0, 0),
+]
+
+
+class TestBaseTable:
+    def test_entries_match_base_term(self, cold_table):
+        for kind in ("A", "B"):
+            table = series._grow_base(kind, 2000)
+            assert len(table) > 2000
+            for k in range(2001):
+                if table[k] != 0.0:
+                    want = base_term(kind, k).value
+                    assert abs(table[k] - want) <= 1e-14 * abs(want), (kind, k)
+
+    @pytest.mark.parametrize("family,z_short,z_long,m", _SHORT_LONG)
+    def test_sums_do_not_depend_on_call_order(self, monkeypatch, family, z_short, z_long, m):
+        kind = FAMILIES[SeriesFamily(family)].kind
+        monkeypatch.setattr(series, "_base", {"A": [], "B": []})
+        short_first = [sum_series(family, z_short, m)]
+        grown_to = len(series._base[kind])
+        short_first.append(sum_series(family, z_long, m))
+        assert len(series._base[kind]) > grown_to   # the second call grew the table
+        monkeypatch.setattr(series, "_base", {"A": [], "B": []})
+        long_first = [sum_series(family, z_long, m)]
+        long_first.insert(0, sum_series(family, z_short, m))
+        assert [v.hex() for v in short_first] == [v.hex() for v in long_first]
+
+    def test_threads_from_cold_table_match_serial(self, cold_table):
+        # a thread that read a table another was still filling would sum
+        # different terms
+        points = [(f, z, m) for f, zs, zl, m in _SHORT_LONG for z in (zs, zl)]
+        points += [("A1", 1.0, 8), ("B2", -1.0, 8)]
+        serial = [sum_series(*p).hex() for p in points]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                series._base.update(A=[], B=[])
+                start = threading.Barrier(4)
+                results = [None] * 4
+
+                def work(i):
+                    start.wait()
+                    order = points[i:] + points[:i]
+                    got = {p: sum_series(*p).hex() for p in order}
+                    results[i] = [got[p] for p in points]
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert results == [serial] * 4
+        finally:
+            sys.setswitchinterval(old)
 
 
 # every bad (family, z, m): one z outside the domain plus the non-finite
