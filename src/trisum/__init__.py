@@ -27,7 +27,6 @@ from .errors import (
     NoConvergence,
     NonConvergent,
     RepeatedRoots,
-    SingularDivision,
     TooManyTerms,
     TrisumError,
     UnknownConstant,
@@ -69,7 +68,6 @@ __all__ = [
     # verification
     "VerificationRecord", "SUITES", "run_suite", "emit_report",
     # errors
-    "TrisumError", "DomainError", "RepeatedRoots", "SingularDivision",
-    "NonConvergent", "TooManyTerms", "NoConvergence", "UnknownConstant",
-    "UnknownSuite",
+    "TrisumError", "DomainError", "RepeatedRoots", "NonConvergent",
+    "TooManyTerms", "NoConvergence", "UnknownConstant", "UnknownSuite",
 ]

@@ -4,7 +4,6 @@ __all__ = [
     "TrisumError",
     "DomainError",
     "RepeatedRoots",
-    "SingularDivision",
     "NonConvergent",
     "TooManyTerms",
     "NoConvergence",
@@ -23,14 +22,6 @@ class DomainError(TrisumError, ValueError):
 
 class RepeatedRoots(TrisumError, ArithmeticError):
     """The resolvent cubic is too close to a repeated root to separate."""
-
-
-class SingularDivision(TrisumError, ZeroDivisionError):
-    """Truncated power series division by a series with (near-)zero constant term.
-
-    No function in the package raises it; it stays exported for callers
-    that catch it.
-    """
 
 
 class NonConvergent(TrisumError, ValueError):

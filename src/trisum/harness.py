@@ -33,8 +33,6 @@ import time
 from dataclasses import dataclass
 from operator import attrgetter
 
-import numpy as np
-
 from .closedform import REGISTRY, closed_sum
 from .errors import DomainError, UnknownSuite
 from .quadrature import beta_term_integral, series_via_quadrature, tanh_sinh
@@ -228,6 +226,8 @@ def _suite_identities(tol: float) -> list[VerificationRecord]:
         abs(dilog(-1j) - complex(-pi * pi / 48, -catalan())),
     )
     out.append(_identity_record("dilog-special-values", tol, dev, t0))
+
+    import numpy as np     # only this record needs it, for its integrand
 
     t0 = time.perf_counter()
     via_integral = -tanh_sinh(lambda x, xc: np.log(x) / (1.0 + x * x), tol=_QUAD_TOL)

@@ -17,6 +17,13 @@ Each level is computed once, on its first use, and kept: its nodes x and
 nodes alone, the kernels log x and log x - log(1-x) and u = x(1-x)^2.
 None of it depends on z, so every integral reuses it and only the
 z-dependent factor is computed per call.
+
+numpy, the package's only runtime dependency, serves the quadrature
+layer alone.  It is imported inside the functions that use it, so it
+loads on the first quadrature call and not with the module: `import
+trisum`, the closed-form and series layers, and the CLI commands that
+use only them (`eval --method closed|series`, `constants`) never load
+it.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, NoConvergence
 from .series import FAMILIES, SeriesFamily, validate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Kernel",
@@ -122,6 +130,8 @@ _nodes: dict[int, _Level] = {}
 
 
 def _build_level(level: int) -> _Level:
+    import numpy as np
+
     h = 2.0 ** (-level)
     if level == 0:
         j = np.arange(-int(_T_MAX), int(_T_MAX) + 1, dtype=np.float64)
@@ -170,6 +180,8 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
         raise DomainError(f"tol must be a float >= {_MIN_TOL}, got {tol!r}")
     if not isinstance(max_level, int) or max_level < 2 or max_level > MAX_LEVEL:
         raise DomainError(f"max_level must be an integer in [2, {MAX_LEVEL}]")
+    import numpy as np
+
     if isinstance(f, _OnLevel):
         values = f.values
     else:
@@ -179,7 +191,7 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
     total = prev = 0.0
     for level in range(max_level + 1):
         lv = _level_nodes(level)
-        contrib = (lv.w * values(lv)).sum().item()
+        contrib = np.add.reduce(lv.w * values(lv)).item()
         h = 2.0 ** (-level)
         if level == 0:
             total = contrib  # h = 1
@@ -238,11 +250,13 @@ def _extreme_z_errstate(z: float, m: int, variant: Variant):
     # (|u| <= 4/27 on (0, 1)), so it can overflow only past this bound.
     # There the inf makes a term far below 1e-300 exactly 0.
     if power * math.log(abs(z) + 1.0) > 700.0:
+        import numpy as np
         return np.errstate(over="ignore")
     # Once pole_distance ** power < e^-700 (about 1e-304) the power can
     # underflow to 0 at the nodes nearest the pole, and tanh_sinh refuses
     # the inf and nan that follow.
     if pole_distance is not None and power * -math.log(pole_distance) > 700.0:
+        import numpy as np
         return np.errstate(over="ignore", divide="ignore", invalid="ignore")
     return None
 
