@@ -20,6 +20,8 @@ from .closedform import (
     ClosedFormBreakdown,
     ConstantEntry,
     closed_sum,
+    coeff_a,
+    coeff_b,
     reference_constant,
 )
 from .errors import (
@@ -33,7 +35,6 @@ from .errors import (
     UnknownSuite,
 )
 from .harness import SUITES, VerificationRecord, emit_report, run_suite
-from .jets import coeff_a, coeff_b
 from .quadrature import (
     IntegrandSpec,
     Kernel,

@@ -12,6 +12,32 @@ three roots; the log(x/(1-x)) kernel swaps x for 1-x in the second
 half, which lands on C_r(1-lam) with an alternating sign, folded here
 into C_mirror.
 
+``coeff_a`` / ``coeff_b`` give the partial-fraction coefficients a_r of
+1/(x - lam)^{r+1} in
+
+    x^m (1-x)^{2m} / (x(1-x)^2 - z)^{m+1}        (coeff_a)
+    1             / (x(1-x)^2 - z)^{m+1}         (coeff_b)
+
+at one root lam.  The denominator is monic with the three cubic roots
+as zeros, so with t = x - lam and d = lam - w for each other root w,
+a_r is the order (m - r) Taylor coefficient in t of
+
+    (lam + t)^m (lam - 1 + t)^{2m} / ((d_1 + t)(d_2 + t))^{m+1}
+
+(the numerator factor only for coeff_a; (1-x)^{2m} = (x-1)^{2m} since
+the power is even).  Every factor is a binomial (c + t)^p with closed
+Taylor coefficients, so the expansion is a few truncated Cauchy
+products of length m + 1.
+
+For |z| >= 1, the domain of every closed form, the roots are one real
+root and a conjugate pair.  Every step from a root to its contribution
+(binomial expansion, C_r, the dilogarithm) uses only complex + - * /,
+integer powers and cmath.log, which CPython evaluates symmetrically
+under conjugation.  So closed_sum evaluates the pair root with negative
+imaginary part and takes its partner's contribution as the conjugate:
+bit for bit the value a direct evaluation gives, as
+tests/test_closedform.py checks.
+
 The registry at the bottom holds the published closed-form constants
 for specific (family, z, m) triples, stored as exact-rational
 combinations of a small atom set so they can be evaluated and printed
@@ -29,7 +55,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, UnknownConstant
-from .jets import coeff_a, coeff_b
 from .roots import CubicRoots, solve_cubic
 from .series import FAMILIES, SeriesFamily, validate
 from .specfun import catalan, dilog
@@ -37,6 +62,8 @@ from .specfun import catalan, dilog
 __all__ = [
     "C_of",
     "C_mirror",
+    "coeff_a",
+    "coeff_b",
     "ClosedFormBreakdown",
     "closed_sum",
     "ConstantEntry",
@@ -77,14 +104,62 @@ def C_mirror(r: int, lam: complex) -> complex:
     return C_of(r, lam) + (swap if r % 2 == 0 else -swap)
 
 
+def _binomial(c: complex, p: int, n: int) -> list[complex]:
+    # Taylor coefficients of (c + t)^p in t up to t^n, for any integer p:
+    # C(p, j) c^{p-j}, each from the last by the factor (p-j+1)/(j c)
+    out = [c ** p]
+    for j in range(1, n + 1):
+        out.append(out[-1] * ((p - j + 1) / j) / c)
+    return out
+
+
+def _mul(a: list[complex], b: list[complex]) -> list[complex]:
+    # truncated Cauchy product of two equal-length coefficient lists
+    n = len(a)
+    out = []
+    for k in range(n):
+        acc = 0j
+        for i in range(k + 1):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _pole_expansion(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[complex]]:
+    """The selected root lam and the Taylor coefficients about it, to
+    order m, of 1/((x - w_1)(x - w_2))^{m+1} over the other two roots."""
+    if not isinstance(m, int) or m < 0:
+        raise DomainError(f"coefficient order m must be a nonnegative integer, got {m!r}")
+    if which not in (1, 2, 3):
+        raise DomainError(f"root selector must be 1, 2, or 3, got {which!r}")
+    lam = roots.roots[which - 1]
+    w1, w2 = (r for i, r in enumerate(roots.roots) if i != which - 1)
+    return lam, _mul(_binomial(lam - w1, -(m + 1), m), _binomial(lam - w2, -(m + 1), m))
+
+
+def coeff_a(m: int, roots: CubicRoots, which: int) -> list[complex]:
+    """Partial-fraction coefficients [a_0 .. a_m] at the selected root for
+    the numerator x^m (1-x)^{2m}."""
+    lam, den = _pole_expansion(m, roots, which)
+    num = _mul(_binomial(lam, m, m), _binomial(lam - 1.0, 2 * m, m))
+    # a_r multiplies 1/(x - lam)^{r+1}; it is the order (m-r) coefficient
+    return _mul(num, den)[::-1]
+
+
+def coeff_b(m: int, roots: CubicRoots, which: int) -> list[complex]:
+    """Same as coeff_a but with numerator 1."""
+    return _pole_expansion(m, roots, which)[1][::-1]
+
+
 @dataclass(frozen=True)
 class ClosedFormBreakdown:
     """Closed-form value of one series with its per-root contributions.
 
     total is the real value; contributions[i] is the (complex) inner
     sum at roots.roots[i] before the overall (-1)^m sign.  The
-    conjugate root pair contributes conjugate values, so the grand sum
-    is real up to rounding; imag_residual records what was discarded.
+    conjugate root pair contributes exactly conjugate values, so the
+    grand sum is real up to rounding; imag_residual records what was
+    discarded.
     """
 
     family: SeriesFamily
@@ -112,9 +187,12 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
     basis = C_mirror if spec.kind == "B" else C_of
 
     contribs = []
-    for which in (1, 2, 3):
-        lam = rts.roots[which - 1]
-        coeffs = coeff(m, z, rts, which)
+    for which, lam in enumerate(rts.roots, start=1):
+        if lam.imag > 0.0:
+            # the roots sort the partner lam.conjugate() first
+            contribs.append(contribs[rts.roots.index(lam.conjugate())].conjugate())
+            continue
+        coeffs = coeff(m, rts, which)
         inner = 0j
         for r in range(m + 1):
             inner += coeffs[r] * basis(r, lam)

@@ -3,7 +3,13 @@ the Clausen function of order two, and Catalan's constant.
 
 The dilogarithm is the principal branch, analytic on the plane cut along
 [1, inf).  On the cut itself values are the limit from below, so the
-imaginary part of ``dilog(x)`` for real x > 1 is ``-pi*log(x)``.
+imaginary part of ``dilog(x)`` for real x > 1 is ``-pi*log(x)``.  The
+reflection z -> 1-z and the inversion z -> 1/z map every argument into
+|z| <= 1, Re z <= 1/2, where u = -log(1-z) has |u| <= pi/3 and Li2 is
+the Bernoulli series sum_n B_n u^(n+1)/(n+1)! ('t Hooft & Veltman,
+Nucl. Phys. B153 (1979) 365), cut after B_18 and summed by Horner's rule
+in u^2.  Cl2 uses the same Bernoulli numbers in its own series near its
+zeros at 2*pi*k, where exp(i*theta) rounds its value away.
 
 Double precision throughout; harmonic numbers also carry an exact
 rational mode used to anchor the floating-point table and to feed the
@@ -36,9 +42,9 @@ _TWO_PI = 2.0 * _PI
 
 
 # Coefficients float(B_n) / (n+1)! of the expansion of Li2 in powers of
-# -log(1-z), for the Bernoulli numbers B_0 .. B_51; odd entries beyond
-# n = 1 vanish and are dropped.  tests/test_specfun.py rebuilds
-# the table from the exact Bernoulli recurrence.
+# u = -log(1-z), for the Bernoulli numbers B_0 .. B_18; odd entries beyond
+# n = 1 vanish and are dropped.  tests/test_specfun.py rebuilds the table
+# from the exact Bernoulli recurrence.
 _LOG_SERIES = (
     (0, 1.0),
     (1, -0.25),
@@ -51,23 +57,18 @@ _LOG_SERIES = (
     (14, 8.921691020456453e-13),
     (16, -1.9939295860721074e-14),
     (18, 4.518980029619918e-16),
-    (20, -1.0356517612181247e-17),
-    (22, 2.3952186210261865e-19),
-    (24, -5.58178587432501e-21),
-    (26, 1.3091507554183215e-22),
-    (28, -3.0874198024267407e-24),
-    (30, 7.315975652702204e-26),
-    (32, -1.740845657234001e-27),
-    (34, 4.1576356446139e-29),
-    (36, -9.962148488284622e-31),
-    (38, 2.3940344248961652e-32),
-    (40, -5.76834735536739e-34),
-    (42, 1.393179479647008e-35),
-    (44, -3.3721219654850894e-37),
-    (46, 8.178208777562102e-39),
-    (48, -1.987010831152386e-40),
-    (50, 4.835778518040551e-42),
 )
+
+# B_18 .. B_2 entries, highest first, for Horner's rule in u^2
+_HORNER = tuple(c for n, c in reversed(_LOG_SERIES) if n >= 2)
+
+# |B_2k| / (2k (2k+1)!), highest first: the power-series part of Cl2
+# about 0, Cl2(t) = t - t log|t| + sum_k |B_2k| t^(2k+1) / (2k (2k+1)!)
+_CL2_HORNER = tuple(abs(c) / n for n, c in reversed(_LOG_SERIES) if n >= 2)
+
+# 2*pi minus its double _TWO_PI, so that a reduction by k periods is good
+# to about 1e-32 * k instead of 2.4e-16 * k
+_TWO_PI_LO = 2.4492935982947064e-16
 
 
 class HarmonicCache:
@@ -164,42 +165,29 @@ def odd_harmonic(n: int, exact: bool = False) -> float | Fraction:
     return _CACHE.exact_odd(n) if exact else _CACHE.value_odd(n)
 
 
-def _dilog_power_series(z: complex) -> complex:
-    # sum z^k / k^2 on |z| <= 1/2; at most ~55 terms for double precision
-    total = 0.0 + 0.0j
-    power = 1.0 + 0.0j
-    for k in range(1, 200):
-        power *= z
-        term = power / (k * k)
-        total += term
-        if abs(term) <= 1e-17 * max(1.0, abs(total)):
-            break
-    return total
-
-
-def _dilog_log_series(z: complex) -> complex:
-    # expansion in u = -log(1-z); converges for |u| < 2*pi, used only
-    # where the functional maps leave |u| <= ~1.26
-    u = -cmath.log(1.0 - z)
-    total = 0.0 + 0.0j
-    for n, c in _LOG_SERIES:
-        term = c * u ** (n + 1)
-        total += term
-        if n > 2 and abs(term) <= 1e-17 * max(1.0, abs(total)):
-            break
-    return total
+def _dilog_reduced(z: complex) -> complex:
+    # |z| <= 1 and Re z <= 1/2, so |u| <= pi/3 for u = -log(1-z) and the
+    # B_20 term of sum_n B_n u^(n+1)/(n+1)! is below 3e-17 |u|.  Kahan's
+    # log1p: log(w) * z/(w-1) cancels the rounding of w = 1 - z.
+    w = 1.0 - z
+    u = z if w == 1.0 else cmath.log(w) * (z / (w - 1.0))
+    v = u * u
+    p = 0.0
+    for c in _HORNER:
+        p = p * v + c
+    return u + v * (-0.25 + u * p)
 
 
 def _dilog_cut_plane(z: complex) -> complex:
     # assumes z is not a real number greater than 1
+    # reflect first wherever that lands in the disc: near 1, inverting
+    # first would carry the rounding of 1/z through Li2's log singularity
+    if z.real > 0.5 and abs(1.0 - z) <= 1.0:
+        return _PI2_6 - cmath.log(z) * cmath.log(1.0 - z) - _dilog_cut_plane(1.0 - z)
     if abs(z) > 1.0:
         log_neg = cmath.log(-z)
         return -_PI2_6 - 0.5 * log_neg * log_neg - _dilog_cut_plane(1.0 / z)
-    if z.real > 0.5:
-        return _PI2_6 - cmath.log(z) * cmath.log(1.0 - z) - _dilog_cut_plane(1.0 - z)
-    if abs(z) <= 0.5:
-        return _dilog_power_series(z)
-    return _dilog_log_series(z)
+    return _dilog_reduced(z)
 
 
 def dilog(z: complex | float) -> complex:
@@ -226,14 +214,29 @@ def dilog(z: complex | float) -> complex:
 
 
 def clausen2(theta: float) -> float:
-    """Clausen function Cl2(theta) = sum_{k>=1} sin(k*theta)/k^2."""
+    """Clausen function Cl2(theta) = sum_{k>=1} sin(k*theta)/k^2.
+
+    theta is reduced by 2*pi carried to about 32 digits, so values near a
+    zero 2*pi*k keep their relative accuracy; an exact multiple of the
+    double nearest 2*pi is taken as such a zero and gives 0.0.
+    """
     t = float(theta)
     if not math.isfinite(t):
         raise DomainError(f"clausen2 requires a finite argument, got {theta!r}")
     r = math.remainder(t, _TWO_PI)
     if r == 0.0:
         return 0.0
-    return dilog(cmath.exp(1j * r)).imag
+    # remainder is exact against the double _TWO_PI; take off the k periods'
+    # share of its residual too, or Cl2 near 2*pi*k loses 2.4e-16*k/|r|
+    r -= round((t - r) / _TWO_PI) * _TWO_PI_LO
+    if abs(r) > 1.0:
+        return dilog(cmath.exp(1j * r)).imag
+    # near 0, exp(1j*r) rounds away the r^2/2 that sets Cl2's size
+    v = r * r
+    p = 0.0
+    for c in _CL2_HORNER:
+        p = p * v + c
+    return r - r * math.log(abs(r)) + r * v * p
 
 
 @lru_cache(maxsize=1)

@@ -158,8 +158,8 @@ def test_criterion_10_coefficient_layer(capfd):
         roots = solve_cubic(z)
         for m in range(5):
             coeffs = {
-                "a": [coeff_a(m, z, roots, which) for which in (1, 2, 3)],
-                "b": [coeff_b(m, z, roots, which) for which in (1, 2, 3)],
+                "a": [coeff_a(m, roots, which) for which in (1, 2, 3)],
+                "b": [coeff_b(m, roots, which) for which in (1, 2, 3)],
             }
             for kind, per_root in coeffs.items():
                 for _ in range(12):
@@ -179,10 +179,10 @@ def test_criterion_10_coefficient_layer(capfd):
     r2 = solve_cubic(2.0)
     r4 = solve_cubic(-4.0)
     residues = (
-        (coeff_a(0, 2.0, r2, 1)[0], 0.2),
-        (coeff_a(0, -4.0, r4, 1)[0], -(7 - 5j * s7) / 112),
-        (coeff_a(0, -4.0, r4, 2)[0], -(7 + 5j * s7) / 112),
-        (coeff_a(0, -4.0, r4, 3)[0], 0.125),
+        (coeff_a(0, r2, 1)[0], 0.2),
+        (coeff_a(0, r4, 1)[0], -(7 - 5j * s7) / 112),
+        (coeff_a(0, r4, 2)[0], -(7 + 5j * s7) / 112),
+        (coeff_a(0, r4, 3)[0], 0.125),
     )
     for got, want in residues:
         ok = ok and abs(got - want) <= 1e-13

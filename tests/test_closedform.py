@@ -10,12 +10,14 @@ from trisum.closedform import (
     C_mirror,
     C_of,
     closed_sum,
+    coeff_a,
+    coeff_b,
     reference_constant,
 )
 from trisum.errors import DomainError, NonConvergent, UnknownConstant
 from trisum.harness import _GRID_FAMILIES, _GRID_M, _GRID_Z
 from trisum.quadrature import tanh_sinh
-from trisum.series import sum_series
+from trisum.series import FAMILIES, SeriesFamily, sum_series
 from trisum.specfun import dilog
 
 S7 = math.sqrt(7.0)
@@ -119,11 +121,27 @@ class TestClosedSum:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_conjugate_contributions(self):
-        bd = closed_sum("B1", -4.0, 2)
-        pair = [c for c, r in zip(bd.contributions, bd.roots.roots) if r.imag != 0.0]
-        assert len(pair) == 2
-        assert pair[0] == pytest.approx(pair[1].conjugate(), rel=1e-12)
-        assert bd.imag_residual <= 1e-11 * max(1.0, abs(bd.total))
+        # closed_sum evaluates one root of the conjugate pair and takes the
+        # other's contribution as its conjugate; evaluated directly as
+        # sum coeff * basis, that root must give the same bits
+        for family in ("A1", "A2", "B1", "B2"):
+            spec = FAMILIES[SeriesFamily(family)]
+            coeff = coeff_b if spec.shifted else coeff_a
+            basis = C_mirror if spec.kind == "B" else C_of
+            for z in (1.0, -1.0, 2.0, -2.0, -4.0, -8.0, 30.0, -30.0, 1e3, -1e6, 1e8):
+                for m in range(9):
+                    bd = closed_sum(family, z, m)
+                    pair = [i for i, r in enumerate(bd.roots.roots) if r.imag != 0.0]
+                    assert len(pair) == 2
+                    which = max(pair, key=lambda i: bd.roots.roots[i].imag)
+                    coeffs = coeff(m, bd.roots, which + 1)
+                    direct = 0j
+                    for r in range(m + 1):
+                        direct += coeffs[r] * basis(r, bd.roots.roots[which])
+                    got = bd.contributions[which]
+                    assert (got.real.hex(), got.imag.hex()) == \
+                        (direct.real.hex(), direct.imag.hex()), (family, z, m)
+                    assert bd.imag_residual <= 1e-11 * max(1.0, abs(bd.total))
 
     def test_breakdown_recombines(self):
         bd = closed_sum("A2", 2.0, 3)
