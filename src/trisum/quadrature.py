@@ -12,11 +12,17 @@ values; refinement stops when successive levels differ by less than the
 tolerance.  With t capped at 6 the smallest 1-x stays above the double
 underflow threshold, so every stored node is usable.
 
-Each level is computed once, on its first use, and kept: its nodes x and
-1-x, its weights, and what the catalog integrands compute from the
-nodes alone, the kernels log x and log x - log(1-x) and u = x(1-x)^2.
-None of it depends on z, so every integral reuses it and only the
-z-dependent factor is computed per call.
+The nodes are held in stages.  Stage 0 holds all 193 nodes of levels
+0-4, since at tol 1e-12 nearly every integral stops at level 3 or 4;
+each later level is a stage of its own.  The integrand is evaluated
+once per stage, and one reduction gives the sums of every level in it.
+A stage is built on its first use and kept: its nodes x and 1-x, its
+weights, and what the catalog integrands compute from the nodes alone,
+the kernels log x and log x - log(1-x) and u = x(1-x)^2.  None of it
+depends on z, so every integral reuses it and only the z-dependent
+factor is computed per call.  That factor raises arrays to integer
+powers by repeated multiplication, since numpy's power calls libm pow
+per element for most integer exponents.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
@@ -111,9 +117,10 @@ class IntegrandSpec:
                 )
 
 
-class _Level(NamedTuple):
-    """One refinement level: its nodes and weights, and the arrays every
-    catalog integrand computes from them whatever its z."""
+class _Stage(NamedTuple):
+    """The nodes of one or more consecutive refinement levels, and the
+    arrays every catalog integrand computes from them whatever its z.
+    Level i of the stage is the slice bounds[i]:bounds[i + 1]."""
 
     x: np.ndarray
     xc: np.ndarray            # 1 - x
@@ -121,46 +128,58 @@ class _Level(NamedTuple):
     log_x: np.ndarray         # the lnx kernel
     log_ratio: np.ndarray     # the lnratio kernel, log x - log(1-x)
     u: np.ndarray             # x (1-x)^2
+    bounds: np.ndarray
 
 
-# per-level cache: a level is built on its first use and kept; a reader
-# that finds it there takes no lock
+# levels 0.._STAGE0_TOP make stage 0; every later level is its own stage
+_STAGE0_TOP = 4
+
+# per-stage cache, keyed by the stage's first level: a stage is built on
+# its first use and kept; a reader that finds it there takes no lock
 _nodes_lock = threading.Lock()
-_nodes: dict[int, _Level] = {}
+_nodes: dict[int, _Stage] = {}
 
 
-def _build_level(level: int) -> _Level:
+def _level_t(level: int) -> np.ndarray:
     import numpy as np
 
-    h = 2.0 ** (-level)
     if level == 0:
-        j = np.arange(-int(_T_MAX), int(_T_MAX) + 1, dtype=np.float64)
-        t = j * 1.0
-    else:
-        top = int(_T_MAX * 2 ** level)
-        odd = np.arange(1, top + 1, 2, dtype=np.float64)
-        t = np.concatenate([-odd[::-1], odd]) * h
+        return np.arange(-int(_T_MAX), int(_T_MAX) + 1, dtype=np.float64)
+    top = int(_T_MAX * 2 ** level)
+    odd = np.arange(1, top + 1, 2, dtype=np.float64)
+    return np.concatenate([-odd[::-1], odd]) * 2.0 ** (-level)
+
+
+def _build_stage(first: int) -> _Stage:
+    import numpy as np
+
+    last = _STAGE0_TOP if first == 0 else first
+    ts = [_level_t(level) for level in range(first, last + 1)]
+    t = np.concatenate(ts)
+    bounds = np.cumsum([0] + [len(a) for a in ts])
     s = 0.5 * math.pi * np.sinh(t)
     x = 1.0 / (1.0 + np.exp(-2.0 * s))
     xc = 1.0 / (1.0 + np.exp(2.0 * s))
     w = 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
     log_x = np.log(x)
-    return _Level(x, xc, w, log_x, log_x - np.log(xc), x * xc * xc)
+    return _Stage(x, xc, w, log_x, log_x - np.log(xc), x * xc * xc, bounds)
 
 
-def _level_nodes(level: int) -> _Level:
-    got = _nodes.get(level)
+def _level_nodes(level: int) -> _Stage:
+    """The stage that holds this level."""
+    first = 0 if level <= _STAGE0_TOP else level
+    got = _nodes.get(first)
     if got is None:
         with _nodes_lock:
-            got = _nodes.get(level)
+            got = _nodes.get(first)
             if got is None:
-                got = _nodes[level] = _build_level(level)
+                got = _nodes[first] = _build_stage(first)
     return got
 
 
-class _OnLevel:
-    """An integrand that reads a level's cached arrays: values(level)
-    returns its values at the level's nodes."""
+class _OnStage:
+    """An integrand that reads a stage's cached arrays: values(stage)
+    returns its values at the stage's nodes."""
 
     __slots__ = ("values",)
 
@@ -182,56 +201,74 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
         raise DomainError(f"max_level must be an integer in [2, {MAX_LEVEL}]")
     import numpy as np
 
-    if isinstance(f, _OnLevel):
+    if isinstance(f, _OnStage):
         values = f.values
     else:
-        def values(lv):
-            return np.asarray(f(lv.x, lv.xc))
+        def values(st):
+            return np.asarray(f(st.x, st.xc))
 
     total = prev = 0.0
-    for level in range(max_level + 1):
-        lv = _level_nodes(level)
-        contrib = np.add.reduce(lv.w * values(lv)).item()
-        h = 2.0 ** (-level)
-        if level == 0:
-            total = contrib  # h = 1
-        else:
-            total = 0.5 * total + h * contrib
-        if level >= 2:
-            err = abs(total - prev)
-            if err <= tol * max(1.0, abs(total)) and math.isfinite(err):
-                return total
-        prev = total
-    raise NoConvergence(
-        f"tanh-sinh refinement did not reach tol = {tol} within level {max_level}"
-    )
+    level = 0
+    while True:
+        st = _level_nodes(level)
+        # each level's sum of w f over its own nodes, from one evaluation
+        for contrib in np.add.reduceat(st.w * values(st), st.bounds[:-1]).tolist():
+            if level == 0:
+                total = contrib  # h = 1
+            else:
+                total = 0.5 * total + 2.0 ** (-level) * contrib
+            if level >= 2:
+                err = abs(total - prev)
+                if err <= tol * max(1.0, abs(total)) and math.isfinite(err):
+                    return total
+            if level == max_level:
+                raise NoConvergence(
+                    f"tanh-sinh refinement did not reach tol = {tol} within level {max_level}"
+                )
+            prev = total
+            level += 1
 
 
-def _integrand(kernel: Kernel, z: float, m: int, variant: Variant) -> _OnLevel:
+def _ipow(a: np.ndarray, n: int) -> np.ndarray:
+    """a ** n for an integer n >= 1, by repeated squaring: numpy's power
+    calls libm pow per element for every integer exponent but 0, +-1
+    and 2, which costs more than ten times as much."""
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else result * a
+        n >>= 1
+        if not n:
+            return result
+        a = a * a
+
+
+def _integrand(kernel: Kernel, z: float, m: int, variant: Variant) -> _OnStage:
     lnx = kernel is Kernel.LNX
     if variant in (Variant.THM1, Variant.THM2):
-        p = m + 1
-        if variant is Variant.THM1 and m > 0:
-            def f(lv):
-                k = lv.log_x if lnx else lv.log_ratio
-                num = lv.x ** m * lv.xc ** (2 * m)
-                return k * num / (lv.u - z) ** p
-        else:
-            def f(lv):
-                k = lv.log_x if lnx else lv.log_ratio
-                return k / (lv.u - z) ** p
+        # with r = 1/(u - z), the numerator x^m (1-x)^{2m} is u^m, so
+        # thm1 is k r (u r)^m and thm2 is k r^{m+1}: powers of numbers of
+        # size at most 1/(distance of z from [0, 4/27]), which underflow
+        # quietly at huge |z| where powers of u - z would overflow
+        thm1 = variant is Variant.THM1 and m > 0
 
-        return _OnLevel(f)
+        def f(st):
+            k = st.log_x if lnx else st.log_ratio
+            r = 1.0 / (st.u - z)
+            return k * r * _ipow(st.u * r, m) if thm1 else k * _ipow(r, m + 1)
+
+        return _OnStage(f)
 
     weighted = variant in (Variant.C2, Variant.C4)
 
-    def f(lv):
-        k = lv.log_x if lnx else lv.log_ratio
-        u = lv.u
-        w = 1.0 / (1.0 + (z * u) ** 2)
+    def f(st):
+        k = st.log_x if lnx else st.log_ratio
+        u = st.u
+        zu = z * u
+        w = 1.0 / (1.0 + zu * zu)
         return k * u * w if weighted else k * w
 
-    return _OnLevel(f)
+    return _OnStage(f)
 
 
 def _pole_distance(z: float) -> float:
@@ -243,19 +280,18 @@ def _extreme_z_errstate(z: float, m: int, variant: Variant):
     """The np.errstate that silences the warnings an integral at this z
     raises without fault, or None where it raises none."""
     if variant in _C_KERNEL:
-        power, pole_distance = 2, None
-    else:
-        power, pole_distance = m + 1, _pole_distance(z)
-    # The integrand raises a number of size at most |z| + 1 to this power
-    # (|u| <= 4/27 on (0, 1)), so it can overflow only past this bound.
-    # There the inf makes a term far below 1e-300 exactly 0.
-    if power * math.log(abs(z) + 1.0) > 700.0:
-        import numpy as np
-        return np.errstate(over="ignore")
-    # Once pole_distance ** power < e^-700 (about 1e-304) the power can
-    # underflow to 0 at the nodes nearest the pole, and tanh_sinh refuses
-    # the inf and nan that follow.
-    if pole_distance is not None and power * -math.log(pole_distance) > 700.0:
+        # (z u)^2 can overflow only once 2 log(|z| + 1) passes 700, as
+        # |u| <= 4/27 on (0, 1); the inf then makes a term far below 1e-300
+        # exactly 0
+        if 2.0 * math.log(abs(z) + 1.0) > 700.0:
+            import numpy as np
+            return np.errstate(over="ignore")
+        return None
+    # thm1/thm2 raise r = 1/(u - z), of size at most 1/pole_distance, to the
+    # power m + 1.  Once pole_distance ** (m + 1) < e^-700 (about 1e-304)
+    # that power can overflow at the nodes nearest the pole, and tanh_sinh
+    # refuses the inf and nan that follow.
+    if (m + 1) * -math.log(_pole_distance(z)) > 700.0:
         import numpy as np
         return np.errstate(over="ignore", divide="ignore", invalid="ignore")
     return None
@@ -290,10 +326,11 @@ def beta_term_integral(k: int, tol: float = 1e-12) -> float:
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"index must be a nonnegative integer, got {k!r}")
 
-    def f(lv):
-        return lv.x ** k * lv.xc ** (2 * k) * lv.log_x if k else lv.log_x
+    # x^k (1-x)^{2k} is u^k
+    def f(st):
+        return _ipow(st.u, k) * st.log_x if k else st.log_x
 
-    return tanh_sinh(_OnLevel(f), tol)
+    return tanh_sinh(_OnStage(f), tol)
 
 
 def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,

@@ -66,9 +66,18 @@ _HORNER = tuple(c for n, c in reversed(_LOG_SERIES) if n >= 2)
 # about 0, Cl2(t) = t - t log|t| + sum_k |B_2k| t^(2k+1) / (2k (2k+1)!)
 _CL2_HORNER = tuple(abs(c) / n for n, c in reversed(_LOG_SERIES) if n >= 2)
 
+# The same about pi, from the duplication formula Cl2(pi - d) =
+# Cl2(d) - Cl2(2d)/2, in which the d log|d| terms of the two series
+# cancel exactly: Cl2(pi - d) = d log 2 - sum_k (2^(2k) - 1) |B_2k|
+# d^(2k+1) / (2k (2k+1)!).
+_CL2_PI_HORNER = tuple(abs(c) / n * (1.0 - 2.0 ** n)
+                       for n, c in reversed(_LOG_SERIES) if n >= 2)
+_LN2 = math.log(2.0)
+
 # 2*pi minus its double _TWO_PI, so that a reduction by k periods is good
-# to about 1e-32 * k instead of 2.4e-16 * k
+# to about 1e-32 * k instead of 2.4e-16 * k; pi's residual is half of it
 _TWO_PI_LO = 2.4492935982947064e-16
+_PI_LO = 0.5 * _TWO_PI_LO
 
 
 class HarmonicCache:
@@ -217,7 +226,7 @@ def clausen2(theta: float) -> float:
     """Clausen function Cl2(theta) = sum_{k>=1} sin(k*theta)/k^2.
 
     theta is reduced by 2*pi carried to about 32 digits, so values near a
-    zero 2*pi*k keep their relative accuracy; an exact multiple of the
+    zero pi*k keep their relative accuracy; an exact multiple of the
     double nearest 2*pi is taken as such a zero and gives 0.0.
     """
     t = float(theta)
@@ -226,9 +235,21 @@ def clausen2(theta: float) -> float:
     r = math.remainder(t, _TWO_PI)
     if r == 0.0:
         return 0.0
-    # remainder is exact against the double _TWO_PI; take off the k periods'
-    # share of its residual too, or Cl2 near 2*pi*k loses 2.4e-16*k/|r|
-    r -= round((t - r) / _TWO_PI) * _TWO_PI_LO
+    # remainder is exact against the double _TWO_PI; the k periods' share
+    # of its residual must come off too, or Cl2 loses 2.4e-16*k over the
+    # distance to its nearest zero, 2*pi*k or (2k+1)*pi
+    k = round((t - r) / _TWO_PI)
+    # near +-pi that distance is d = pi - |reduced r|: _PI - |r| is exact
+    # (Sterbenz), and pi's residual and the periods' are added after it
+    d = (_PI - abs(r)) + (2 * (k if r > 0.0 else -k) + 1) * _PI_LO
+    if d <= 0.5:
+        v = d * d
+        p = 0.0
+        for c in _CL2_PI_HORNER:
+            p = p * v + c
+        cl = d * _LN2 + d * v * p
+        return cl if r > 0.0 else -cl
+    r -= k * _TWO_PI_LO
     if abs(r) > 1.0:
         return dilog(cmath.exp(1j * r)).imag
     # near 0, exp(1j*r) rounds away the r^2/2 that sets Cl2's size

@@ -52,11 +52,11 @@ class TestBasisIntegral:
     def test_order_zero_is_dilog(self):
         assert C_of(0, 2.0) == dilog(0.5)
         v = C_of(0, -1j)
-        assert v.real == pytest.approx(-math.pi ** 2 / 48, rel=1e-14)
-        assert v.imag == pytest.approx(0.91596559417721901505, rel=1e-14)
+        assert v.real == pytest.approx(-math.pi ** 2 / 48, rel=1e-14, abs=0)
+        assert v.imag == pytest.approx(0.91596559417721901505, rel=1e-14, abs=0)
 
     def test_order_one_at_two(self):
-        assert C_of(1, 2.0) == pytest.approx(-math.log(2) / 2, rel=1e-15)
+        assert C_of(1, 2.0) == pytest.approx(-math.log(2) / 2, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
@@ -85,7 +85,7 @@ class TestBasisIntegral:
 
 class TestMirror:
     def test_minus_one(self):
-        assert C_mirror(0, -1.0).real == pytest.approx(-0.5 * math.log(2) ** 2, rel=1e-14)
+        assert C_mirror(0, -1.0).real == pytest.approx(-0.5 * math.log(2) ** 2, rel=1e-14, abs=0)
         assert C_mirror(0, -1.0).imag == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
@@ -105,13 +105,13 @@ class TestMirror:
 class TestClosedSum:
     def test_reference_total(self):
         got = closed_sum("A1", 2.0, 0)
-        assert got.total == pytest.approx(PRINTED["a1-z2-m0"], rel=1e-13)
+        assert got.total == pytest.approx(PRINTED["a1-z2-m0"], rel=1e-13, abs=0)
         assert got.imag_residual <= 1e-15
 
     def test_orientation_at_negative_z(self):
         # the alternating printed form at z = -4 flips the sign
         got = closed_sum("A1", -4.0, 0)
-        assert got.total == pytest.approx(-PRINTED["a1-zneg4-m0-dilog"], rel=1e-13)
+        assert got.total == pytest.approx(-PRINTED["a1-zneg4-m0-dilog"], rel=1e-13, abs=0)
 
     def test_against_series_sample(self):
         for family, z, m in [("A1", 3.0, 1), ("A2", -2.0, 2), ("B1", 5.0, 3),
@@ -147,7 +147,7 @@ class TestClosedSum:
         bd = closed_sum("A2", 2.0, 3)
         grand = sum(bd.contributions, start=0j)
         sign = -1.0 if bd.m % 2 else 1.0
-        assert (sign * grand).real == pytest.approx(bd.total, rel=1e-15)
+        assert (sign * grand).real == pytest.approx(bd.total, rel=1e-15, abs=0)
 
     def test_no_closed_form_for_alternating(self):
         with pytest.raises(DomainError):
@@ -235,7 +235,7 @@ class TestRegistry:
 
     def test_cross_form_equality(self):
         assert reference_constant("a1-zneg4-m0-dilog") == pytest.approx(
-            reference_constant("a1-zneg4-m0-quot"), rel=1e-14)
+            reference_constant("a1-zneg4-m0-quot"), rel=1e-14, abs=0)
 
     def test_unknown_constant(self):
         with pytest.raises(UnknownConstant):

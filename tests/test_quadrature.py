@@ -15,6 +15,7 @@ from trisum.quadrature import (
     series_via_quadrature,
     tanh_sinh,
 )
+from trisum.quadrature import _ipow
 from trisum.series import sum_series
 
 A1_Z2_M0_REF = 0.52395769463509576811
@@ -48,18 +49,78 @@ class TestTanhSinh:
         with pytest.raises(NoConvergence):
             tanh_sinh(lambda x, xc: np.abs(x - 1.0 / 3.0), tol=1e-14, max_level=4)
 
+    @pytest.mark.parametrize("tol,stages", [
+        (1e-4, [0]), (1e-12, [0]), (1e-14, [0]),
+    ])
+    def test_stops_inside_first_stage(self, monkeypatch, tol, stages):
+        # levels 0-4 share one evaluation; at these tols this integral
+        # stops at level 2, 3 and 4 of it
+        assert self._stages_visited(
+            monkeypatch, lambda x, xc: np.log(x) * np.log(xc), tol,
+            2.0 - math.pi ** 2 / 6) == stages
+
+    @pytest.mark.parametrize("tol,stages", [
+        (1e-4, [0, 5]), (1e-12, [0, 5, 6, 7]), (1e-14, [0, 5, 6, 7]),
+    ])
+    def test_runs_past_first_stage(self, monkeypatch, tol, stages):
+        # a peak of width 0.1 at x = 1/2 needs levels 5-7
+        want = 20.0 * math.atan(5.0)
+        assert self._stages_visited(
+            monkeypatch, lambda x, xc: 1.0 / (0.01 + (x - 0.5) ** 2), tol,
+            want) == stages
+
+    def test_complex_integrand_past_first_stage(self, monkeypatch):
+        # int_0^1 dx/(x - c) = log(1 - c) - log(-c); the path keeps Im < 0
+        c = 0.5 + 0.1j
+        want = complex(np.log(1 - c) - np.log(-c))
+        assert self._stages_visited(
+            monkeypatch, lambda x, xc: 1.0 / (x - c), 1e-12, want) == [0, 5, 6, 7]
+
+    @staticmethod
+    def _stages_visited(monkeypatch, f, tol, want):
+        import trisum.quadrature as quadrature
+        seen = []
+        nodes = quadrature._level_nodes
+
+        def counting(level):
+            seen.append(level)
+            return nodes(level)
+
+        monkeypatch.setattr(quadrature, "_level_nodes", counting)
+        got = tanh_sinh(f, tol=tol)
+        assert abs(got - want) <= tol * max(1.0, abs(want))
+        return seen
+
+    @pytest.mark.parametrize("max_level", [2, 3])
+    def test_max_level_inside_first_stage(self, max_level):
+        # this integral reaches tol 1e-14 at level 4, inside stage 0: a
+        # lower max_level must still stop the refinement there
+        f = lambda x, xc: np.log(x) * np.log(xc)
+        with pytest.raises(NoConvergence, match=f"within level {max_level}"):
+            tanh_sinh(f, tol=1e-14, max_level=max_level)
+        assert tanh_sinh(f, tol=1e-14, max_level=4) == pytest.approx(
+            2.0 - math.pi ** 2 / 6, rel=1e-14, abs=0)
+
     def test_bad_tol(self):
         with pytest.raises(DomainError):
             tanh_sinh(lambda x, xc: x, tol=1e-15)
 
     def test_node_complement_consistency(self):
         from trisum.quadrature import _level_nodes
-        for level in (0, 1, 4):
+        for level in (0, 1, 4, 5, 12):
             nodes = _level_nodes(level)
             x, xc, w = nodes.x, nodes.xc, nodes.w
             assert np.all(x > 0) and np.all(xc > 0)
             assert np.max(np.abs(x + xc - 1.0)) <= 1e-15
             assert np.all(w > 0)
+
+
+    def test_first_stage_holds_levels_0_to_4(self):
+        from trisum.quadrature import _level_nodes
+        first = _level_nodes(0)
+        assert first.bounds.tolist() == [0, 13, 25, 49, 97, 193]
+        assert all(_level_nodes(level) is first for level in range(1, 5))
+        assert _level_nodes(5).bounds.tolist() == [0, 192]
 
 
 class TestIntegrandSpec:
@@ -122,6 +183,16 @@ class TestCatalogIntegrals:
             got = integrate(IntegrandSpec(Kernel.LNX, z, m, Variant(variant)))
         assert abs(got) < 1e-150
 
+    @pytest.mark.parametrize("variant", ["thm1", "thm2"])
+    @pytest.mark.parametrize("z", [1e308, -1e308, 1e10, -1e10])
+    @pytest.mark.parametrize("m", [0, 1, 60])
+    def test_theorem_integrands_underflow_quietly_at_huge_z(self, variant, z, m):
+        # they raise r = 1/(u - z), |r| < 1, to powers: nothing overflows,
+        # so no errstate is needed to keep numpy quiet
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = integrate(IntegrandSpec(Kernel.LNX, z, m, Variant(variant)))
+        assert abs(got) <= 2.0 * (1.0 / abs(z)) ** (m + 1)
+
     def test_domain_mirrors_series(self):
         with pytest.raises(NonConvergent):
             series_via_quadrature("A1", 0.5)
@@ -135,7 +206,24 @@ def _written_out(kernel: str, z: float, m: int, variant: str):
         k = np.log(x) if kernel == "lnx" else np.log(x) - np.log(xc)
         u = x * xc * xc
         if variant in ("thm1", "thm2"):
-            num = x ** m * xc ** (2 * m) if (variant == "thm1" and m > 0) else 1.0
+            # x^m (1-x)^{2m} / (u - z)^{m+1} = r (u r)^m with r = 1/(u - z)
+            r = 1.0 / (u - z)
+            if variant == "thm1" and m > 0:
+                return k * r * _ipow(u * r, m)
+            return k * _ipow(r, m + 1)
+        zu = z * u
+        w = 1.0 / (1.0 + zu * zu)
+        return k * u * w if variant in ("c2", "c4") else k * w
+    return f
+
+
+def _with_powers(kernel: str, z: float, m: int, variant: str):
+    """The catalog integrand as printed, with numpy's ** for the powers."""
+    def f(x, xc):
+        k = np.log(x) if kernel == "lnx" else np.log(x) - np.log(xc)
+        u = x * xc * xc
+        if variant in ("thm1", "thm2"):
+            num = x ** m * xc ** (2 * m) if variant == "thm1" else 1.0
             return k * num / (u - z) ** (m + 1)
         w = 1.0 / (1.0 + (z * u) ** 2)
         return k * u * w if variant in ("c2", "c4") else k * w
@@ -158,6 +246,21 @@ def test_catalog_integrand_reads_cache_bitwise(kernel, variant, z, m):
     got = integrate(IntegrandSpec(kernel, z, m, variant))
     want = tanh_sinh(_written_out(kernel, z, m, variant))
     assert got.hex() == want.hex()
+
+
+_HIGH_ORDER = [(kernel, variant, z, m) for kernel in ("lnx", "lnratio")
+               for variant in ("thm1", "thm2") for z in (-30.0, -2.0, 2.0, 30.0)
+               for m in (8, 20)]
+
+
+@pytest.mark.parametrize("kernel,variant,z,m", _CATALOG + _HIGH_ORDER)
+def test_catalog_integral_matches_power_formula(kernel, variant, z, m):
+    # the integrands take their powers by repeated multiplication, of
+    # r = 1/(u - z) and u r; the integral must agree with the printed
+    # formula evaluated with numpy's **
+    got = integrate(IntegrandSpec(kernel, z, m, variant))
+    want = tanh_sinh(_with_powers(kernel, z, m, variant))
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestBetaTermIntegral:

@@ -94,7 +94,7 @@ class TestSumSeries:
         assert sum_series("B1", -4.0) == pytest.approx(B1_ZN4_M0_REF, rel=2e-13)
 
     def test_concluding_reference_values(self):
-        assert sum_series("C1", 0.5) == pytest.approx(C1_HALF_REF, rel=2e-14)
+        assert sum_series("C1", 0.5) == pytest.approx(C1_HALF_REF, rel=2e-14, abs=0)
         assert sum_series("C2", 0.5) == pytest.approx(C2_HALF_REF, rel=2e-14)
         assert sum_series("C3", 0.5) == pytest.approx(C3_HALF_REF, rel=2e-13)
         assert sum_series("C4", 0.5) == pytest.approx(C4_HALF_REF, rel=2e-14)
@@ -125,7 +125,7 @@ class TestSumSeries:
     def test_tol_is_respected(self):
         loose = sum_series("A1", 2.0, 0, tol=1e-6)
         tight = sum_series("A1", 2.0, 0, tol=1e-13)
-        assert loose == pytest.approx(tight, rel=1e-6)
+        assert loose == pytest.approx(tight, rel=1e-6, abs=0)
         assert abs(tight - A1_Z2_M0_REF) <= 1e-13
 
     def test_c_families_at_zero(self):
@@ -159,7 +159,7 @@ class TestSumSeries:
         with pytest.raises(TooManyTerms):
             sum_series("A1", 2.0, 0, tol=1e-13)
         monkeypatch.setenv("TRISUM_MAX_TERMS", "500")
-        assert sum_series("A1", 2.0) == pytest.approx(A1_Z2_M0_REF, rel=1e-13)
+        assert sum_series("A1", 2.0) == pytest.approx(A1_Z2_M0_REF, rel=1e-13, abs=0)
 
     def test_term_cap_env_invalid(self, monkeypatch):
         monkeypatch.setenv("TRISUM_MAX_TERMS", "soon")

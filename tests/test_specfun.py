@@ -111,32 +111,32 @@ class TestHarmonic:
 class TestDilog:
     def test_special_values(self):
         assert dilog(0) == 0
-        assert dilog(1).real == pytest.approx(PI2_6, rel=1e-16)
+        assert dilog(1).real == pytest.approx(PI2_6, rel=1e-16, abs=0)
         assert dilog(1).imag == 0.0
-        assert dilog(-1).real == pytest.approx(-math.pi ** 2 / 12, rel=1e-15)
-        assert dilog(0.5).real == pytest.approx(LI2_HALF_REF, rel=1e-15)
+        assert dilog(-1).real == pytest.approx(-math.pi ** 2 / 12, rel=1e-15, abs=0)
+        assert dilog(0.5).real == pytest.approx(LI2_HALF_REF, rel=1e-15, abs=0)
         assert dilog(0.5).imag == 0.0
 
     def test_imaginary_unit(self):
         v = dilog(1j)
-        assert v.real == pytest.approx(-math.pi ** 2 / 48, rel=1e-15)
-        assert v.imag == pytest.approx(CATALAN_REF, rel=1e-15)
+        assert v.real == pytest.approx(-math.pi ** 2 / 48, rel=1e-15, abs=0)
+        assert v.imag == pytest.approx(CATALAN_REF, rel=1e-15, abs=0)
         w = dilog(-1j)
         assert w == v.conjugate()
 
     def test_cut_limit_from_below(self):
         # for real x > 1 the value is the limit from Im z < 0
         v = dilog(2.0)
-        assert v.real == pytest.approx(LI2_2_RE_REF, rel=1e-15)
-        assert v.imag == pytest.approx(-PI_LN2_REF, rel=1e-15)
+        assert v.real == pytest.approx(LI2_2_RE_REF, rel=1e-15, abs=0)
+        assert v.imag == pytest.approx(-PI_LN2_REF, rel=1e-15, abs=0)
         for x in (1.5, 3.0, 10.0, 1e6):
-            assert dilog(x).imag == pytest.approx(-math.pi * math.log(x), rel=1e-15)
+            assert dilog(x).imag == pytest.approx(-math.pi * math.log(x), rel=1e-15, abs=0)
 
     def test_cut_continuity_from_below(self):
         for x in (1.5, 2.0, 7.0):
             below = dilog(complex(x, -1e-12))
-            assert dilog(x).real == pytest.approx(below.real, rel=1e-10)
-            assert dilog(x).imag == pytest.approx(below.imag, rel=1e-10)
+            assert dilog(x).real == pytest.approx(below.real, rel=1e-10, abs=0)
+            assert dilog(x).imag == pytest.approx(below.imag, rel=1e-10, abs=0)
 
     def test_reference_point(self):
         got = dilog(complex(-3, 2))
@@ -188,15 +188,15 @@ class TestDilog:
         rng = random.Random(5)
         for _ in range(40):
             z = complex(rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(0.05, 3))
-            assert dilog(z.conjugate()) == pytest.approx(dilog(z).conjugate(), rel=2e-15)
+            assert dilog(z.conjugate()) == pytest.approx(dilog(z).conjugate(), rel=2e-15, abs=0)
 
     def test_hexagonal_points(self):
         # sixth roots of unity sit where the functional maps cannot shrink |z|
         z = cmath.exp(1j * math.pi / 3)
         v = dilog(z)
         t = math.pi / 3
-        assert v.real == pytest.approx(PI2_6 + (t * t - 2 * math.pi * t) / 4, rel=1e-14)
-        assert v.imag == pytest.approx(clausen2(t), rel=1e-14)
+        assert v.real == pytest.approx(PI2_6 + (t * t - 2 * math.pi * t) / 4, rel=1e-14, abs=0)
+        assert v.imag == pytest.approx(clausen2(t), rel=1e-14, abs=0)
 
     def test_nonfinite_rejected(self):
         for bad in (math.inf, math.nan, complex(math.inf, 1), complex(0, math.nan)):
@@ -273,10 +273,21 @@ class TestClausen:
             assert clausen2(t) == pytest.approx(_clausen_series(t), abs=5e-11)
 
     def test_reference_values(self):
-        assert clausen2(math.pi / 2) == pytest.approx(CATALAN_REF, rel=1e-15)
-        assert clausen2(math.pi / 3) == pytest.approx(CL2_PI3_REF, rel=1e-15)
-        assert clausen2(1.0) == pytest.approx(CL2_ONE_REF, rel=1e-15)
-        assert clausen2(-math.pi / 2) == pytest.approx(-CATALAN_REF, rel=1e-15)
+        assert clausen2(math.pi / 2) == pytest.approx(CATALAN_REF, rel=1e-15, abs=0)
+        assert clausen2(math.pi / 3) == pytest.approx(CL2_PI3_REF, rel=1e-15, abs=0)
+        assert clausen2(1.0) == pytest.approx(CL2_ONE_REF, rel=1e-15, abs=0)
+        assert clausen2(-math.pi / 2) == pytest.approx(-CATALAN_REF, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("theta", [
+        math.pi + 1e-6, -math.pi - 1e-6, 3 * math.pi - 1e-7, 5 * math.pi + 1e-9,
+        3 * math.pi, math.pi, -math.pi, 7 * math.pi - 1e-12, math.pi - 0.5,
+    ])
+    def test_relative_accuracy_near_odd_multiples_of_pi(self, theta):
+        # Cl2 vanishes at pi*(2k+1) too: the distance from +-pi of the
+        # reduced argument must be carried past the double nearest pi
+        with mp.workdps(40):
+            want = float(mp.clsin(2, mp.mpf(theta)))
+        assert clausen2(theta) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_zeros(self):
         assert clausen2(0.0) == 0.0
@@ -324,5 +335,5 @@ class TestClausen:
 
 
 def test_catalan_value():
-    assert catalan() == pytest.approx(CATALAN_REF, rel=5e-16)
+    assert catalan() == pytest.approx(CATALAN_REF, rel=5e-16, abs=0)
     assert catalan() is catalan()  # memoized
