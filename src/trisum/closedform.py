@@ -56,7 +56,7 @@ from functools import lru_cache
 
 from .errors import DomainError, UnknownConstant
 from .roots import CubicRoots, solve_cubic
-from .series import FAMILIES, SeriesFamily, validate
+from .series import FAMILIES, SeriesFamily, resolve_family, validate
 from .specfun import catalan, dilog
 
 __all__ = [
@@ -173,7 +173,7 @@ class ClosedFormBreakdown:
 
 def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBreakdown:
     """Evaluate one family in powers of 1/z by its closed form."""
-    family = SeriesFamily(family)
+    family = resolve_family(family)
     if not FAMILIES[family].outer:
         raise DomainError(
             f"family {family.value} has no closed form; its value is defined "
@@ -187,16 +187,24 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
     basis = C_mirror if spec.kind == "B" else C_of
 
     contribs = []
-    for which, lam in enumerate(rts.roots, start=1):
-        if lam.imag > 0.0:
-            # the roots sort the partner lam.conjugate() first
-            contribs.append(contribs[rts.roots.index(lam.conjugate())].conjugate())
-            continue
-        coeffs = coeff(m, rts, which)
-        inner = 0j
-        for r in range(m + 1):
-            inner += coeffs[r] * basis(r, lam)
-        contribs.append(inner)
+    try:
+        for which, lam in enumerate(rts.roots, start=1):
+            if lam.imag > 0.0:
+                # the roots sort the partner lam.conjugate() first
+                contribs.append(contribs[rts.roots.index(lam.conjugate())].conjugate())
+                continue
+            coeffs = coeff(m, rts, which)
+            inner = 0j
+            for r in range(m + 1):
+                inner += coeffs[r] * basis(r, lam)
+            contribs.append(inner)
+    except OverflowError as exc:
+        # complex ** raises where float arithmetic would give inf: at huge
+        # |z| the roots' powers in _binomial pass the double range
+        raise DomainError(
+            f"closed form of family {family.value} at z = {z!r}, m = {m} "
+            f"overflows: {exc}"
+        ) from None
 
     grand = sum(contribs, start=0j)
     if m % 2:

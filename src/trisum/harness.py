@@ -212,8 +212,12 @@ def _suite_identities(tol: float) -> list[VerificationRecord]:
     for n in range(1, 201):
         even = abs(harmonic(2 * n) - (harmonic(n) / 2 + odd_harmonic(n)))
         odd = abs(harmonic(2 * n - 1) - (harmonic(n - 1) / 2 + odd_harmonic(n)))
-        exact_gap = harmonic(2 * n, exact=True) - \
-            harmonic(n, exact=True) / 2 - odd_harmonic(n, exact=True)
+        # H_2n - H_n/2 - O_n = p/q - r/2s - u/v, zero exactly when the
+        # cross-multiplied numerator is: no gcd reduction of the big ints
+        p, q = harmonic(2 * n, exact=True).as_integer_ratio()
+        r, s = harmonic(n, exact=True).as_integer_ratio()
+        u, v = odd_harmonic(n, exact=True).as_integer_ratio()
+        exact_gap = 2 * p * s * v - q * (r * v + 2 * u * s)
         dev = max(dev, even, odd, math.inf if exact_gap != 0 else 0.0)
     out.append(_identity_record("harmonic-even-odd-split", tol, dev, t0))
 

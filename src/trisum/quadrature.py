@@ -15,14 +15,17 @@ underflow threshold, so every stored node is usable.
 The nodes are held in stages.  Stage 0 holds all 193 nodes of levels
 0-4, since at tol 1e-12 nearly every integral stops at level 3 or 4;
 each later level is a stage of its own.  The integrand is evaluated
-once per stage, and one reduction gives the sums of every level in it.
-A stage is built on its first use and kept: its nodes x and 1-x, its
-weights, and what the catalog integrands compute from the nodes alone,
-the kernels log x and log x - log(1-x) and u = x(1-x)^2.  None of it
-depends on z, so every integral reuses it and only the z-dependent
-factor is computed per call.  That factor raises arrays to integer
-powers by repeated multiplication, since numpy's power calls libm pow
-per element for most integer exponents.
+once per stage, and one matrix product gives the sums of every level in
+it: the stage's matrix has a row per level holding that level's weights
+times its step 2^-level, and 0 on the other levels' nodes (the nested
+levels share their nodes this way, after Takahasi & Mori 1974).  A
+stage is built on its first use and kept: its nodes x and 1-x, its
+weights and level-sum matrix, and what the catalog integrands compute
+from the nodes alone, the kernels log x and log x - log(1-x) and
+u = x(1-x)^2.  None of it depends on z, so every integral reuses it
+and only the z-dependent factor is computed per call.  That factor
+raises arrays to integer powers by repeated multiplication, since
+numpy's power calls libm pow per element for most integer exponents.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, NoConvergence
-from .series import FAMILIES, SeriesFamily, validate
+from .series import FAMILIES, SeriesFamily, check_m_z, resolve_family, validate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,8 +83,8 @@ _KIND_KERNEL = {"A": Kernel.LNX, "B": Kernel.LNRATIO}
 
 # the c1..c4 variants are the integrals of the alternating families of the
 # same name, so they take those families' kernels
-_C_KERNEL = {Variant(f.value.lower()): _KIND_KERNEL[spec.kind]
-             for f, spec in FAMILIES.items() if not spec.outer}
+_C_VARIANT = {f: Variant(f.value.lower()) for f, spec in FAMILIES.items() if not spec.outer}
+_C_KERNEL = {v: _KIND_KERNEL[FAMILIES[f].kind] for f, v in _C_VARIANT.items()}
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,7 @@ class IntegrandSpec:
         object.__setattr__(self, "kernel", Kernel(self.kernel))
         object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "z", float(self.z))
-        if not math.isfinite(self.z):
-            raise DomainError(f"integrand parameter z must be finite, got {self.z!r}")
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
-            raise DomainError(f"integrand order m must be a nonnegative integer, got {self.m!r}")
+        check_m_z(self.m, self.z)
         if self.variant in _C_KERNEL:
             if self.kernel is not _C_KERNEL[self.variant]:
                 raise DomainError(
@@ -120,7 +120,9 @@ class IntegrandSpec:
 class _Stage(NamedTuple):
     """The nodes of one or more consecutive refinement levels, and the
     arrays every catalog integrand computes from them whatever its z.
-    Level i of the stage is the slice bounds[i]:bounds[i + 1]."""
+    Level i of the stage is the slice bounds[i]:bounds[i + 1].  Row i of
+    sums is that level's weights times its step h = 2^-level, and 0 on
+    the other levels' nodes, so sums @ f gives every level's h sum(w f)."""
 
     x: np.ndarray
     xc: np.ndarray            # 1 - x
@@ -129,6 +131,7 @@ class _Stage(NamedTuple):
     log_ratio: np.ndarray     # the lnratio kernel, log x - log(1-x)
     u: np.ndarray             # x (1-x)^2
     bounds: np.ndarray
+    sums: np.ndarray          # (levels in the stage, nodes)
 
 
 # levels 0.._STAGE0_TOP make stage 0; every later level is its own stage
@@ -162,7 +165,11 @@ def _build_stage(first: int) -> _Stage:
     xc = 1.0 / (1.0 + np.exp(2.0 * s))
     w = 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
     log_x = np.log(x)
-    return _Stage(x, xc, w, log_x, log_x - np.log(xc), x * xc * xc, bounds)
+    sums = np.zeros((len(ts), len(t)))
+    for i, level in enumerate(range(first, last + 1)):
+        lo, hi = bounds[i], bounds[i + 1]
+        sums[i, lo:hi] = w[lo:hi] * 2.0 ** -level
+    return _Stage(x, xc, w, log_x, log_x - np.log(xc), x * xc * xc, bounds, sums)
 
 
 def _level_nodes(level: int) -> _Stage:
@@ -193,7 +200,9 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
     f must accept two equal-length float64 arrays and return an array
     of values (real or complex).  Stops once two successive refinement
     levels agree to tol relative to max(1, |integral|); raises
-    NoConvergence if max_level is exhausted first.
+    NoConvergence if max_level is exhausted first.  The levels of a stage
+    are summed together, so a value of f that is not finite at any node
+    of a stage makes every level sum in it non-finite.
     """
     if not (isinstance(tol, float) and math.isfinite(tol)) or tol < _MIN_TOL:
         raise DomainError(f"tol must be a float >= {_MIN_TOL}, got {tol!r}")
@@ -211,12 +220,11 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
     level = 0
     while True:
         st = _level_nodes(level)
-        # each level's sum of w f over its own nodes, from one evaluation
-        for contrib in np.add.reduceat(st.w * values(st), st.bounds[:-1]).tolist():
-            if level == 0:
-                total = contrib  # h = 1
-            else:
-                total = 0.5 * total + 2.0 ** (-level) * contrib
+        # every level's h sum(w f) over its own nodes, from one evaluation
+        # and one product; the new nodes of level L halve the step of the
+        # levels before it (h = 1 at level 0, where total starts at 0)
+        for contrib in st.sums.dot(values(st)).tolist():
+            total = 0.5 * total + contrib
             if level >= 2:
                 err = abs(total - prev)
                 if err <= tol * max(1.0, abs(total)) and math.isfinite(err):
@@ -338,7 +346,7 @@ def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
     """The value each series family must take, computed from its
     integral representation.  Independent oracle for sum_series and for
     the closed forms."""
-    family = SeriesFamily(family)
+    family = resolve_family(family)
     z = float(z)
     spec = validate(family, z, m)
     kernel = _KIND_KERNEL[spec.kind]
@@ -346,5 +354,5 @@ def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
         variant = Variant.THM2 if spec.shifted else Variant.THM1
         raw = _integrate(kernel, z, m, variant, tol)
         return raw if m % 2 == 0 else -raw
-    raw = _integrate(kernel, z, 0, Variant(family.value.lower()), tol)
+    raw = _integrate(kernel, z, 0, _C_VARIANT[family], tol)
     return -z * raw if spec.shifted else -raw

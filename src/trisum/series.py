@@ -21,7 +21,10 @@ The base terms depend on k alone, so sum_series reads them from one
 double table per kind, shared by every call and every z.  The table
 starts empty and grows, by doubling, to the longest prefix a call has
 needed; a call only multiplies its entries by the binomial weight and
-the power of z.
+the power of z.  The weight, C(k,m) or C(k+m,k), goes from term to term
+as an exact integer by its ratio recurrence, and the alternating sign
+of C1..C4 rides on the power of z, whose step is -z^2: each term is the
+same double that math.comb and an explicit sign give.
 """
 
 from __future__ import annotations
@@ -146,6 +149,29 @@ def _max_terms() -> int:
     return cap
 
 
+# name -> member; a SeriesFamily is a str equal to its name, so a member
+# finds itself here too, at the cost of one dict lookup instead of a call
+# of the enum
+_BY_NAME = {f.value: f for f in SeriesFamily}
+
+
+def resolve_family(family: SeriesFamily | str) -> SeriesFamily:
+    """The SeriesFamily named by family; ValueError for an unknown name."""
+    try:
+        return _BY_NAME[family]
+    except (KeyError, TypeError):
+        return SeriesFamily(family)     # raises the enum's ValueError
+
+
+def check_m_z(m: int, z: float) -> None:
+    """The input checks every family and every integrand shares: m a
+    nonnegative integer, then z finite.  Raises DomainError."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
+
+
 def validate(family: SeriesFamily | str, z: float, m: int) -> FamilySpec:
     """Check one (family, z, m) input and return the family's spec.
 
@@ -154,12 +180,9 @@ def validate(family: SeriesFamily | str, z: float, m: int) -> FamilySpec:
     DomainError for a bad m or a non-finite z, NonConvergent for z
     outside the region where the series converges.
     """
-    family = SeriesFamily(family)
+    family = resolve_family(family)
     spec = FAMILIES[family]
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
+    check_m_z(m, z)
     if spec.outer:
         if abs(z) < 1.0:
             raise NonConvergent(
@@ -215,7 +238,7 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     Returns the compensated double sum.  Raises NonConvergent outside
     the family's z-range, TooManyTerms if the cap is hit first.
     """
-    family = SeriesFamily(family)
+    family = resolve_family(family)
     z = float(z)
     if not (isinstance(tol, float) and math.isfinite(tol)) or tol < 1e-15:
         raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
@@ -236,21 +259,27 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     n = 0                    # base index
     if ab_layer:
         z_pow = (1.0 / z) * (z ** -m if spec.shifted else 1.0)
+        z_step = 1.0 / z
+        # the weight C(k+m, k) (shifted) or C(k, m), both C(k+top, k-lag),
+        # as an exact int: from k = lag on, the next one is this one times
+        # (k+1+top)/(k+1-lag); C(k, m) is 0 below k = m and 1 at it
+        top, lag = (m, 0) if spec.shifted else (0, m)
+        weight = 0 if lag else 1
     else:
+        # the alternating sign rides on the power of z
         z_pow = z if spec.shifted else 1.0
+        z_step = -(z * z)
         if spec.shifted:
             n = 1
-    z_step = 1.0 / z if ab_layer else z * z
 
     for k in range(cap):
         if n >= len(table):
             table = _grow_base(kind, n)
-        base = table[n]
         if ab_layer:
-            binom = math.comb(k + m, k) if spec.shifted else math.comb(k, m)
-            term = base * binom * z_pow
+            term = table[n] * weight * z_pow
+            weight = weight * (k + 1 + top) // (k + 1 - lag) if k >= lag else int(k + 1 == lag)
         else:
-            term = base * z_pow if k % 2 == 0 else -base * z_pow
+            term = table[n] * z_pow
 
         # compensated accumulation
         y = term - comp

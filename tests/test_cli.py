@@ -54,6 +54,14 @@ def test_eval_divergent_z_exits_2(capsys):
     assert "|z| >= 1" in err
 
 
+def test_eval_closed_overflow_exits_2(capsys):
+    code, out, err = run(capsys, "eval", "--family", "A1", "--z", "1e100",
+                         "--m", "5", "--method", "closed")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "overflows" in err
+    assert "Traceback" not in err
+
+
 def test_eval_huge_z_quadrature_is_quiet(capsys):
     # the integrand overflows at some nodes; that must not leak a numpy
     # RuntimeWarning onto stderr of a call that succeeds

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -160,6 +161,14 @@ class TestClosedSum:
             closed_sum("A1", 2.0, -1)
         with pytest.raises(DomainError):
             closed_sum("A1", math.inf, 0)
+
+    @pytest.mark.parametrize("family,z,m", [
+        ("A1", 1e100, 5), ("A1", -1e100, 5), ("A1", 1e58, 8), ("B1", 1e100, 5),
+    ])
+    def test_overflow_is_a_domain_error(self, family, z, m):
+        # complex ** raises OverflowError at the roots' powers for huge |z|
+        with pytest.raises(DomainError, match=re.escape(f"family {family} at z = {z!r}, m = {m}")):
+            closed_sum(family, z, m)
 
 
 def _mp_base_terms(kind, count):

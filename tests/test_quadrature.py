@@ -122,6 +122,18 @@ class TestTanhSinh:
         assert all(_level_nodes(level) is first for level in range(1, 5))
         assert _level_nodes(5).bounds.tolist() == [0, 192]
 
+    @pytest.mark.parametrize("first", [0, 6])
+    def test_stage_sums_rows(self, first):
+        # row i holds 2^-L w on level L = first + i's slice, 0 elsewhere
+        from trisum.quadrature import _level_nodes
+        st = _level_nodes(first)
+        bounds = st.bounds.tolist()
+        assert st.sums.shape == (len(bounds) - 1, len(st.x))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            want = np.zeros(len(st.x))
+            want[lo:hi] = st.w[lo:hi] * 2.0 ** -(first + i)
+            assert st.sums[i].tolist() == want.tolist()
+
 
 class TestIntegrandSpec:
     def test_pole_inside_interval_rejected(self):

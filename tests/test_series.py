@@ -7,7 +7,7 @@ import pytest
 
 from trisum.closedform import closed_sum
 from trisum.errors import DomainError, NonConvergent, TooManyTerms, TrisumError
-from trisum.quadrature import series_via_quadrature
+from trisum.quadrature import IntegrandSpec, Kernel, Variant, series_via_quadrature
 from trisum import series
 from trisum.series import FAMILIES, SeriesFamily, base_term, sum_series
 
@@ -170,6 +170,87 @@ class TestSumSeries:
             sum_series("A1", 2.0)
 
 
+def _sum_with_comb(family: str, z: float, m: int, tol: float) -> float:
+    # sum_series as it was written before the binomial weights were carried
+    # by recurrence: math.comb on every term, the alternating sign applied
+    # on odd k
+    spec = FAMILIES[SeriesFamily(family)]
+    cap = series._max_terms()
+    step = 1 if spec.outer else 2
+    total = comp = prev_mag = 0.0
+    seen_nonzero = False
+    zero_run = n = 0
+    if spec.outer:
+        z_pow = (1.0 / z) * (z ** -m if spec.shifted else 1.0)
+        z_step = 1.0 / z
+    else:
+        z_pow = z if spec.shifted else 1.0
+        z_step = z * z
+        n = 1 if spec.shifted else 0
+    for k in range(cap):
+        base = series._grow_base(spec.kind, n)[n]
+        if spec.outer:
+            binom = math.comb(k + m, k) if spec.shifted else math.comb(k, m)
+            term = base * binom * z_pow
+        else:
+            term = base * z_pow if k % 2 == 0 else -base * z_pow
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        mag = abs(term)
+        if mag > 0.0:
+            if seen_nonzero and prev_mag > 0.0:
+                rho = 1.1 * (mag / prev_mag)
+                if rho < 1.0 and k >= m + 1:
+                    if mag * rho / (1.0 - rho) <= tol * max(1.0, abs(total)):
+                        return total
+            seen_nonzero = True
+            zero_run = 0
+            prev_mag = mag
+        else:
+            zero_run += 1
+            if zero_run >= 3 and k > m + 3:
+                return total
+        n += step
+        z_pow *= z_step
+    raise TooManyTerms(f"family {family} at z = {z}, m = {m} did not meet tol = {tol} "
+                       f"within {cap} terms")
+
+
+_RECURRENCE_GRID = [
+    (family, sign * z, m)
+    for family in ("A1", "A2", "B1", "B2")
+    for z in (1.0, 2.0, 3.7, 30.0, 1e3)
+    for sign in (1.0, -1.0)
+    for m in range(9)
+] + [
+    (family, z, 0)
+    for family in ("C1", "C2", "C3", "C4")
+    for z in (0.0, 1e-3, -1e-3, 0.25, -0.25, 0.9, -0.9, 1.0, -1.0)
+]
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-8])
+def test_recurrence_weights_sum_bitwise_as_comb(tol):
+    # the weights by integer recurrence and the sign carried by -z^2 leave
+    # every float operation and its order as they were
+    for family, z, m in _RECURRENCE_GRID:
+        got = sum_series(family, z, m, tol=tol)
+        assert got.hex() == _sum_with_comb(family, z, m, tol).hex(), (family, z, m)
+
+
+def test_recurrence_weights_hit_the_same_cap(monkeypatch):
+    monkeypatch.setenv("TRISUM_MAX_TERMS", "4")
+    for family, z, m in [("A1", 2.0, 0), ("A1", -3.7, 8), ("B2", 1.0, 3),
+                         ("C1", 0.9, 0), ("C4", -1.0, 0)]:
+        with pytest.raises(TooManyTerms) as got:
+            sum_series(family, z, m, tol=1e-13)
+        with pytest.raises(TooManyTerms) as want:
+            _sum_with_comb(family, z, m, 1e-13)
+        assert str(got.value) == str(want.value)
+
+
 @pytest.fixture
 def cold_table(monkeypatch):
     """An empty base-term table for the test, the module's own restored after."""
@@ -251,8 +332,13 @@ _BAD_INPUTS = [
 @pytest.mark.parametrize("family,z,m", _BAD_INPUTS)
 def test_layers_reject_bad_input_alike(family, z, m):
     layers = [sum_series, series_via_quadrature]
-    if FAMILIES[SeriesFamily(family)].outer:
+    spec = FAMILIES[SeriesFamily(family)]
+    if spec.outer:
         layers.append(closed_sum)
+        # the family's own integrand, as IntegrandSpec names it
+        kernel = Kernel.LNX if spec.kind == "A" else Kernel.LNRATIO
+        variant = Variant.THM2 if spec.shifted else Variant.THM1
+        layers.append(lambda _, z, m: IntegrandSpec(kernel, z, m, variant))
     raised = set()
     for layer in layers:
         with pytest.raises(TrisumError) as info:
