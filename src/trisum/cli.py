@@ -146,7 +146,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         lines = ["family,z,m,method,value"]
         for name, v in values.items():
-            lines.append(f"{family.value},{args.z:g},{args.m},{name},{_fmt(v)}")
+            lines.append(f"{family.value},{_fmt(args.z)},{args.m},{name},{_fmt(v)}")
         text = "\n".join(lines) + "\n"
     elif args.method != "all":
         text = _fmt(vals[0]) + "\n"
@@ -183,7 +183,7 @@ def _cmd_integral(args: argparse.Namespace) -> int:
         }, indent=2) + "\n"
     elif args.format == "csv":
         text = ("kernel,variant,z,m,value\n"
-                f"{args.kernel},{args.variant},{args.z:g},{args.m},{_fmt(value)}\n")
+                f"{args.kernel},{args.variant},{_fmt(args.z)},{args.m},{_fmt(value)}\n")
     else:
         text = _fmt(value) + "\n"
     _write(text, args.out)

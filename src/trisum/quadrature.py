@@ -27,6 +27,13 @@ and only the z-dependent factor is computed per call.  That factor
 raises arrays to integer powers by repeated multiplication, since
 numpy's power calls libm pow per element for most integer exponents.
 
+Each catalog integrand is made once, at import, and kept in a table by
+(kernel, variant); a call passes z and m to tanh_sinh as the
+integrand's extra arguments, so it builds no function of its own.  The
+integrand computes into the arrays it allocates, in place, with the
+same operations in the same order as the formula written out on
+(x, 1-x), so its values are bitwise those of the written-out formula.
+
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
 loads on the first quadrature call and not with the module: `import
@@ -185,8 +192,8 @@ def _level_nodes(level: int) -> _Stage:
 
 
 class _OnStage:
-    """An integrand that reads a stage's cached arrays: values(stage)
-    returns its values at the stage's nodes."""
+    """An integrand that reads a stage's cached arrays: values(stage,
+    *args) returns its values at the stage's nodes."""
 
     __slots__ = ("values",)
 
@@ -194,12 +201,12 @@ class _OnStage:
         self.values = values
 
 
-def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
-    """Integrate f(x, 1-x) over (0, 1).
+def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL, args: tuple = ()):
+    """Integrate f(x, 1-x, *args) over (0, 1).
 
-    f must accept two equal-length float64 arrays and return an array
-    of values (real or complex).  Stops once two successive refinement
-    levels agree to tol relative to max(1, |integral|); raises
+    f must accept two equal-length float64 arrays, then args, and return
+    an array of values (real or complex).  Stops once two successive
+    refinement levels agree to tol relative to max(1, |integral|); raises
     NoConvergence if max_level is exhausted first.  The levels of a stage
     are summed together, so a value of f that is not finite at any node
     of a stage makes every level sum in it non-finite.
@@ -208,14 +215,16 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
         raise DomainError(f"tol must be a float >= {_MIN_TOL}, got {tol!r}")
     if not isinstance(max_level, int) or max_level < 2 or max_level > MAX_LEVEL:
         raise DomainError(f"max_level must be an integer in [2, {MAX_LEVEL}]")
-    import numpy as np
 
     if isinstance(f, _OnStage):
         values = f.values
     else:
-        def values(st):
-            return np.asarray(f(st.x, st.xc))
+        import numpy as np
 
+        def values(st, *args):
+            return np.asarray(f(st.x, st.xc, *args))
+
+    isfinite = math.isfinite
     total = prev = 0.0
     level = 0
     while True:
@@ -223,11 +232,11 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL):
         # every level's h sum(w f) over its own nodes, from one evaluation
         # and one product; the new nodes of level L halve the step of the
         # levels before it (h = 1 at level 0, where total starts at 0)
-        for contrib in st.sums.dot(values(st)).tolist():
+        for contrib in st.sums.dot(values(st, *args)).tolist():
             total = 0.5 * total + contrib
             if level >= 2:
                 err = abs(total - prev)
-                if err <= tol * max(1.0, abs(total)) and math.isfinite(err):
+                if err <= tol * max(1.0, abs(total)) and isfinite(err):
                     return total
             if level == max_level:
                 raise NoConvergence(
@@ -251,32 +260,67 @@ def _ipow(a: np.ndarray, n: int) -> np.ndarray:
         a = a * a
 
 
-def _integrand(kernel: Kernel, z: float, m: int, variant: Variant) -> _OnStage:
+def _catalog_integrand(kernel: Kernel, variant: Variant) -> _OnStage:
+    """The catalog integrand of this kernel and variant, as values(stage,
+    z, m).  It computes into arrays it made itself, in place, and never
+    writes to the stage's."""
     lnx = kernel is Kernel.LNX
     if variant in (Variant.THM1, Variant.THM2):
         # with r = 1/(u - z), the numerator x^m (1-x)^{2m} is u^m, so
         # thm1 is k r (u r)^m and thm2 is k r^{m+1}: powers of numbers of
         # size at most 1/(distance of z from [0, 4/27]), which underflow
         # quietly at huge |z| where powers of u - z would overflow
-        thm1 = variant is Variant.THM1 and m > 0
+        thm1 = variant is Variant.THM1
 
-        def f(st):
+        def f(st, z, m):
+            import numpy as np
             k = st.log_x if lnx else st.log_ratio
-            r = 1.0 / (st.u - z)
-            return k * r * _ipow(st.u * r, m) if thm1 else k * _ipow(r, m + 1)
+            r = st.u - z
+            np.reciprocal(r, out=r)
+            if thm1 and m > 0:
+                p = _ipow(st.u * r, m)
+                r *= k
+                r *= p
+                return r
+            p = _ipow(r, m + 1)     # r itself or a new array
+            p *= k
+            return p
 
         return _OnStage(f)
 
     weighted = variant in (Variant.C2, Variant.C4)
 
-    def f(st):
+    def f(st, z, m):
+        import numpy as np
         k = st.log_x if lnx else st.log_ratio
         u = st.u
-        zu = z * u
-        w = 1.0 / (1.0 + zu * zu)
-        return k * u * w if weighted else k * w
+        w = u * z
+        w *= w
+        w += 1.0
+        np.reciprocal(w, out=w)     # 1/(1 + (z u)^2)
+        if weighted:
+            ku = k * u
+            ku *= w
+            return ku
+        w *= k
+        return w
 
     return _OnStage(f)
+
+
+# (kernel, variant) -> its integrand; a c variant only with its own kernel
+_INTEGRANDS = {
+    (kernel, variant): _catalog_integrand(kernel, variant)
+    for kernel in Kernel for variant in Variant
+    if _C_KERNEL.get(variant, kernel) is kernel
+}
+
+# family -> (kernel, variant) of its integral representation
+_INTEGRAL_OF = {
+    f: (_KIND_KERNEL[spec.kind],
+        (Variant.THM2 if spec.shifted else Variant.THM1) if spec.outer else _C_VARIANT[f])
+    for f, spec in FAMILIES.items()
+}
 
 
 def _pole_distance(z: float) -> float:
@@ -307,13 +351,13 @@ def _extreme_z_errstate(z: float, m: int, variant: Variant):
 
 def _integrate(kernel: Kernel, z: float, m: int, variant: Variant, tol: float) -> float:
     # inputs already checked, as IntegrandSpec or validate() checks them
-    f = _integrand(kernel, z, m, variant)
+    f = _INTEGRANDS[kernel, variant]
     quiet = _extreme_z_errstate(z, m, variant)
     try:
         if quiet is None:    # skips the cost of entering an errstate
-            return tanh_sinh(f, tol)
+            return tanh_sinh(f, tol, args=(z, m))
         with quiet:
-            return tanh_sinh(f, tol)
+            return tanh_sinh(f, tol, args=(z, m))
     except NoConvergence as exc:
         if variant in _C_KERNEL:
             raise
@@ -329,16 +373,19 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-12) -> float:
     return _integrate(spec.kernel, spec.z, spec.m, spec.variant, tol)
 
 
+def _beta_term(st, k):
+    # x^k (1-x)^{2k} log x, with x^k (1-x)^{2k} = u^k
+    return _ipow(st.u, k) * st.log_x if k else st.log_x
+
+
+_BETA_TERM = _OnStage(_beta_term)
+
+
 def beta_term_integral(k: int, tol: float = 1e-12) -> float:
     """Integral of x^k (1-x)^{2k} log x over (0, 1)."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"index must be a nonnegative integer, got {k!r}")
-
-    # x^k (1-x)^{2k} is u^k
-    def f(st):
-        return _ipow(st.u, k) * st.log_x if k else st.log_x
-
-    return tanh_sinh(_OnStage(f), tol)
+    return tanh_sinh(_BETA_TERM, tol, args=(k,))
 
 
 def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
@@ -349,10 +396,8 @@ def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
     family = resolve_family(family)
     z = float(z)
     spec = validate(family, z, m)
-    kernel = _KIND_KERNEL[spec.kind]
+    kernel, variant = _INTEGRAL_OF[family]
+    raw = _integrate(kernel, z, m, variant, tol)
     if spec.outer:
-        variant = Variant.THM2 if spec.shifted else Variant.THM1
-        raw = _integrate(kernel, z, m, variant, tol)
         return raw if m % 2 == 0 else -raw
-    raw = _integrate(kernel, z, 0, _C_VARIANT[family], tol)
     return -z * raw if spec.shifted else -raw

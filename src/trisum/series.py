@@ -15,7 +15,9 @@ real |z| <= 1, with kind A feeding C1/C2 and kind B feeding C3/C4.
 Summation is compensated, with a geometric tail bound: term ratios for
 every family decrease monotonically toward their limit, so the last
 observed ratio (inflated by 10%) bounds the remainder.  The term cap is
-10000 unless the TRISUM_MAX_TERMS environment variable overrides it.
+10000 unless the TRISUM_MAX_TERMS environment variable overrides it; the
+variable is read on every call, so a change to it holds from the next
+call on.
 
 The base terms depend on k alone, so sum_series reads them from one
 double table per kind, shared by every call and every z.  The table
@@ -53,6 +55,7 @@ __all__ = [
 
 DEFAULT_MAX_TERMS = 10000
 _ENV_MAX_TERMS = "TRISUM_MAX_TERMS"
+_ENV_KEY = os.environ.encodekey(_ENV_MAX_TERMS)
 _EXACT_TERM_LIMIT = 170  # largest k with 3k+1 inside the exact harmonic range
 
 
@@ -137,9 +140,15 @@ def base_term(kind: str, k: int) -> TermValue:
 
 
 def _max_terms() -> int:
-    raw = os.environ.get(_ENV_MAX_TERMS)
+    # Read per call, so a change to the variable takes effect at once.
+    # os.environ.get raises and catches KeyError inside os._Environ when
+    # the variable is unset, which costs more than the rest of a short
+    # sum; the dict os.environ keeps its encoded entries in answers the
+    # same question without raising.
+    raw = os.environ._data.get(_ENV_KEY)
     if raw is None:
         return DEFAULT_MAX_TERMS
+    raw = os.environ.decodevalue(raw)
     try:
         cap = int(raw)
     except ValueError as exc:
@@ -247,13 +256,13 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     cap = _max_terms()
     kind = spec.kind
     table = _base[kind]
+    size = len(table)
     ab_layer = spec.outer
     step = 1 if ab_layer else 2   # base index advance per term
 
     total = 0.0
     comp = 0.0
-    prev_mag = 0.0
-    seen_nonzero = False
+    prev_mag = 0.0           # last nonzero |term|, 0 until there is one
     zero_run = 0
 
     n = 0                    # base index
@@ -273,8 +282,9 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
             n = 1
 
     for k in range(cap):
-        if n >= len(table):
+        if n >= size:
             table = _grow_base(kind, n)
+            size = len(table)
         if ab_layer:
             term = table[n] * weight * z_pow
             weight = weight * (k + 1 + top) // (k + 1 - lag) if k >= lag else int(k + 1 == lag)
@@ -289,13 +299,13 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
 
         mag = abs(term)
         if mag > 0.0:
-            if seen_nonzero and prev_mag > 0.0:
+            # the stop test starts past the first nonzero term and k = m
+            if prev_mag > 0.0 and k > m:
                 rho = 1.1 * (mag / prev_mag)
-                if rho < 1.0 and k >= m + 1:
+                if rho < 1.0:
                     tail = mag * rho / (1.0 - rho)
                     if tail <= tol * max(1.0, abs(total)):
                         return total
-            seen_nonzero = True
             zero_run = 0
             prev_mag = mag
         else:

@@ -43,3 +43,20 @@ def test_wrapped_name_resolves(table, name, mod_name, attr):
     module = sys.modules.get(f"{trisum.__name__}.{mod_name}")
     assert module is not None, f"{table}[{name!r}]: trisum.{mod_name} is not loaded"
     assert callable(getattr(module, attr, None)), f"{table}[{name!r}]: trisum.{mod_name}.{attr}"
+
+
+def test_tracer_measures_one_quadrature_call():
+    # series_via_quadrature must enter tanh_sinh and _level_nodes through
+    # the module globals the tracer replaces; A1 at z = 2 stops inside
+    # stage 0, which holds the 193 nodes of levels 0-4
+    tracer = _spans.Tracer(trisum)
+    tracer.install()
+    try:
+        trisum.quadrature.series_via_quadrature("A1", 2.0)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("quadrature.sqv") == 1
+    assert names.count("quadrature.tanh_sinh") == 1
+    assert tracer.counts["quadrature.levels"] == 1
+    assert tracer.counts["quadrature.nodes"] == 193

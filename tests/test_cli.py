@@ -111,6 +111,26 @@ def test_eval_csv(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--family", "A1", "--method", "all"],
+    ["integral", "--kernel", "lnx", "--variant", "thm1"],
+])
+@pytest.mark.parametrize("point,z", [
+    (["--z", "2.123456789"], 2.123456789),
+    (["--w", "0.3"], 1.0 / 0.3),
+])
+def test_csv_z_parses_back_exactly(capsys, command, point, z):
+    # z is printed like every other number, so the CSV names the very
+    # point that was evaluated, not a 6-digit rounding of it
+    code, out, _ = run(capsys, *command, *point, "--format", "csv")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    col = header.split(",").index("z")
+    assert rows
+    for row in rows:
+        assert float(row.split(",")[col]) == z, row
+
+
 def test_eval_c_family_all_skips_closed(capsys):
     code, out, _ = run(capsys, "eval", "--family", "C2", "--z", "0.5",
                        "--method", "all", "--format", "json")

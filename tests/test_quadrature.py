@@ -260,6 +260,55 @@ def test_catalog_integrand_reads_cache_bitwise(kernel, variant, z, m):
     assert got.hex() == want.hex()
 
 
+# family -> (kernel, variant) of its integral, written out here apart from
+# the package's own table
+_FAMILY_INTEGRAL = {
+    "A1": ("lnx", "thm1"), "A2": ("lnx", "thm2"), "B1": ("lnratio", "thm1"),
+    "B2": ("lnratio", "thm2"), "C1": ("lnx", "c1"), "C2": ("lnx", "c2"),
+    "C3": ("lnratio", "c3"), "C4": ("lnratio", "c4"),
+}
+
+_FAMILY_POINTS = (
+    [(family, z, m) for family in ("A1", "A2", "B1", "B2")
+     for z in (-30.0, -2.5, -1.0, 1.0, 1.5, 30.0, 1e300, -1e300) for m in (0, 1, 3)]
+    + [(family, z, 0) for family in ("C1", "C2", "C3", "C4")
+       for z in (-1.0, -0.5, 0.0, 0.3, 1.0)]
+)
+
+
+@pytest.mark.parametrize("family,z,m", _FAMILY_POINTS)
+def test_series_via_quadrature_bitwise(family, z, m):
+    # the family's value is its catalog integral, signed (-1)^m for A/B,
+    # negated for C1/C3 and times -z for C2/C4: the very float tanh_sinh
+    # gives for the integrand written out on (x, 1-x)
+    kernel, variant = _FAMILY_INTEGRAL[family]
+    raw = tanh_sinh(_written_out(kernel, z, m, variant))
+    if family[0] in "AB":
+        want = raw if m % 2 == 0 else -raw
+    else:
+        want = -z * raw if family in ("C2", "C4") else -raw
+    assert series_via_quadrature(family, z, m).hex() == want.hex()
+
+
+@pytest.mark.parametrize("kernel,variant,z,m", [
+    (kernel, variant, -1e-8, 8) for kernel in ("lnx", "lnratio") for variant in ("thm1", "thm2")
+] + [
+    # r^(m+1) can overflow next to the pole, so these run under an errstate
+    ("lnx", "thm1", -1e-20, 40), ("lnratio", "thm1", -1e-40, 20),
+    ("lnratio", "thm1", -1e-20, 40),
+    # (z u)^2 overflows, likewise under an errstate
+    ("lnx", "c1", 1e300, 0), ("lnx", "c2", -1e300, 0), ("lnratio", "c3", 1e200, 0),
+    ("lnratio", "c4", -1e300, 0),
+])
+def test_extreme_z_integral_bitwise(kernel, variant, z, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate(IntegrandSpec(kernel, z, m, variant))
+    with np.errstate(all="ignore"):
+        want = tanh_sinh(_written_out(kernel, z, m, variant))
+    assert got.hex() == want.hex()
+
+
 _HIGH_ORDER = [(kernel, variant, z, m) for kernel in ("lnx", "lnratio")
                for variant in ("thm1", "thm2") for z in (-30.0, -2.0, 2.0, 30.0)
                for m in (8, 20)]

@@ -161,6 +161,20 @@ class TestSumSeries:
         monkeypatch.setenv("TRISUM_MAX_TERMS", "500")
         assert sum_series("A1", 2.0) == pytest.approx(A1_Z2_M0_REF, rel=1e-13, abs=0)
 
+    def test_term_cap_env_read_per_call(self, monkeypatch):
+        # one process: unset, set, deleted; each call sees the variable as
+        # it is then, so a cap cached from an earlier call fails here
+        monkeypatch.delenv("TRISUM_MAX_TERMS", raising=False)
+        want = sum_series("A1", 2.0)
+        monkeypatch.setenv("TRISUM_MAX_TERMS", "4")
+        with pytest.raises(TooManyTerms, match="within 4 terms"):
+            sum_series("A1", 2.0)
+        monkeypatch.delenv("TRISUM_MAX_TERMS")
+        assert sum_series("A1", 2.0) == want
+        monkeypatch.setenv("TRISUM_MAX_TERMS", " soon")
+        with pytest.raises(DomainError, match="must be an integer, got ' soon'"):
+            sum_series("A1", 2.0)
+
     def test_term_cap_env_invalid(self, monkeypatch):
         monkeypatch.setenv("TRISUM_MAX_TERMS", "soon")
         with pytest.raises(DomainError):
