@@ -37,6 +37,11 @@ class TestTanhSinh:
         got = tanh_sinh(f, tol=1e-13)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
+    def test_extra_args(self):
+        # f(x, 1-x, *args): int_0^1 x^3 (1-x) dx = 1/20
+        got = tanh_sinh(lambda x, xc, p, q: x ** p * xc ** q, tol=1e-13, args=(3, 1))
+        assert abs(got - 0.05) <= 1e-13
+
     def test_complex_integrand(self):
         # int_0^1 log x/(x - i) dx = Li2(-i)
         got = tanh_sinh(lambda x, xc: np.log(x) / (x - 1j), tol=1e-13)
