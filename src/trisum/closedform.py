@@ -36,7 +36,16 @@ integer powers and cmath.log, which CPython evaluates symmetrically
 under conjugation.  So closed_sum evaluates the pair root with negative
 imaginary part and takes its partner's contribution as the conjugate:
 bit for bit the value a direct evaluation gives, as
-tests/test_closedform.py checks.
+tests/test_closedform.py checks (at huge |z| a zero imaginary part can
+come out with the other sign).
+
+A1, A2, B1 and B2 at one (z, m) share their ingredients: the roots,
+the coefficients of coeff_a and coeff_b at the evaluated roots, and the
+basis values C_r(lam) and C_mirror.  A PoleBasis holds them for one
+(z, m) and builds each part the first time a family asks for it;
+closed_sum keeps the last one, so the four families in a row solve the
+cubic once.  The parts are the same doubles each call would compute
+itself, summed in the same order, so sharing changes no total.
 
 The registry at the bottom holds the published closed-form constants
 for specific (family, z, m) triples, stored as exact-rational
@@ -65,6 +74,7 @@ __all__ = [
     "coeff_a",
     "coeff_b",
     "ClosedFormBreakdown",
+    "PoleBasis",
     "closed_sum",
     "ConstantEntry",
     "REGISTRY",
@@ -151,6 +161,56 @@ def coeff_b(m: int, roots: CubicRoots, which: int) -> list[complex]:
     return _pole_expansion(m, roots, which)[1][::-1]
 
 
+class PoleBasis:
+    """What every A/B closed form at one (z, m) is built from.
+
+    roots is solve_cubic(z).  part(name, which) is one list for the
+    root roots.roots[which - 1]: "a" and "b" the coefficients of coeff_a
+    and coeff_b, "C" the values C_r(lam) and "mirror" the values
+    C_mirror(r, lam), for r = 0..m.  Each list is built on first request
+    through this module's globals solve_cubic, coeff_a, coeff_b and C_of,
+    then kept; a list is stored only once whole, so a part whose build
+    raised is built again on the next request, and threads that race on
+    a part build equal lists.
+    """
+
+    __slots__ = ("m", "roots", "_parts")
+
+    def __init__(self, z: float, m: int):
+        self.m = m
+        self.roots = solve_cubic(z)
+        self._parts: dict[tuple[str, int], list[complex]] = {}
+
+    def part(self, name: str, which: int) -> list[complex]:
+        got = self._parts.get((name, which))
+        if got is None:
+            got = self._parts[name, which] = self._build(name, which)
+        return got
+
+    def _build(self, name: str, which: int) -> list[complex]:
+        m, roots = self.m, self.roots
+        if name == "a":
+            return coeff_a(m, roots, which)
+        if name == "b":
+            return coeff_b(m, roots, which)
+        lam = roots.roots[which - 1]
+        if name == "C":
+            return [C_of(r, lam) for r in range(m + 1)]
+        # C_mirror's sum, from the kept C_r(lam)
+        direct = self.part("C", which)
+        out = []
+        for r in range(m + 1):
+            swap = C_of(r, 1.0 - lam)
+            out.append(direct[r] + (swap if r % 2 == 0 else -swap))
+        return out
+
+
+@lru_cache(maxsize=1)
+def _pole_basis(z: float, m: int) -> PoleBasis:
+    # one entry: the families at one (z, m) share it when called in a row
+    return PoleBasis(z, m)
+
+
 @dataclass(frozen=True)
 class ClosedFormBreakdown:
     """Closed-form value of one series with its per-root contributions.
@@ -182,9 +242,10 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
     z = float(z)
     spec = validate(family, z, m)
 
-    rts = solve_cubic(z)
-    coeff = coeff_b if spec.shifted else coeff_a
-    basis = C_mirror if spec.kind == "B" else C_of
+    basis = _pole_basis(z, m)
+    rts = basis.roots
+    coeff = "b" if spec.shifted else "a"
+    values = "mirror" if spec.kind == "B" else "C"
 
     contribs = []
     try:
@@ -193,10 +254,11 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
                 # the roots sort the partner lam.conjugate() first
                 contribs.append(contribs[rts.roots.index(lam.conjugate())].conjugate())
                 continue
-            coeffs = coeff(m, rts, which)
+            coeffs = basis.part(coeff, which)
+            cs = basis.part(values, which)
             inner = 0j
             for r in range(m + 1):
-                inner += coeffs[r] * basis(r, lam)
+                inner += coeffs[r] * cs[r]
             contribs.append(inner)
     except OverflowError as exc:
         # complex ** raises where float arithmetic would give inf: at huge

@@ -109,32 +109,40 @@ def _record(rid, family, z, m, closed, series, quad, tol, started,
 
 
 def _suite_constants(tol: float) -> list[VerificationRecord]:
-    out = []
+    # computed (z, m)-major, so the entries at one (z, m) share closed_sum's
+    # pole basis; records keep the registry's order
+    groups: dict[tuple[float, int], list] = {}
     for entry in REGISTRY.values():
-        t0 = time.perf_counter()
-        s = float(entry.scale)
-        closed = s * closed_sum(entry.family, entry.z, entry.m).total
-        series = s * sum_series(entry.family, entry.z, entry.m, tol=_SERIES_TOL)
-        quad = s * series_via_quadrature(entry.family, entry.z, entry.m, tol=_QUAD_TOL)
-        out.append(_record(
-            entry.id, entry.family.value, entry.z, entry.m,
-            closed, series, quad, tol, t0, extra=(entry.value(),),
-        ))
-    return out
+        groups.setdefault((entry.z, entry.m), []).append(entry)
+    done = {}
+    for entries in groups.values():
+        for entry in entries:
+            t0 = time.perf_counter()
+            s = float(entry.scale)
+            closed = s * closed_sum(entry.family, entry.z, entry.m).total
+            series = s * sum_series(entry.family, entry.z, entry.m, tol=_SERIES_TOL)
+            quad = s * series_via_quadrature(entry.family, entry.z, entry.m, tol=_QUAD_TOL)
+            done[entry.id] = _record(
+                entry.id, entry.family.value, entry.z, entry.m,
+                closed, series, quad, tol, t0, extra=(entry.value(),),
+            )
+    return [done[cid] for cid in REGISTRY]
 
 
 def _suite_grid(tol: float) -> list[VerificationRecord]:
-    out = []
-    for family in _GRID_FAMILIES:
-        for z in _GRID_Z:
-            for m in _GRID_M:
+    # computed (z, m)-major, so the four families at one (z, m) share
+    # closed_sum's pole basis; records keep their family-major order
+    done = {}
+    for z in _GRID_Z:
+        for m in _GRID_M:
+            for family in _GRID_FAMILIES:
                 t0 = time.perf_counter()
                 closed = closed_sum(family, z, m).total
                 series = sum_series(family, z, m, tol=_SERIES_TOL)
                 quad = series_via_quadrature(family, z, m, tol=_QUAD_TOL)
                 rid = f"{family}-{_z_tag(z)}-m{m}"
-                out.append(_record(rid, family, z, m, closed, series, quad, tol, t0))
-    return out
+                done[family, z, m] = _record(rid, family, z, m, closed, series, quad, tol, t0)
+    return [done[f, z, m] for f in _GRID_FAMILIES for z in _GRID_Z for m in _GRID_M]
 
 
 def _suite_concluding(tol: float) -> list[VerificationRecord]:

@@ -334,16 +334,19 @@ def _extreme_z_errstate(z: float, m: int, variant: Variant):
     if variant in _C_KERNEL:
         # (z u)^2 can overflow only once 2 log(|z| + 1) passes 700, as
         # |u| <= 4/27 on (0, 1); the inf then makes a term far below 1e-300
-        # exactly 0
-        if 2.0 * math.log(abs(z) + 1.0) > 700.0:
+        # exactly 0.  e^350 - 1 is about 1.0e152, so the log is taken only
+        # above 1e150.
+        if abs(z) > 1e150 and 2.0 * math.log(abs(z) + 1.0) > 700.0:
             import numpy as np
             return np.errstate(over="ignore")
         return None
     # thm1/thm2 raise r = 1/(u - z), of size at most 1/pole_distance, to the
     # power m + 1.  Once pole_distance ** (m + 1) < e^-700 (about 1e-304)
     # that power can overflow at the nodes nearest the pole, and tanh_sinh
-    # refuses the inf and nan that follow.
-    if (m + 1) * -math.log(_pole_distance(z)) > 700.0:
+    # refuses the inf and nan that follow.  A distance of 1 or more never
+    # gets there, so the log is taken only below it.
+    d = _pole_distance(z)
+    if d < 1.0 and (m + 1) * -math.log(d) > 700.0:
         import numpy as np
         return np.errstate(over="ignore", divide="ignore", invalid="ignore")
     return None

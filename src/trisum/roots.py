@@ -57,7 +57,8 @@ def solve_cubic(z: float) -> CubicRoots:
     """Solve x^3 - 2x^2 + x = z for one finite real z.
 
     Raises RepeatedRoots when |z*(4-27z)| < DISCRIMINANT_GUARD, the band
-    around the two parameters with a double root.
+    around the two parameters with a double root, and DomainError where
+    |z| is too large for the formula's intermediates, above about 1.3e154.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -86,6 +87,13 @@ def solve_cubic(z: float) -> CubicRoots:
     else:
         # one real root and a conjugate pair, Cardano branch
         s = math.sqrt(q * q / 4.0 - 1.0 / 729.0)
+        if s == math.inf:
+            # q * q passes the double range once |z| is above about 1.3e154;
+            # Cardano's formula would go on to roots of nan
+            raise DomainError(
+                f"the roots of the cubic x(1-x)^2 = z overflow in double "
+                f"precision at z = {z!r}"
+            )
         if q <= 0.0:
             u = _cbrt(-q / 2.0 + s)
             v = 1.0 / (9.0 * u)  # uv = -p/3

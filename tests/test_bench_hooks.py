@@ -60,3 +60,23 @@ def test_tracer_measures_one_quadrature_call():
     assert names.count("quadrature.tanh_sinh") == 1
     assert tracer.counts["quadrature.levels"] == 1
     assert tracer.counts["quadrature.nodes"] == 193
+
+
+def test_tracer_measures_closed_forms_sharing_one_basis():
+    # closed_sum must reach solve_cubic, coeff_a/coeff_b and C_of through
+    # closedform's module globals.  A1 and B2 at one (z, m) share a
+    # PoleBasis: one cubic, coeff_a and coeff_b at the real root and one
+    # pair root, and C_r(lam), C_r(1 - lam) for r <= 2 at those two roots
+    trisum.closedform._pole_basis.cache_clear()
+    tracer = _spans.Tracer(trisum)
+    tracer.install()
+    try:
+        trisum.closedform.closed_sum("A1", 3.0, 2)
+        trisum.closedform.closed_sum("B2", 3.0, 2)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("closedform.closed_sum") == 2
+    assert names.count("roots.solve_cubic") == 1
+    assert names.count("jets.coeff") == 4
+    assert names.count("closedform.C_of") == 12

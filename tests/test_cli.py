@@ -62,6 +62,16 @@ def test_eval_closed_overflow_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("z", ["1e300", "1e160", "-1e300"])
+def test_eval_huge_z_closed_exits_2(capsys, z):
+    # solve_cubic's intermediates overflow here; the error names z and
+    # never reports a root of nan
+    code, out, err = run(capsys, "eval", "--family", "A1", f"--z={z}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and repr(float(z)) in err and "overflow" in err
+    assert "nan" not in err and "Traceback" not in err
+
+
 def test_eval_huge_z_quadrature_is_quiet(capsys):
     # the integrand overflows at some nodes; that must not leak a numpy
     # RuntimeWarning onto stderr of a call that succeeds

@@ -1,6 +1,9 @@
 import cmath
 import math
+import random
 import re
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +13,7 @@ from trisum.closedform import (
     REGISTRY,
     C_mirror,
     C_of,
+    _pole_basis,
     closed_sum,
     coeff_a,
     coeff_b,
@@ -18,6 +22,7 @@ from trisum.closedform import (
 from trisum.errors import DomainError, NonConvergent, UnknownConstant
 from trisum.harness import _GRID_FAMILIES, _GRID_M, _GRID_Z
 from trisum.quadrature import tanh_sinh
+from trisum.roots import solve_cubic
 from trisum.series import FAMILIES, SeriesFamily, sum_series
 from trisum.specfun import dilog
 
@@ -169,6 +174,116 @@ class TestClosedSum:
         # complex ** raises OverflowError at the roots' powers for huge |z|
         with pytest.raises(DomainError, match=re.escape(f"family {family} at z = {z!r}, m = {m}")):
             closed_sum(family, z, m)
+
+
+def _direct(family, z, m):
+    # closed_sum's sum with nothing shared: every coefficient list and basis
+    # value computed afresh for this one call.  The pair root with positive
+    # imaginary part takes its partner's conjugate, as in closed_sum (a
+    # direct evaluation can differ from it in the sign of a zero, at huge z)
+    spec = FAMILIES[SeriesFamily(family)]
+    coeff = coeff_b if spec.shifted else coeff_a
+    basis = C_mirror if spec.kind == "B" else C_of
+    roots = solve_cubic(z)
+    contribs = []
+    try:
+        for which, lam in enumerate(roots.roots, start=1):
+            if lam.imag > 0.0:
+                contribs.append(contribs[roots.roots.index(lam.conjugate())].conjugate())
+                continue
+            coeffs = coeff(m, roots, which)
+            inner = 0j
+            for r in range(m + 1):
+                inner += coeffs[r] * basis(r, lam)
+            contribs.append(inner)
+    except OverflowError:
+        return "overflows"
+    grand = sum(contribs, start=0j)
+    if m % 2:
+        grand = -grand
+    return _bits(grand.real, contribs, abs(grand.imag))
+
+
+def _bits(total, contribs, imag_residual):
+    return (total.hex(), imag_residual.hex(),
+            tuple((c.real.hex(), c.imag.hex()) for c in contribs))
+
+
+def _closed_bits(family, z, m):
+    try:
+        bd = closed_sum(family, z, m)
+    except DomainError as exc:
+        assert f"family {family} at z = {z!r}, m = {m} overflows" in str(exc)
+        return "overflows"
+    return _bits(bd.total, bd.contributions, bd.imag_residual)
+
+
+_SHARED_Z = (1.0, -1.0, 2.0, -2.0, -4.0, -8.0, 5.0, 30.0, -30.0, 1e3, -1e6, 1e8, 1e150)
+
+
+class TestSharedBasis:
+    # closed_sum keeps the last (z, m)'s PoleBasis; whatever ran before,
+    # each call must give the bits of a sum computed from scratch
+
+    def test_interleaved_calls(self):
+        _pole_basis.cache_clear()
+        for family, z, m in [("A1", 2.0, 3), ("B2", -8.0, 5), ("A2", 2.0, 3),
+                             ("B1", 2.0, 3), ("B2", 2.0, 3), ("A1", -8.0, 5),
+                             ("A1", 2.0, 3), ("B1", -8.0, 5)]:
+            assert _closed_bits(family, z, m) == _direct(family, z, m), (family, z, m)
+
+    def test_any_call_order(self):
+        points = [(f, z, m) for f in ("A1", "A2", "B1", "B2") for z in _SHARED_Z
+                  for m in range(21)]
+        want = {p: _direct(*p) for p in points}
+        assert sum(v == "overflows" for v in want.values()) > 0
+        for seed in (1, 2):
+            _pole_basis.cache_clear()
+            random.Random(seed).shuffle(points)
+            for p in points:
+                assert _closed_bits(*p) == want[p], p
+        # (z, m)-major, as the harness suites call it
+        for z in _SHARED_Z:
+            for m in range(21):
+                for f in ("A1", "A2", "B1", "B2"):
+                    assert _closed_bits(f, z, m) == want[f, z, m], (f, z, m)
+
+    def test_overflow_leaves_the_basis_usable(self):
+        # at z = 1e100, m = 5 coeff_a overflows while coeff_b does not: the
+        # A families fail, the B2 and A2 calls sharing their basis do not
+        _pole_basis.cache_clear()
+        for family in ("A1", "A2", "B1", "A1", "B2"):
+            assert _closed_bits(family, 1e100, 5) == _direct(family, 1e100, 5), family
+        assert _direct("A1", 1e100, 5) == "overflows"
+        assert _direct("A2", 1e100, 5) != "overflows"
+        with pytest.raises(DomainError, match="roots of the cubic"):
+            closed_sum("B1", 1e300, 2)
+        for family, z, m in [("A1", 2.0, 3), ("B2", 1e100, 5), ("B1", -4.0, 1)]:
+            assert _closed_bits(family, z, m) == _direct(family, z, m), (family, z, m)
+
+    def test_threads_share_one_cache(self):
+        points = [(f, z, m) for z in (2.0, -8.0, 30.0, 1e3) for m in (0, 2, 5, 9)
+                  for f in ("A1", "A2", "B1", "B2")]
+        want = {p: _direct(*p) for p in points}
+        got = [None] * 4
+
+        def work(i):
+            order = points[:]
+            random.Random(i).shuffle(order)
+            got[i] = {p: _closed_bits(*p) for p in order * 3}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
 
 
 def _mp_base_terms(kind, count):

@@ -15,7 +15,7 @@ from trisum.quadrature import (
     series_via_quadrature,
     tanh_sinh,
 )
-from trisum.quadrature import _ipow
+from trisum.quadrature import _extreme_z_errstate, _ipow, _pole_distance
 from trisum.series import sum_series
 
 A1_Z2_M0_REF = 0.52395769463509576811
@@ -312,6 +312,32 @@ def test_extreme_z_integral_bitwise(kernel, variant, z, m):
     with np.errstate(all="ignore"):
         want = tanh_sinh(_written_out(kernel, z, m, variant))
     assert got.hex() == want.hex()
+
+
+def _around(x):
+    # x, its neighbouring doubles, and points a relative 1e-12 to either side
+    return (x * (1.0 - 1e-12), math.nextafter(x, -math.inf), x,
+            math.nextafter(x, math.inf), x * (1.0 + 1e-12))
+
+
+def test_extreme_z_errstate_decision_matches_log_test():
+    # the early exits (|z| <= 1e150 for c, pole distance >= 1 for thm) must
+    # decide as the log test alone does, on both sides of each threshold
+    c_z = [v for x in (1.0, 1e150, math.exp(350.0) - 1.0, 1e300) for v in _around(x)]
+    for variant in (Variant.C1, Variant.C2, Variant.C3, Variant.C4):
+        for z in c_z + [-z for z in c_z]:
+            want = 2.0 * math.log(abs(z) + 1.0) > 700.0
+            assert (_extreme_z_errstate(z, 0, variant) is not None) == want, (variant, z)
+    for m in range(51):
+        edge = math.exp(-700.0 / (m + 1))
+        d_values = [v for x in (edge, 1.0, 2.0) for v in _around(x)]
+        # z = 4/27 + d rounds to 4/27 itself for d near e^-700: keep the z
+        # outside [0, 4/27], which are the ones an integral can be asked for
+        zs = [z for d in d_values for z in (-d, d + 4.0 / 27.0) if _pole_distance(z) > 0.0]
+        for variant in (Variant.THM1, Variant.THM2):
+            for z in zs:
+                want = (m + 1) * -math.log(_pole_distance(z)) > 700.0
+                assert (_extreme_z_errstate(z, m, variant) is not None) == want, (variant, z, m)
 
 
 _HIGH_ORDER = [(kernel, variant, z, m) for kernel in ("lnx", "lnratio")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -80,6 +81,25 @@ class TestDegenerate:
             solve_cubic(math.inf)
         with pytest.raises(DomainError):
             solve_cubic(math.nan)
+
+
+class TestHugeZ:
+    @pytest.mark.parametrize("z", [1e154, -1e154, 1.34e154, -1.34e154])
+    def test_largest_z_still_solved(self, z):
+        res = solve_cubic(z)
+        assert all(math.isfinite(r.real) and math.isfinite(r.imag) for r in res.roots)
+        r1, r2, r3 = res.roots
+        assert abs(r1 * r2 * r3 - z) <= 1e-14 * abs(z)
+
+    @pytest.mark.parametrize("z", [1.35e154, -1.35e154, 1e160, -1e160, 1e300, -1e300,
+                                   sys.float_info.max, -sys.float_info.max])
+    def test_overflow_is_a_domain_error(self, z):
+        # Cardano's q * q passes the double range; the roots would be nan
+        with pytest.raises(DomainError) as info:
+            solve_cubic(z)
+        msg = str(info.value)
+        assert f"z = {z!r}" in msg and "overflow" in msg
+        assert "nan" not in msg
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0))
