@@ -12,7 +12,9 @@ Exit codes: 0 success / all records pass, 1 a verification comparison
 failed, 2 usage or domain error.
 
 z is the |z| >= 1 parameterization of the A and B families.  --w accepts
-the reciprocal convention (|w| <= 1) and converts via z = 1/w.
+the reciprocal convention (|w| <= 1) and converts via z = 1/w.  --z, --w
+and --tol take a negative value after a space also in exponent form
+(--z -1e6).
 """
 
 from __future__ import annotations
@@ -86,6 +88,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     return parser
+
+
+# flags that take a number, which may be negative
+_NUMBER_FLAGS = ("--z", "--w", "--tol")
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """Write "--z -1e6" as "--z=-1e6" for every flag in _NUMBER_FLAGS,
+    or a prefix of one, as argparse accepts ("--to" for "--tol").
+
+    argparse reads an argument such as "-1e6" or "-1e-3" as an option
+    (its negative-number pattern covers "-2" and "-2.5" only), so a
+    negative value in exponent form would otherwise not reach the flag.
+    """
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (len(flag) > 2 and flag.startswith("--")
+                and any(name.startswith(flag) for name in _NUMBER_FLAGS)
+                and arg.startswith("-") and _is_number(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _normalize(args: argparse.Namespace) -> None:
@@ -250,8 +284,10 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_numbers(argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -39,13 +39,15 @@ bit for bit the value a direct evaluation gives, as
 tests/test_closedform.py checks (at huge |z| a zero imaginary part can
 come out with the other sign).
 
-A1, A2, B1 and B2 at one (z, m) share their ingredients: the roots,
-the coefficients of coeff_a and coeff_b at the evaluated roots, and the
-basis values C_r(lam) and C_mirror.  A PoleBasis holds them for one
-(z, m) and builds each part the first time a family asks for it;
-closed_sum keeps the last one, so the four families in a row solve the
-cubic once.  The parts are the same doubles each call would compute
-itself, summed in the same order, so sharing changes no total.
+A1, A2, B1 and B2 at one z share their ingredients: the roots, the
+basis values C_r(lam) and C_mirror at the evaluated roots, which depend
+on z alone, and at each m the coefficients of coeff_a and coeff_b.  A
+PoleBasis holds them for one z: the basis values as lists over r grown
+to the largest m asked so far, the coefficients for the last m only.
+closed_sum keeps the last one, so calls at one z in a row, whatever
+their family and m, solve the cubic once and compute each C_r once.  The
+parts are the same doubles each call would compute itself, summed in the
+same order, so sharing changes no total.
 
 The registry at the bottom holds the published closed-form constants
 for specific (family, z, m) triples, stored as exact-rational
@@ -162,53 +164,62 @@ def coeff_b(m: int, roots: CubicRoots, which: int) -> list[complex]:
 
 
 class PoleBasis:
-    """What every A/B closed form at one (z, m) is built from.
+    """What every A/B closed form at one z is built from.
 
-    roots is solve_cubic(z).  part(name, which) is one list for the
-    root roots.roots[which - 1]: "a" and "b" the coefficients of coeff_a
-    and coeff_b, "C" the values C_r(lam) and "mirror" the values
-    C_mirror(r, lam), for r = 0..m.  Each list is built on first request
-    through this module's globals solve_cubic, coeff_a, coeff_b and C_of,
-    then kept; a list is stored only once whole, so a part whose build
-    raised is built again on the next request, and threads that race on
-    a part build equal lists.
+    roots is solve_cubic(z).  values(name, which, m) is a list over r for
+    the root lam = roots.roots[which - 1], at least m + 1 long: "C" the
+    values C_r(lam) and "mirror" the values C_mirror(r, lam).  These do
+    not depend on m, so each list grows to the largest m asked and
+    serves every smaller one.  coeffs(name, which, m) is the list of
+    coeff_a ("a") or coeff_b ("b") at that root and m; only the last m's
+    lists are kept.  Everything is built through this module's globals
+    solve_cubic, coeff_a, coeff_b and C_of, and a list is stored only
+    once whole, so a build that raised is tried again on the next
+    request, and threads that race on a list build equal ones.
     """
 
-    __slots__ = ("m", "roots", "_parts")
+    __slots__ = ("roots", "_values", "_coeffs")
 
-    def __init__(self, z: float, m: int):
-        self.m = m
+    def __init__(self, z: float):
         self.roots = solve_cubic(z)
-        self._parts: dict[tuple[str, int], list[complex]] = {}
+        self._values: dict[tuple[str, int], list[complex]] = {}
+        # (m, {(name, which): list}), replaced whole when m changes; each
+        # call works on the pair it read, so a call at another m that runs
+        # in between cannot put its lists under this call's m
+        self._coeffs: tuple[int, dict[tuple[str, int], list[complex]]] = (-1, {})
 
-    def part(self, name: str, which: int) -> list[complex]:
-        got = self._parts.get((name, which))
+    def coeffs(self, name: str, which: int, m: int) -> list[complex]:
+        held = self._coeffs
+        if held[0] != m:
+            held = self._coeffs = (m, {})
+        got = held[1].get((name, which))
         if got is None:
-            got = self._parts[name, which] = self._build(name, which)
+            build = coeff_a if name == "a" else coeff_b
+            got = held[1][name, which] = build(m, self.roots, which)
         return got
 
-    def _build(self, name: str, which: int) -> list[complex]:
-        m, roots = self.m, self.roots
-        if name == "a":
-            return coeff_a(m, roots, which)
-        if name == "b":
-            return coeff_b(m, roots, which)
-        lam = roots.roots[which - 1]
+    def values(self, name: str, which: int, m: int) -> list[complex]:
+        have = self._values.get((name, which), [])
+        if len(have) > m:
+            return have
+        lam = self.roots.roots[which - 1]
         if name == "C":
-            return [C_of(r, lam) for r in range(m + 1)]
-        # C_mirror's sum, from the kept C_r(lam)
-        direct = self.part("C", which)
-        out = []
-        for r in range(m + 1):
-            swap = C_of(r, 1.0 - lam)
-            out.append(direct[r] + (swap if r % 2 == 0 else -swap))
-        return out
+            more = [C_of(r, lam) for r in range(len(have), m + 1)]
+        else:
+            # C_mirror's sum, from the kept C_r(lam)
+            direct = self.values("C", which, m)
+            more = []
+            for r in range(len(have), m + 1):
+                swap = C_of(r, 1.0 - lam)
+                more.append(direct[r] + (swap if r % 2 == 0 else -swap))
+        got = self._values[name, which] = have + more
+        return got
 
 
 @lru_cache(maxsize=1)
-def _pole_basis(z: float, m: int) -> PoleBasis:
-    # one entry: the families at one (z, m) share it when called in a row
-    return PoleBasis(z, m)
+def _pole_basis(z: float) -> PoleBasis:
+    # one entry: the closed forms at one z share it when called in a row
+    return PoleBasis(z)
 
 
 @dataclass(frozen=True)
@@ -242,7 +253,7 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
     z = float(z)
     spec = validate(family, z, m)
 
-    basis = _pole_basis(z, m)
+    basis = _pole_basis(z)
     rts = basis.roots
     coeff = "b" if spec.shifted else "a"
     values = "mirror" if spec.kind == "B" else "C"
@@ -254,11 +265,11 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
                 # the roots sort the partner lam.conjugate() first
                 contribs.append(contribs[rts.roots.index(lam.conjugate())].conjugate())
                 continue
-            coeffs = basis.part(coeff, which)
-            cs = basis.part(values, which)
+            coeffs = basis.coeffs(coeff, which, m)
+            cs = basis.values(values, which, m)
             inner = 0j
-            for r in range(m + 1):
-                inner += coeffs[r] * cs[r]
+            for a_r, c_r in zip(coeffs, cs):    # coeffs holds r = 0..m
+                inner += a_r * c_r
             contribs.append(inner)
     except OverflowError as exc:
         # complex ** raises where float arithmetic would give inf: at huge
@@ -269,6 +280,13 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
         ) from None
 
     grand = sum(contribs, start=0j)
+    if not all(map(cmath.isfinite, (grand, *contribs))):
+        # a coefficient or basis value left the double range, where
+        # complex * and / give inf or nan instead of raising
+        raise DomainError(
+            f"closed form of family {family.value} at z = {z!r}, m = {m} "
+            f"overflows: its sum is not finite"
+        )
     if m % 2:
         grand = -grand
     return ClosedFormBreakdown(

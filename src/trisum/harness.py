@@ -109,14 +109,14 @@ def _record(rid, family, z, m, closed, series, quad, tol, started,
 
 
 def _suite_constants(tol: float) -> list[VerificationRecord]:
-    # computed (z, m)-major, so the entries at one (z, m) share closed_sum's
-    # pole basis; records keep the registry's order
-    groups: dict[tuple[float, int], list] = {}
+    # computed z-major with m ascending, so the entries at one z share
+    # closed_sum's pole basis; records keep the registry's order
+    by_z: dict[float, list] = {}
     for entry in REGISTRY.values():
-        groups.setdefault((entry.z, entry.m), []).append(entry)
+        by_z.setdefault(entry.z, []).append(entry)
     done = {}
-    for entries in groups.values():
-        for entry in entries:
+    for entries in by_z.values():
+        for entry in sorted(entries, key=attrgetter("m")):
             t0 = time.perf_counter()
             s = float(entry.scale)
             closed = s * closed_sum(entry.family, entry.z, entry.m).total
@@ -130,8 +130,8 @@ def _suite_constants(tol: float) -> list[VerificationRecord]:
 
 
 def _suite_grid(tol: float) -> list[VerificationRecord]:
-    # computed (z, m)-major, so the four families at one (z, m) share
-    # closed_sum's pole basis; records keep their family-major order
+    # computed z-major with m ascending, so every closed form at one z
+    # shares closed_sum's pole basis; records keep their family-major order
     done = {}
     for z in _GRID_Z:
         for m in _GRID_M:

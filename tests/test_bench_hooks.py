@@ -62,21 +62,36 @@ def test_tracer_measures_one_quadrature_call():
     assert tracer.counts["quadrature.nodes"] == 193
 
 
-def test_tracer_measures_closed_forms_sharing_one_basis():
-    # closed_sum must reach solve_cubic, coeff_a/coeff_b and C_of through
-    # closedform's module globals.  A1 and B2 at one (z, m) share a
-    # PoleBasis: one cubic, coeff_a and coeff_b at the real root and one
-    # pair root, and C_r(lam), C_r(1 - lam) for r <= 2 at those two roots
+def _trace_closed_sums(calls):
     trisum.closedform._pole_basis.cache_clear()
     tracer = _spans.Tracer(trisum)
     tracer.install()
     try:
-        trisum.closedform.closed_sum("A1", 3.0, 2)
-        trisum.closedform.closed_sum("B2", 3.0, 2)
+        for family, z, m in calls:
+            trisum.closedform.closed_sum(family, z, m)
     finally:
         tracer.uninstall()
-    names = [span[0] for span in tracer.spans]
+    return [span[0] for span in tracer.spans]
+
+
+def test_tracer_measures_closed_forms_sharing_one_basis():
+    # closed_sum must reach solve_cubic, coeff_a/coeff_b and C_of through
+    # closedform's module globals.  A1 and B2 at one z share a PoleBasis:
+    # one cubic, coeff_a and coeff_b at the real root and one pair root,
+    # and C_r(lam), C_r(1 - lam) for r <= 2 at those two roots
+    names = _trace_closed_sums([("A1", 3.0, 2), ("B2", 3.0, 2)])
     assert names.count("closedform.closed_sum") == 2
     assert names.count("roots.solve_cubic") == 1
     assert names.count("jets.coeff") == 4
     assert names.count("closedform.C_of") == 12
+
+
+def test_tracer_sees_one_basis_across_m():
+    # the basis values C_r(lam) do not depend on m: m = 0..4 at one z
+    # solve the cubic once and compute C_0..C_4 once at each of the two
+    # evaluated roots, while coeff_a runs at every m
+    names = _trace_closed_sums([("A1", 3.0, m) for m in range(5)])
+    assert names.count("closedform.closed_sum") == 5
+    assert names.count("roots.solve_cubic") == 1
+    assert names.count("closedform.C_of") == 10
+    assert names.count("jets.coeff") == 10

@@ -62,6 +62,16 @@ def test_eval_closed_overflow_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def test_eval_closed_non_finite_exits_2(capsys):
+    # the coefficients at this point leave the double range as nan; the
+    # closed form reports that instead of printing nan
+    code, out, err = run(capsys, "eval", "--family", "A2", "--z", "1e150",
+                         "--m", "6", "--method", "closed")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and repr(1e150) in err and "overflows" in err
+    assert "nan" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("z", ["1e300", "1e160", "-1e300"])
 def test_eval_huge_z_closed_exits_2(capsys, z):
     # solve_cubic's intermediates overflow here; the error names z and
@@ -88,6 +98,33 @@ def test_eval_w_flag_is_reciprocal(capsys):
     _, out_w, _ = run(capsys, "eval", "--family", "A1", "--w", "0.5",
                       "--method", "closed")
     assert out_z == out_w
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--z", "-1e6"), ("--z", "-8"), ("--z", "-2.5e0"), ("--w", "-1e-3"),
+])
+def test_negative_number_after_a_space(capsys, flag, value):
+    # argparse alone takes "-1e6" for an option, not for the value of --z
+    spaced = run(capsys, "eval", "--family", "B1", flag, value, "--m", "1")
+    joined = run(capsys, "eval", "--family", "B1", f"{flag}={value}", "--m", "1")
+    assert spaced == joined
+    assert spaced[0] == 0 and "agree" in spaced[1]
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--to"])
+def test_negative_tol_after_a_space_exits_2(capsys, flag):
+    code, out, err = run(capsys, "eval", "--family", "A1", "--z", "2",
+                         flag, "-1e-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --tol must be a positive finite value, got -0.001\n"
+
+
+def test_integral_negative_z_after_a_space(capsys):
+    spaced = run(capsys, "integral", "--kernel", "lnx", "--variant", "thm1",
+                 "--z", "-1e6", "--m", "1")
+    assert spaced == run(capsys, "integral", "--kernel", "lnx", "--variant", "thm1",
+                         "--z=-1e6", "--m", "1")
+    assert spaced[0] == 0
 
 
 def test_eval_w_zero_exits_2(capsys):

@@ -199,6 +199,8 @@ def _direct(family, z, m):
     except OverflowError:
         return "overflows"
     grand = sum(contribs, start=0j)
+    if not all(map(cmath.isfinite, (grand, *contribs))):
+        return "overflows"
     if m % 2:
         grand = -grand
     return _bits(grand.real, contribs, abs(grand.imag))
@@ -222,31 +224,67 @@ _SHARED_Z = (1.0, -1.0, 2.0, -2.0, -4.0, -8.0, 5.0, 30.0, -30.0, 1e3, -1e6, 1e8,
 
 
 class TestSharedBasis:
-    # closed_sum keeps the last (z, m)'s PoleBasis; whatever ran before,
-    # each call must give the bits of a sum computed from scratch
+    # closed_sum keeps the last z's PoleBasis, with its basis values grown
+    # to the largest m seen and its coefficients for the last m; whatever
+    # ran before, each call must give the bits of a sum computed from
+    # scratch
 
     def test_interleaved_calls(self):
         _pole_basis.cache_clear()
         for family, z, m in [("A1", 2.0, 3), ("B2", -8.0, 5), ("A2", 2.0, 3),
                              ("B1", 2.0, 3), ("B2", 2.0, 3), ("A1", -8.0, 5),
-                             ("A1", 2.0, 3), ("B1", -8.0, 5)]:
+                             ("A1", 2.0, 3), ("B1", -8.0, 5), ("B1", 2.0, 7),
+                             ("A2", 2.0, 1), ("B2", 2.0, 7), ("A1", 2.0, 0)]:
             assert _closed_bits(family, z, m) == _direct(family, z, m), (family, z, m)
 
     def test_any_call_order(self):
-        points = [(f, z, m) for f in ("A1", "A2", "B1", "B2") for z in _SHARED_Z
-                  for m in range(21)]
+        families = ("A1", "A2", "B1", "B2")
+        points = [(f, z, m) for f in families for z in _SHARED_Z for m in range(21)]
         want = {p: _direct(*p) for p in points}
         assert sum(v == "overflows" for v in want.values()) > 0
-        for seed in (1, 2):
+        rng = random.Random(3)
+        orders = {
+            "family-major": points,
+            "z-major, m ascending": [(f, z, m) for z in _SHARED_Z for m in range(21)
+                                     for f in families],
+            "z-major, m descending": [(f, z, m) for z in _SHARED_Z for m in range(20, -1, -1)
+                                      for f in families],
+            # at each z, the m of one family run up while another's run down
+            "z-major, m interleaved": [(f, z, k if f in ("A1", "B1") else 20 - k)
+                                       for z in _SHARED_Z for k in range(21)
+                                       for f in families],
+            "z-major, m shuffled": [(f, z, m) for z in _SHARED_Z
+                                    for m in rng.sample(range(21), 21) for f in families],
+            "shuffled 1": random.Random(1).sample(points, len(points)),
+            "shuffled 2": random.Random(2).sample(points, len(points)),
+        }
+        for name, order in orders.items():
             _pole_basis.cache_clear()
-            random.Random(seed).shuffle(points)
-            for p in points:
-                assert _closed_bits(*p) == want[p], p
-        # (z, m)-major, as the harness suites call it
-        for z in _SHARED_Z:
-            for m in range(21):
-                for f in ("A1", "A2", "B1", "B2"):
-                    assert _closed_bits(f, z, m) == want[f, z, m], (f, z, m)
+            for p in order:
+                assert _closed_bits(*p) == want[p], (name, p)
+
+    def test_non_finite_sum_raises(self):
+        # at z = 1e150 the coefficients of m = 6 leave the double range as
+        # nan, without an OverflowError; the sum used to come back as nan
+        assert _direct("A2", 1e150, 6) == "overflows"
+        with pytest.raises(DomainError, match=re.escape(
+                "closed form of family A2 at z = 1e+150, m = 6 overflows")) as err:
+            closed_sum("A2", 1e150, 6)
+        assert "nan" not in str(err.value)
+
+    def test_one_m_of_coefficients_kept(self):
+        _pole_basis.cache_clear()
+        for m in range(31):
+            for family in ("A1", "A2", "B1", "B2"):
+                closed_sum(family, 2.0, m)
+        basis = _pole_basis(2.0)
+        held_m, lists = basis._coeffs
+        assert held_m == 30
+        assert {len(v) for v in lists.values()} == {31}
+        assert sorted(lists) == [("a", 1), ("a", 2), ("b", 1), ("b", 2)]
+        # the basis values at the two evaluated roots, grown to r = 30
+        assert {k: len(v) for k, v in basis._values.items()} == {
+            (name, which): 31 for name in ("C", "mirror") for which in (1, 2)}
 
     def test_overflow_leaves_the_basis_usable(self):
         # at z = 1e100, m = 5 coeff_a overflows while coeff_b does not: the
@@ -261,16 +299,51 @@ class TestSharedBasis:
         for family, z, m in [("A1", 2.0, 3), ("B2", 1e100, 5), ("B1", -4.0, 1)]:
             assert _closed_bits(family, z, m) == _direct(family, z, m), (family, z, m)
 
+    def test_build_interrupted_by_another_m(self, monkeypatch):
+        # what a thread switch inside a build does: while the last
+        # coefficient list and a basis value of m = 3 are built, a call at
+        # m = 5 on the same z replaces the coefficients and grows the basis
+        # values.  Neither call may see the other's lists afterwards
+        import trisum.closedform as cf
+        coeff_a_, c_of_ = cf.coeff_a, cf.C_of
+        seen = {"a": 0, "C": 0}
+
+        def coeff_a_interrupted(m, roots, which):
+            seen["a"] += m == 3
+            if m == 3 and seen["a"] == 2:
+                assert _closed_bits("A2", 2.0, 5) == _direct("A2", 2.0, 5)
+            return coeff_a_(m, roots, which)
+
+        def c_of_interrupted(r, lam):
+            seen["C"] += r == 2
+            if r == 2 and seen["C"] == 1:
+                assert _closed_bits("B1", 2.0, 5) == _direct("B1", 2.0, 5)
+            return c_of_(r, lam)
+
+        monkeypatch.setattr(cf, "coeff_a", coeff_a_interrupted)
+        monkeypatch.setattr(cf, "C_of", c_of_interrupted)
+        _pole_basis.cache_clear()
+        assert _closed_bits("A1", 2.0, 3) == _direct("A1", 2.0, 3)
+        assert seen["a"] >= 2 and seen["C"] >= 1
+        for family, m in [("A1", 5), ("A2", 5), ("A1", 3), ("B1", 3), ("B2", 5)]:
+            assert _closed_bits(family, 2.0, m) == _direct(family, 2.0, m), (family, m)
+
     def test_threads_share_one_cache(self):
-        points = [(f, z, m) for z in (2.0, -8.0, 30.0, 1e3) for m in (0, 2, 5, 9)
-                  for f in ("A1", "A2", "B1", "B2")]
+        # every thread walks the z values in the same order, so the threads
+        # mostly share one basis while each asks for its own m
+        zs = (2.0, -8.0, 30.0, 1e3)
+        ms = (0, 2, 5, 9, 1, 12, 3)
+        families = ("A1", "A2", "B1", "B2")
+        points = [(f, z, m) for z in zs for m in ms for f in families]
         want = {p: _direct(*p) for p in points}
         got = [None] * 4
 
         def work(i):
-            order = points[:]
-            random.Random(i).shuffle(order)
-            got[i] = {p: _closed_bits(*p) for p in order * 3}
+            rng = random.Random(i)
+            order = [(f, z, m) for _ in range(3) for z in zs
+                     for m in rng.sample(ms, len(ms))
+                     for f in rng.sample(families, len(families))]
+            got[i] = {p: _closed_bits(*p) for p in order}
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
