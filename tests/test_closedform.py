@@ -265,7 +265,7 @@ class TestSharedBasis:
 
     def test_non_finite_sum_raises(self):
         # at z = 1e150 the coefficients of m = 6 leave the double range as
-        # nan, without an OverflowError; the sum used to come back as nan
+        # nan, without an OverflowError: no value to return
         assert _direct("A2", 1e150, 6) == "overflows"
         with pytest.raises(DomainError, match=re.escape(
                 "closed form of family A2 at z = 1e+150, m = 6 overflows")) as err:
