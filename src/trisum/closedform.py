@@ -64,6 +64,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, UnknownConstant
 from .roots import CubicRoots, solve_cubic
@@ -144,6 +145,15 @@ def _pole_expansion(m: int, roots: CubicRoots, which: int) -> tuple[complex, lis
         raise DomainError(f"coefficient order m must be a nonnegative integer, got {m!r}")
     if which not in (1, 2, 3):
         raise DomainError(f"root selector must be 1, 2, or 3, got {which!r}")
+    return _denominator(m, roots, which)
+
+
+@lru_cache(maxsize=3)
+def _denominator(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[complex]]:
+    # coeff_a and coeff_b at one (z, m, root) share this expansion: a
+    # PoleBasis asks for both at each of its roots in turn.  Callers only
+    # read the list.  CubicRoots compare by value, and solve_cubic's are
+    # equal only when their z is, so a hit is the expansion of these roots
     lam = roots.roots[which - 1]
     w1, w2 = (r for i, r in enumerate(roots.roots) if i != which - 1)
     return lam, _mul(_binomial(lam - w1, -(m + 1), m), _binomial(lam - w2, -(m + 1), m))
@@ -222,15 +232,15 @@ def _pole_basis(z: float) -> PoleBasis:
     return PoleBasis(z)
 
 
-@dataclass(frozen=True)
-class ClosedFormBreakdown:
+class ClosedFormBreakdown(NamedTuple):
     """Closed-form value of one series with its per-root contributions.
 
     total is the real value; contributions[i] is the (complex) inner
     sum at roots.roots[i] before the overall (-1)^m sign.  The
     conjugate root pair contributes exactly conjugate values, so the
     grand sum is real up to rounding; imag_residual records what was
-    discarded.
+    discarded.  A named tuple: _asdict() and _replace() give a dict and
+    a changed copy, and equality is tuple equality.
     """
 
     family: SeriesFamily
@@ -290,13 +300,8 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
     if m % 2:
         grand = -grand
     return ClosedFormBreakdown(
-        family=family,
-        z=z,
-        m=m,
-        total=grand.real,
-        roots=rts,
-        contributions=(contribs[0], contribs[1], contribs[2]),
-        imag_residual=abs(grand.imag),
+        family, z, m, grand.real, rts, (contribs[0], contribs[1], contribs[2]),
+        abs(grand.imag),
     )
 
 

@@ -17,8 +17,9 @@ Five suites:
 
 A record passes when the largest pairwise deviation among its available
 values is at most tol * max(1, |reference|), the reference being the
-closed-form value when present.  Records are produced in a fixed order
-so reports are deterministic apart from timings.
+closed-form value when present, and none of the values is nan.  Records
+are produced in a fixed order so reports are deterministic apart from
+timings.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
-from operator import attrgetter
+from itertools import combinations, starmap
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, sub
+from typing import NamedTuple
 
 from .closedform import REGISTRY, closed_sum
 from .errors import DomainError, UnknownSuite
@@ -66,8 +69,12 @@ _SERIES_TOL = 1e-13
 _QUAD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
+    """One verified case: the values compared, their largest pairwise
+    deviation, and whether it is within tol.  A named tuple, so records
+    are immutable and hashable, _asdict() and _replace() give a dict and
+    a changed copy, and equality is tuple equality."""
+
     id: str
     family: str | None
     z: float | None
@@ -92,19 +99,19 @@ def _record(rid, family, z, m, closed, series, quad, tol, started,
     values = [v for v in (closed, series, quad, *extra) if v is not None]
     if deviation is not None:
         abs_diff = float(deviation)
-    elif len(values) >= 2:
-        abs_diff = max(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:])
     else:
-        abs_diff = 0.0
-    ref = closed if closed is not None else (series if series is not None else None)
+        # the largest |a - b| over the pairs in order (a before b), as
+        # max() over them one at a time takes it; fewer than two values: 0.0
+        abs_diff = max(map(abs, starmap(sub, combinations(values, 2))), default=0.0)
+    ref = closed if closed is not None else series
     scale = max(1.0, abs(ref)) if ref is not None else 1.0
     rel_diff = abs_diff / scale
+    # max() keeps its first value over a later nan, so a nan value can
+    # leave abs_diff finite: it fails the record here
+    passed = rel_diff <= tol and not any(map(math.isnan, values))
     return VerificationRecord(
-        id=rid, family=family, z=z, m=m,
-        closed=closed, series_oracle=series, quad_oracle=quad,
-        abs_diff=abs_diff, rel_diff=rel_diff, tol=tol,
-        passed=rel_diff <= tol,
-        runtime_ms=(time.perf_counter() - started) * 1000.0,
+        rid, family, z, m, closed, series, quad, abs_diff, rel_diff, tol, passed,
+        (time.perf_counter() - started) * 1000.0,
     )
 
 
@@ -286,7 +293,8 @@ def run_suite(name: str, tol: float | None = None) -> list[VerificationRecord]:
 # -- report rendering -------------------------------------------------------
 
 def _fmt(x, spec: str = ".17g") -> str:
-    """One value as a JSON literal; numbers that are not int use spec."""
+    """One value as a JSON literal; numbers that are not int use spec, so
+    a float that is not finite comes out as Python writes it (inf, nan)."""
     if x is None:
         return "null"
     if isinstance(x, str):
@@ -298,21 +306,64 @@ def _fmt(x, spec: str = ".17g") -> str:
     return format(x, spec)
 
 
-# json and csv report columns: (name, getter, number format)
+def _json_value(x, spec: str = ".17g") -> str:
+    """_fmt for json reports: a float that is not finite is written as
+    json.dumps writes it (Infinity, -Infinity, NaN), so json.loads reads it."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return json.dumps(x)
+    return _fmt(x, spec)
+
+
+# json and csv report columns, one per VerificationRecord field in field
+# order: (name, the type the field holds when it is not None, number format)
 _COLUMNS = (
-    ("id", attrgetter("id"), ".17g"),
-    ("family", attrgetter("family"), ".17g"),
-    ("z", attrgetter("z"), ".17g"),
-    ("m", attrgetter("m"), ".17g"),
-    ("closed", attrgetter("closed"), ".17g"),
-    ("series_oracle", attrgetter("series_oracle"), ".17g"),
-    ("quad_oracle", attrgetter("quad_oracle"), ".17g"),
-    ("abs_diff", attrgetter("abs_diff"), ".17g"),
-    ("rel_diff", attrgetter("rel_diff"), ".17g"),
-    ("tol", attrgetter("tol"), ".17g"),
-    ("pass", attrgetter("passed"), ".17g"),
-    ("runtime_ms", attrgetter("runtime_ms"), ".3f"),
+    ("id", str, ".17g"),
+    ("family", str, ".17g"),
+    ("z", float, ".17g"),
+    ("m", int, ".17g"),
+    ("closed", float, ".17g"),
+    ("series_oracle", float, ".17g"),
+    ("quad_oracle", float, ".17g"),
+    ("abs_diff", float, ".17g"),
+    ("rel_diff", float, ".17g"),
+    ("tol", float, ".17g"),
+    ("pass", bool, ".17g"),
+    ("runtime_ms", float, ".3f"),
 )
+
+# A json cell of a column of each type: for a value of exactly that type the
+# text _json_value(v, spec) gives, without its isinstance chain; any other
+# value, None included, is passed to _json_value itself.
+_JSON_CELL = {
+    str: "_encode({v}) if {v}.__class__ is str else _json_value({v}, {spec!r})",
+    float: "format({v}, {spec!r}) if {v}.__class__ is float and _isfinite({v}) "
+           "else _json_value({v}, {spec!r})",
+    int: "str({v}) if {v}.__class__ is int else _json_value({v}, {spec!r})",
+    bool: "'true' if {v} is True else 'false' if {v} is False else _json_value({v}, {spec!r})",
+}
+
+
+def _compile_json_row():
+    """_json_row(record): one record as its json report line.
+
+    The function is generated from _COLUMNS as one %-template and one
+    expression per cell, so a row costs one Python call instead of one per
+    cell; its text is the per-cell "name": _json_value(value, spec) join.
+    """
+    names = [f"v{i}" for i in range(len(_COLUMNS))]
+    template = "    {" + ", ".join(f'"{name}": %s' for name, _, _ in _COLUMNS) + "}"
+    cells = ", ".join(f"({_JSON_CELL[kind].format(v=v, spec=spec)})"
+                      for v, (_, kind, spec) in zip(names, _COLUMNS))
+    source = (f"def _json_row(record):\n"
+              f"    {', '.join(names)} = record\n"
+              f"    return {template!r} % ({cells})\n")
+    namespace = {"_encode": encode_basestring_ascii, "_isfinite": math.isfinite,
+                 "_json_value": _json_value}
+    exec(source, namespace)
+    return namespace["_json_row"]
+
+
+_json_row = _compile_json_row()
 
 
 def _csv_cell(value, spec: str) -> str:
@@ -326,15 +377,11 @@ def _csv_cell(value, spec: str) -> str:
 def _json_report(records, suite, tol) -> str:
     lines = ["{"]
     lines.append(f'  "suite": {json.dumps(suite) if suite else "null"},')
-    lines.append(f'  "tol": {_fmt(tol)},')
+    lines.append(f'  "tol": {_json_value(tol)},')
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     lines.append(f'  "generated_at": "{stamp}",')
     lines.append('  "records": [')
-    lines.append(",\n".join(
-        "    {" + ", ".join([f'"{name}": {_fmt(get(r), spec)}'
-                            for name, get, spec in _COLUMNS]) + "}"
-        for r in records
-    ))
+    lines.append(",\n".join(map(_json_row, records)))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -345,7 +392,7 @@ def _csv_report(records) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(name for name, _, _ in _COLUMNS)
     for r in records:
-        writer.writerow([_csv_cell(get(r), spec) for _, get, spec in _COLUMNS])
+        writer.writerow([_csv_cell(v, spec) for v, (_, _, spec) in zip(r, _COLUMNS)])
     return buf.getvalue()
 
 

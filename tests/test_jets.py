@@ -90,3 +90,31 @@ class TestPartialFractionCoefficients:
         a_dn = coeff_a(3, roots, pair[1])
         for u, d in zip(a_up, a_dn):
             assert u == pytest.approx(d.conjugate(), rel=1e-14, abs=1e-16)
+
+    def test_denominator_expanded_once_per_root(self, monkeypatch):
+        # coeff_a and coeff_b at one (z, m, root) share the expansion of
+        # 1/((x - w1)(x - w2))^{m+1}: two binomials of power -(m+1) per
+        # root, whichever of them runs first, and the same bits as apart
+        import trisum.closedform as cf
+
+        def bits(coeffs):
+            return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+        roots, m = solve_cubic(-8.0), 4
+        apart = {}
+        for which in (1, 2, 3):
+            for name, build in (("a", coeff_a), ("b", coeff_b)):
+                cf._denominator.cache_clear()
+                apart[name, which] = bits(build(m, roots, which))
+        powers = []
+        binomial = cf._binomial
+        monkeypatch.setattr(cf, "_binomial",
+                            lambda c, p, n: powers.append(p) or binomial(c, p, n))
+        for first, then in (("a", "b"), ("b", "a")):
+            cf._denominator.cache_clear()
+            powers.clear()
+            for name in (first, then):
+                for which in (1, 2, 3):
+                    build = coeff_a if name == "a" else coeff_b
+                    assert bits(build(m, roots, which)) == apart[name, which]
+            assert [p for p in powers if p < 0] == [-(m + 1)] * 6
