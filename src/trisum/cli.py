@@ -9,7 +9,8 @@ Four subcommands:
                special-value table it rests on
 
 Exit codes: 0 success / all records pass, 1 a verification comparison
-failed, 2 usage or domain error.
+failed, 2 usage or domain error.  eval --method all judges agreement by
+the suites' rule (harness._record) with --tol as the tolerance.
 
 z is the |z| >= 1 parameterization of the A and B families.  --w accepts
 the reciprocal convention (|w| <= 1) and converts via z = 1/w.  --z, --w
@@ -23,11 +24,14 @@ import argparse
 import json
 import math
 import sys
+import time
 
 from .closedform import REGISTRY, closed_sum
 from .errors import DomainError, TrisumError
-from .harness import SUITES, _fmt, columns, emit_report, run_suite
-from .quadrature import IntegrandSpec, Kernel, Variant, integrate, series_via_quadrature
+from .harness import (_QUAD_TOL, _SERIES_TOL, SUITES, _fmt, _record, columns, csv_text,
+                      emit_report, run_suite)
+from .quadrature import (_MIN_TOL, IntegrandSpec, Kernel, Variant, integrate,
+                         series_via_quadrature)
 from .series import SeriesFamily, sum_series, validate
 from .specfun import catalan, clausen2, dilog
 
@@ -35,8 +39,6 @@ __all__ = ["build_parser", "main"]
 
 _METHODS = ("closed", "series", "quadrature", "all")
 _FORMATS = ("table", "json", "csv")
-_SERIES_TOL = 1e-13
-_QUAD_TOL = 1e-12
 
 
 def _add_z_group(parser: argparse.ArgumentParser) -> None:
@@ -142,19 +144,31 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _emit(args: argparse.Namespace, doc: dict, header, rows, table: str) -> None:
+    """Write one result in args.format: doc as json, header and rows as
+    csv, or the table text."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
+        text = csv_text(header, rows)
+    else:
+        text = table
+    _write(text, args.out)
+
+
 # -- eval --------------------------------------------------------------------
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     family = SeriesFamily(args.family)
     # the series defines the object, so its convergence domain gates every
     # method, closed form included
     spec = validate(family, args.z, args.m)
 
-    # methods always run at their tight internal tolerances; args.tol is the
+    # methods always run at the suites' tolerances; args.tol is the
     # agreement gate for --method all
     values: dict[str, float] = {}
-    wants_closed = args.method == "closed" or (args.method == "all" and spec.outer)
-    if wants_closed:
+    if args.method == "closed" or (args.method == "all" and spec.outer):
         # raises for C families, which have no closed form
         values["closed"] = closed_sum(family, args.z, args.m).total
     if args.method in ("series", "all"):
@@ -162,37 +176,29 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.method in ("quadrature", "all"):
         values["quadrature"] = series_via_quadrature(
             family, args.z, args.m, tol=_QUAD_TOL)
+    # the suites' verdict, so a nan value disagrees
+    record = _record("eval", family.value, args.z, args.m, values.get("closed"),
+                     values.get("series"), values.get("quadrature"), args.tol, started)
+    agree = record.passed if args.method == "all" else None
 
-    vals = list(values.values())
-    diff = max((abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:]),
-               default=0.0)
-    ref = values.get("closed", vals[0])
-    agree = diff <= args.tol * max(1.0, abs(ref))
-
-    if args.format == "json":
-        doc = {
-            "family": family.value, "z": args.z, "m": args.m,
-            "method": args.method, "tol": args.tol,
-            "values": values, "max_abs_diff": diff,
-            "agree": agree if args.method == "all" else None,
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["family,z,m,method,value"]
-        for name, v in values.items():
-            lines.append(f"{family.value},{_fmt(args.z)},{args.m},{name},{_fmt(v)}")
-        text = "\n".join(lines) + "\n"
-    elif args.method != "all":
-        text = _fmt(vals[0]) + "\n"
+    if agree is None:
+        (value,) = values.values()
+        table = _fmt(value) + "\n"
     else:
         width = max(map(len, values))
         lines = [f"{name.ljust(width)}  {_fmt(v)}" for name, v in values.items()]
         verdict = "agree" if agree else "DISAGREE"
-        lines.append(f"max deviation {diff:.3e}  tolerance {args.tol:g}  {verdict}")
-        text = "\n".join(lines) + "\n"
-
-    _write(text, args.out)
-    return 0 if (args.method != "all" or agree) else 1
+        lines.append(f"max deviation {record.abs_diff:.3e}  tolerance {args.tol:g}  {verdict}")
+        table = "\n".join(lines) + "\n"
+    doc = {
+        "family": family.value, "z": args.z, "m": args.m,
+        "method": args.method, "tol": args.tol,
+        "values": values, "max_abs_diff": record.abs_diff, "agree": agree,
+    }
+    rows = [(family.value, _fmt(args.z), str(args.m), name, _fmt(v))
+            for name, v in values.items()]
+    _emit(args, doc, ("family", "z", "m", "method", "value"), rows, table)
+    return 1 if agree is False else 0
 
 
 # -- verify ------------------------------------------------------------------
@@ -209,18 +215,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_integral(args: argparse.Namespace) -> int:
     spec = IntegrandSpec(args.kernel, args.z, args.m, args.variant)
-    value = integrate(spec, tol=max(1e-14, args.tol))
-    if args.format == "json":
-        text = json.dumps({
-            "kernel": args.kernel, "variant": args.variant,
-            "z": args.z, "m": args.m, "tol": args.tol, "value": value,
-        }, indent=2) + "\n"
-    elif args.format == "csv":
-        text = ("kernel,variant,z,m,value\n"
-                f"{args.kernel},{args.variant},{_fmt(args.z)},{args.m},{_fmt(value)}\n")
-    else:
-        text = _fmt(value) + "\n"
-    _write(text, args.out)
+    value = integrate(spec, tol=max(_MIN_TOL, args.tol))
+    doc = {"kernel": args.kernel, "variant": args.variant,
+           "z": args.z, "m": args.m, "tol": args.tol, "value": value}
+    row = (args.kernel, args.variant, _fmt(args.z), str(args.m), _fmt(value))
+    _emit(args, doc, ("kernel", "variant", "z", "m", "value"), [row],
+          _fmt(value) + "\n")
     return 0
 
 
@@ -239,38 +239,26 @@ def _special_values() -> list[tuple[str, str, complex]]:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    rows = [(e.id, e.family.value, f"{e.z:g}", str(e.m), _fmt(e.value()),
-             e.expression()) for e in REGISTRY.values()]
-    if args.format == "json":
-        doc = {
-            "registry": [
-                {"id": e.id, "family": e.family.value, "z": e.z, "m": e.m,
+    registry = [{"id": e.id, "family": e.family.value, "z": e.z, "m": e.m,
                  "value": e.value(), "expression": e.expression()}
-                for e in REGISTRY.values()
-            ],
-            "special_values": [
-                {"name": name, "expression": expr,
-                 "real": val.real, "imag": val.imag}
-                for name, expr, val in _special_values()
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["id,family,z,m,value,expression"]
-        for row in rows:
-            rid, fam, z, m, value, expr = row
-            lines.append(f'{rid},{fam},{z},{m},{value},"{expr}"')
-        text = "\n".join(lines) + "\n"
-    else:
-        out = columns(("id", "family", "z", "m", "value", "expression"), rows)
-        out.append("")
-        out.append("special values")
-        for name, expr, val in _special_values():
-            shown = _fmt(val.real) if val.imag == 0 else \
-                f"{_fmt(val.real)} {'+' if val.imag >= 0 else '-'} {_fmt(abs(val.imag))} i"
-            out.append(f"  {name.ljust(9)}  = {expr.ljust(20)}  = {shown}")
-        text = "\n".join(out) + "\n"
-    _write(text, args.out)
+                for e in REGISTRY.values()]
+    header = tuple(registry[0])
+    rows = [(d["id"], d["family"], f"{d['z']:g}", str(d["m"]), _fmt(d["value"]),
+             d["expression"]) for d in registry]
+    specials = _special_values()
+    doc = {
+        "registry": registry,
+        "special_values": [
+            {"name": name, "expression": expr, "real": val.real, "imag": val.imag}
+            for name, expr, val in specials
+        ],
+    }
+    table = [*columns(header, rows), "", "special values"]
+    for name, expr, val in specials:
+        shown = _fmt(val.real) if val.imag == 0 else \
+            f"{_fmt(val.real)} {'+' if val.imag >= 0 else '-'} {_fmt(abs(val.imag))} i"
+        table.append(f"  {name.ljust(9)}  = {expr.ljust(20)}  = {shown}")
+    _emit(args, doc, header, rows, "\n".join(table) + "\n")
     return 0
 
 

@@ -141,9 +141,9 @@ def _mul(a: list[complex], b: list[complex]) -> list[complex]:
 def _pole_expansion(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[complex]]:
     """The selected root lam and the Taylor coefficients about it, to
     order m, of 1/((x - w_1)(x - w_2))^{m+1} over the other two roots."""
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise DomainError(f"coefficient order m must be a nonnegative integer, got {m!r}")
-    if which not in (1, 2, 3):
+    if not isinstance(which, int) or isinstance(which, bool) or which not in (1, 2, 3):
         raise DomainError(f"root selector must be 1, 2, or 3, got {which!r}")
     return _denominator(m, roots, which)
 

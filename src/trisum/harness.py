@@ -387,13 +387,20 @@ def _json_report(records, suite, tol) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_report(records) -> str:
+def csv_text(header, rows) -> str:
+    """A header and rows of str cells as csv text, quoted only where a
+    cell needs it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(name for name, _, _ in _COLUMNS)
-    for r in records:
-        writer.writerow([_csv_cell(v, spec) for v, (_, _, spec) in zip(r, _COLUMNS)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _csv_report(records) -> str:
+    return csv_text((name for name, _, _ in _COLUMNS),
+                    ([_csv_cell(v, spec) for v, (_, _, spec) in zip(r, _COLUMNS)]
+                     for r in records))
 
 
 def columns(headers, rows) -> list[str]:

@@ -1,5 +1,7 @@
 """End-to-end CLI checks, run in process through main(argv)."""
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -8,7 +10,7 @@ import pytest
 
 import trisum.cli as cli
 from trisum.cli import main
-from trisum.harness import VerificationRecord
+from trisum.harness import _QUAD_TOL, _SERIES_TOL, VerificationRecord
 
 # pi^2/48 - ln(2)^2/10 + 2G/5
 A1_Z2_M0 = 0.52395769463509576811
@@ -202,6 +204,36 @@ def test_eval_disagreement_exits_1(capsys, monkeypatch):
     assert "DISAGREE" in out
 
 
+def test_eval_nan_value_disagrees(capsys, monkeypatch):
+    # max() keeps an earlier finite deviation over a later nan one; the
+    # verdict must still fail, as the suites' records do
+    monkeypatch.setattr(cli, "series_via_quadrature", lambda *a, **k: math.nan)
+    argv = ["eval", "--family", "A1", "--z", "2", "--method", "all"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "quadrature  nan" in out and "DISAGREE" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["agree"] is False
+
+
+def test_eval_runs_methods_at_suite_tolerances(capsys, monkeypatch):
+    seen = {}
+
+    def spy(name, real):
+        def call(*a, tol, **k):
+            seen[name] = tol
+            return real(*a, tol=tol, **k)
+        return call
+
+    monkeypatch.setattr(cli, "sum_series", spy("series", cli.sum_series))
+    monkeypatch.setattr(cli, "series_via_quadrature",
+                        spy("quadrature", cli.series_via_quadrature))
+    code, _, _ = run(capsys, "eval", "--family", "C1", "--z", "0.5", "--method", "all")
+    assert code == 0
+    assert seen == {"series": _SERIES_TOL, "quadrature": _QUAD_TOL}
+
+
 def test_integral_matches_series(capsys):
     # raw integral with numerator u^m equals (-1)^m times the m=1 sum
     code, out, _ = run(capsys, "integral", "--kernel", "lnx",
@@ -315,6 +347,22 @@ def test_constants_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "id,family,z,m,value,expression"
     assert len(lines) == 18
+
+
+def test_constants_csv_reads_back(capsys):
+    # cells are quoted only where csv needs it; csv.reader gives back each
+    # registry entry's own strings and the exact value
+    from trisum.closedform import REGISTRY
+    code, out, _ = run(capsys, "constants", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["id", "family", "z", "m", "value", "expression"]
+    assert len(rows) == len(REGISTRY)
+    for row, e in zip(rows, REGISTRY.values()):
+        cell = dict(zip(header, row))
+        assert (cell["id"], cell["family"], cell["m"], cell["expression"]) == \
+            (e.id, e.family.value, str(e.m), e.expression())
+        assert float(cell["value"]) == e.value()
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):

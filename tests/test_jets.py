@@ -46,6 +46,13 @@ class TestPartialFractionCoefficients:
             coeff_a(0, roots, 0)
         with pytest.raises(DomainError):
             coeff_a(-1, roots, 1)
+        # indices are ints that are not bools, as everywhere in the package
+        with pytest.raises(DomainError, match="coefficient order m"):
+            coeff_a(True, roots, 1)
+        with pytest.raises(DomainError, match="root selector"):
+            coeff_a(0, roots, True)
+        with pytest.raises(DomainError, match="root selector"):
+            coeff_a(0, roots, 1.0)
 
     @pytest.mark.parametrize("z", [2.0, 3.0, -4.0, -8.0, 1.0, -1.0, 30.0, -30.0])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6, 7, 8])
