@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -342,8 +341,7 @@ _ATOM_DISPLAY = {
 }
 
 
-@dataclass(frozen=True)
-class ConstantEntry:
+class ConstantEntry(NamedTuple):
     """One published closed-form constant and the series it evaluates."""
 
     id: str

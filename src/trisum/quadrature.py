@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, NoConvergence
@@ -94,34 +93,50 @@ _C_VARIANT = {f: Variant(f.value.lower()) for f, spec in FAMILIES.items() if not
 _C_KERNEL = {v: _KIND_KERNEL[FAMILIES[f].kind] for f, v in _C_VARIANT.items()}
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """One member of the integral catalog: kernel, parameter z, order m."""
-
+class _IntegrandFields(NamedTuple):
     kernel: Kernel
     z: float
     m: int = 0
     variant: Variant = Variant.THM1
 
-    def __post_init__(self):
-        object.__setattr__(self, "kernel", Kernel(self.kernel))
-        object.__setattr__(self, "variant", Variant(self.variant))
-        object.__setattr__(self, "z", float(self.z))
-        check_m_z(self.m, self.z)
-        if self.variant in _C_KERNEL:
-            if self.kernel is not _C_KERNEL[self.variant]:
+
+class IntegrandSpec(_IntegrandFields):
+    """One member of the integral catalog: kernel, parameter z, order m.
+
+    A named tuple that checks and coerces its fields when built, by
+    keyword or positionally, and again on _replace and _make, so every
+    instance holds a valid integrand; equality is tuple equality.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kernel: Kernel | str, z: float, m: int = 0,
+                variant: Variant | str = Variant.THM1) -> IntegrandSpec:
+        kernel = Kernel(kernel)
+        variant = Variant(variant)
+        z = float(z)
+        check_m_z(m, z)
+        if variant in _C_KERNEL:
+            if kernel is not _C_KERNEL[variant]:
                 raise DomainError(
-                    f"variant {self.variant.value} is defined with the "
-                    f"{_C_KERNEL[self.variant].value} kernel, got {self.kernel.value}"
+                    f"variant {variant.value} is defined with the "
+                    f"{_C_KERNEL[variant].value} kernel, got {kernel.value}"
                 )
-            if self.m != 0:
-                raise DomainError(f"variant {self.variant.value} takes no order m")
+            if m != 0:
+                raise DomainError(f"variant {variant.value} takes no order m")
         else:
             # the denominator x(1-x)^2 - z must not vanish on [0, 1]
-            if 0.0 <= self.z <= 4.0 / 27.0:
+            if 0.0 <= z <= 4.0 / 27.0:
                 raise DomainError(
-                    f"z = {self.z!r} puts a pole of the integrand inside [0, 1]"
+                    f"z = {z!r} puts a pole of the integrand inside [0, 1]"
                 )
+        return super().__new__(cls, kernel, z, m, variant)
+
+    @classmethod
+    def _make(cls, iterable) -> IntegrandSpec:
+        # the inherited _make, which _replace calls too, builds through
+        # tuple.__new__ and would skip the checks
+        return cls(*super()._make(iterable))
 
 
 class _Stage(NamedTuple):

@@ -10,7 +10,7 @@ rejected as RepeatedRoots rather than returning ill-separated roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, RepeatedRoots
 
@@ -21,12 +21,12 @@ DISCRIMINANT_GUARD = 1e-10
 _cbrt = getattr(math, "cbrt", lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x))
 
 
-@dataclass(frozen=True)
-class CubicRoots:
+class CubicRoots(NamedTuple):
     """The three roots of x^3 - 2x^2 + x - z for one parameter z.
 
     roots are sorted by descending real part, ties by ascending
     imaginary part, and the tuple is exactly closed under conjugation.
+    A named tuple, so equality is tuple equality.
     """
 
     z: float

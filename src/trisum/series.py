@@ -35,9 +35,9 @@ import enum
 import math
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import DomainError, NonConvergent, TooManyTerms
 from .specfun import harmonic
@@ -70,8 +70,7 @@ class SeriesFamily(str, enum.Enum):
     C4 = "C4"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """What defines one family, for every layer that computes it.
 
     kind     "A": numerator H_{3k+1} - H_k, log x kernel;
@@ -80,6 +79,8 @@ class FamilySpec:
              False: alternating powers of z, real |z| <= 1, m = 0
     shifted  outer: weight C(k+m,k)/z^{k+m+1} instead of C(k,m)/z^{k+1};
              alternating: odd index z^{2k+1} instead of even z^{2k}
+
+    A named tuple, so kind, outer, shifted = spec unpacks it.
     """
 
     kind: str
@@ -99,8 +100,7 @@ FAMILIES = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
-class TermValue:
+class TermValue(NamedTuple):
     """One base term: double value, exact rational when in range."""
 
     k: int
@@ -251,13 +251,11 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     z = float(z)
     if not (isinstance(tol, float) and math.isfinite(tol)) or tol < 1e-15:
         raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
-    spec = validate(family, z, m)
+    kind, ab_layer, shifted = validate(family, z, m)
 
     cap = _max_terms()
-    kind = spec.kind
     table = _base[kind]
     size = len(table)
-    ab_layer = spec.outer
     step = 1 if ab_layer else 2   # base index advance per term
 
     total = 0.0
@@ -267,18 +265,18 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
 
     n = 0                    # base index
     if ab_layer:
-        z_pow = (1.0 / z) * (z ** -m if spec.shifted else 1.0)
+        z_pow = (1.0 / z) * (z ** -m if shifted else 1.0)
         z_step = 1.0 / z
         # the weight C(k+m, k) (shifted) or C(k, m), both C(k+top, k-lag),
         # as an exact int: from k = lag on, the next one is this one times
         # (k+1+top)/(k+1-lag); C(k, m) is 0 below k = m and 1 at it
-        top, lag = (m, 0) if spec.shifted else (0, m)
+        top, lag = (m, 0) if shifted else (0, m)
         weight = 0 if lag else 1
     else:
         # the alternating sign rides on the power of z
-        z_pow = z if spec.shifted else 1.0
+        z_pow = z if shifted else 1.0
         z_step = -(z * z)
-        if spec.shifted:
+        if shifted:
             n = 1
 
     for k in range(cap):

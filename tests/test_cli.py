@@ -205,16 +205,18 @@ def test_eval_disagreement_exits_1(capsys, monkeypatch):
 
 
 def test_eval_nan_value_disagrees(capsys, monkeypatch):
-    # max() keeps an earlier finite deviation over a later nan one; the
-    # verdict must still fail, as the suites' records do
+    # max() would keep an earlier finite deviation over a later nan one;
+    # the verdict must fail and the deviation read nan, as in the suites
     monkeypatch.setattr(cli, "series_via_quadrature", lambda *a, **k: math.nan)
     argv = ["eval", "--family", "A1", "--z", "2", "--method", "all"]
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert "quadrature  nan" in out and "DISAGREE" in out
+    assert "max deviation nan" in out
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
-    assert json.loads(out)["agree"] is False
+    doc = json.loads(out)
+    assert doc["agree"] is False and math.isnan(doc["max_abs_diff"])
 
 
 def test_eval_runs_methods_at_suite_tolerances(capsys, monkeypatch):

@@ -1,10 +1,15 @@
 """Cold-start checks, each in a fresh interpreter.
 
 numpy is needed only by the quadrature layer, so it must load on the
-first quadrature call and not with `import trisum`.  The test process
-itself has numpy loaded already, so every check runs in a subprocess.
+first quadrature call and not with `import trisum`.  csv is needed only
+for csv output, and nothing needs dataclasses or inspect, so neither
+`import trisum` nor json and table output may load them.  The test
+process itself has these loaded already, so every check runs in a
+subprocess, against the modules that interpreter held before the import.
 """
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -23,6 +28,22 @@ import sys
 import trisum.cli
 code = trisum.cli.main(sys.argv[1:])
 print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+# modules import trisum must not load; some site setups preload them, so
+# a child reports only those its own imports added
+_UNWANTED = ("dataclasses", "inspect", "csv")
+
+# runs trisum.cli.main on its arguments, then reports on stderr whether
+# the import and the call loaded csv (numpy, on a quadrature call, loads
+# inspect itself)
+_CSV_CHILD = """\
+import sys
+before = set(sys.modules)
+import trisum.cli
+code = trisum.cli.main(sys.argv[1:])
+print("csv loaded:", "csv" in set(sys.modules) - before, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -60,3 +81,40 @@ def test_huge_z_quadrature_is_quiet_cold():
     proc = _python("-W", "error", "-m", "trisum.cli", "eval", "--family", "A1",
                    "--z", "1e300", "--m", "1", "--method", "quadrature")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-0\n", "")
+
+
+def test_import_loads_no_dataclasses_inspect_or_csv():
+    proc = _python("-c", "import sys; before = set(sys.modules); "
+                         "import trisum, trisum.cli; "
+                         f"print(sorted(set(sys.modules) - before & set({_UNWANTED!r})))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "A1", "--z", "2", "--method", "series"],
+    ["eval", "--family", "A1", "--z", "2", "--method", "all", "--format", "json"],
+    ["integral", "--kernel", "lnx", "--variant", "thm1", "--z", "2", "--m", "1"],
+    ["constants", "--format", "json"],
+    ["verify", "--suite", "specfun-identities"],
+], ids=["eval-table", "eval-json", "integral-table", "constants-json", "verify-table"])
+def test_json_and_table_output_leave_csv_unloaded(argv):
+    proc = _python("-c", _CSV_CHILD, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "csv loaded: False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "A1", "--z", "2", "--method", "all"],
+    ["integral", "--kernel", "lnx", "--variant", "thm1", "--z", "2", "--m", "1"],
+    ["constants"],
+], ids=["eval", "integral", "constants"])
+def test_csv_output_works_cold(capsys, argv):
+    argv = [*argv, "--format", "csv"]
+    proc = _python("-c", _CSV_CHILD, *argv)
+    assert proc.returncode == 0, proc.stderr
+    # False only where the site setup loaded csv before the import
+    assert proc.stderr in ("csv loaded: True\n", "csv loaded: False\n")
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert len(rows) > 1 and len({len(r) for r in rows}) == 1

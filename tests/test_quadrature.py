@@ -165,6 +165,39 @@ class TestIntegrandSpec:
         assert spec.kernel is Kernel.LNX
         assert spec.variant is Variant.THM1
 
+    def test_coercion_with_defaults(self):
+        spec = IntegrandSpec("lnx", 2, 1)
+        assert spec.kernel is Kernel.LNX and spec.variant is Variant.THM1
+        assert type(spec.z) is float and spec.z == 2.0 and spec.m == 1
+        assert IntegrandSpec(z=2, kernel="lnx", m=1) == spec
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IntegrandSpec("lnx", 0.5, 0, "c3"),
+         "variant c3 is defined with the lnratio kernel, got lnx"),
+        (lambda: IntegrandSpec("lnx", 0.1, 1),
+         "z = 0.1 puts a pole of the integrand inside [0, 1]"),
+        (lambda: IntegrandSpec("lnx", 2, 1)._replace(z=0.1),
+         "z = 0.1 puts a pole of the integrand inside [0, 1]"),
+        (lambda: IntegrandSpec("lnx", 2, 1)._replace(m=-1),
+         "m must be a nonnegative integer, got -1"),
+        (lambda: IntegrandSpec("lnx", 0.5, 0, "c1")._replace(m=2),
+         "variant c1 takes no order m"),
+        (lambda: IntegrandSpec._make(("lnx", 0.1, 1, "thm2")),
+         "z = 0.1 puts a pole of the integrand inside [0, 1]"),
+    ], ids=["pair", "pole", "replace-z", "replace-m", "replace-c-order", "make"])
+    def test_every_build_is_checked(self, build, message):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_replace_and_make_coerce(self):
+        spec = IntegrandSpec("lnx", 2, 1)._replace(kernel="lnratio", z=-4)
+        assert spec == (Kernel.LNRATIO, -4.0, 1, Variant.THM1)
+        assert spec.kernel is Kernel.LNRATIO and type(spec.z) is float
+        assert IntegrandSpec._make(["lnratio", -4, 1, "thm1"]) == spec
+        with pytest.raises(TypeError):
+            IntegrandSpec._make(["lnx", 2.0])
+
 
 class TestCatalogIntegrals:
     def test_reference_kernel_integral(self):

@@ -1,10 +1,12 @@
-"""The record types: VerificationRecord and ClosedFormBreakdown.
+"""The package's named tuples: the records VerificationRecord and
+ClosedFormBreakdown, and CubicRoots, FamilySpec, TermValue,
+IntegrandSpec and ConstantEntry.
 
-Both are named tuples.  They keep the fields, field order, attribute
-access, repr, immutability and hashability they had as frozen
-dataclasses, and can be built with keywords or positionally.  _record's
-pairwise deviation is checked against the nested-loop formula bit for
-bit, non-finite values included.
+All were frozen dataclasses.  They keep the fields, field order,
+attribute access, repr, immutability and hashability they had, and can
+be built with keywords or positionally.  _record's pairwise deviation
+is checked against the nested-loop formula bit for bit, non-finite
+values included.
 """
 
 import itertools
@@ -13,10 +15,12 @@ import struct
 
 import pytest
 
-from trisum.closedform import ClosedFormBreakdown, closed_sum
+from trisum.closedform import (REGISTRY, ClosedFormBreakdown, ConstantEntry, _denominator,
+                               closed_sum)
 from trisum.harness import VerificationRecord, _record
-from trisum.roots import solve_cubic
-from trisum.series import SeriesFamily
+from trisum.quadrature import IntegrandSpec
+from trisum.roots import CubicRoots, solve_cubic
+from trisum.series import FAMILIES, FamilySpec, SeriesFamily, TermValue, base_term
 
 RECORD_FIELDS = ("id", "family", "z", "m", "closed", "series_oracle", "quad_oracle",
                  "abs_diff", "rel_diff", "tol", "passed", "runtime_ms")
@@ -87,10 +91,79 @@ def test_asdict_and_replace(rec, breakdown):
     assert len(breakdown.contributions) == 3
 
 
+# class, its fields in order, an instance, and how its repr begins
+_TUPLES = {
+    "CubicRoots": (CubicRoots, ("z", "roots", "discriminant"),
+                   lambda: solve_cubic(3.0), "CubicRoots(z=3.0, roots=((2.17455941029298+0j), "),
+    "FamilySpec": (FamilySpec, ("kind", "outer", "shifted"),
+                   lambda: FAMILIES[SeriesFamily.B2],
+                   "FamilySpec(kind='B', outer=True, shifted=True)"),
+    "TermValue": (TermValue, ("k", "value", "exact"), lambda: base_term("A", 0),
+                  "TermValue(k=0, value=1.0, exact=Fraction(1, 1))"),
+    "IntegrandSpec": (IntegrandSpec, ("kernel", "z", "m", "variant"),
+                      lambda: IntegrandSpec("lnx", 2, 1),
+                      "IntegrandSpec(kernel=<Kernel.LNX: 'lnx'>, z=2.0, m=1, "
+                      "variant=<Variant.THM1: 'thm1'>)"),
+    "ConstantEntry": (ConstantEntry, ("id", "family", "z", "m", "scale", "terms"),
+                      lambda: REGISTRY["a1-z2-m0"],
+                      "ConstantEntry(id='a1-z2-m0', family=<SeriesFamily.A1: 'A1'>, "
+                      "z=2.0, m=0, scale=Fraction(1, 1), terms=((Fraction(1, 48), "),
+}
+
+
+@pytest.mark.parametrize("name", _TUPLES)
+def test_converted_class_fields_and_repr(name):
+    cls, fields, make, head = _TUPLES[name]
+    obj = make()
+    assert cls._fields == fields
+    assert repr(obj) == dataclass_repr(obj, fields)
+    assert repr(obj).startswith(head)
+
+
+@pytest.mark.parametrize("name", _TUPLES)
+def test_converted_class_builds_by_keyword(name):
+    cls, fields, make, _ = _TUPLES[name]
+    obj = make()
+    values = {f: getattr(obj, f) for f in fields}
+    assert cls(**values) == obj
+    assert cls(*values.values()) == obj
+    assert type(cls(**values)) is cls
+
+
+@pytest.mark.parametrize("name", _TUPLES)
+def test_converted_class_hash(name):
+    cls, fields, make, _ = _TUPLES[name]
+    obj = make()
+    # the hash a frozen dataclass gives: that of the tuple of its fields
+    assert hash(obj) == hash(tuple(getattr(obj, f) for f in fields))
+    assert len({obj, cls(**obj._asdict())}) == 1
+
+
+@pytest.mark.parametrize("name", _TUPLES)
+def test_converted_class_is_read_only(name):
+    cls, fields, make, _ = _TUPLES[name]
+    obj = make()
+    for field in (*fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+
+
+def test_cubic_roots_key_the_expansion_cache_by_value():
+    first, second = solve_cubic(5.0), solve_cubic(5.0)
+    assert first is not second and first == second
+    _denominator(3, first, 1)
+    hits = _denominator.cache_info().hits
+    assert _denominator(3, second, 1) is _denominator(3, first, 1)
+    assert _denominator.cache_info().hits == hits + 2
+
+
 def pairwise_reference(closed, series, quad, extra, tol):
-    # the nested-loop rule _record used before: (abs_diff, rel_diff, passed)
+    # the nested-loop rule, with nan as the deviation wherever a value is
+    # nan: (abs_diff, rel_diff, passed)
     values = [v for v in (closed, series, quad, *extra) if v is not None]
-    if len(values) >= 2:
+    if any(math.isnan(v) for v in values):
+        abs_diff = math.nan
+    elif len(values) >= 2:
         abs_diff = max(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:])
     else:
         abs_diff = 0.0
@@ -109,7 +182,6 @@ _VALUES = (None, 0.0, -0.0, 0.75, 0.75 + 2e-10, -3.0, 5e-324, 1e308, -1e308,
 
 
 def test_pairwise_deviation_bit_for_bit():
-    nan_could_pass = 0
     for closed, series, quad in itertools.product(_VALUES, repeat=3):
         for extra in ((), (0.75,), (math.nan,), (-math.inf,)):
             want_abs, want_rel, want_pass = pairwise_reference(closed, series, quad, extra, 1e-9)
@@ -117,17 +189,14 @@ def test_pairwise_deviation_bit_for_bit():
             case = (closed, series, quad, extra)
             assert bits(got.abs_diff) == bits(want_abs), case
             assert bits(got.rel_diff) == bits(want_rel), case
-            has_nan = any(v is not None and math.isnan(v) for v in (closed, series, quad, *extra))
-            # a nan value never passes, though max() can drop it from abs_diff
-            assert got.passed is (want_pass and not has_nan), case
-            nan_could_pass += want_pass and has_nan
-    assert nan_could_pass > 0
+            assert got.passed is want_pass, case
 
 
 def test_nan_value_fails_record():
-    # max() keeps its first pair's 0.0 over the later nan pairs
+    # max() over the pairs would keep the first pair's 0.0 over the later
+    # nan pairs; the deviation is nan instead, so the report shows why
     got = _record("x", "A1", 2.0, 0, 0.75, 0.75, math.nan, 1e-9, 0.0)
-    assert got.abs_diff == 0.0
+    assert math.isnan(got.abs_diff) and math.isnan(got.rel_diff)
     assert got.passed is False
 
 
