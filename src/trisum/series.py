@@ -240,6 +240,58 @@ def _grow_base(kind: str, n: int) -> list[float]:
         return grown
 
 
+# Coefficient table per (family, m), that is per (kind, outer, shifted, m):
+# _coef[family, m][k] is the double that term k multiplies by its power of
+# z, _base[kind][n_k] * weight_k.  For A1..B2, n_k = k and the weight is the
+# exact integer C(k, m) or C(k+m, k); for C1..C4, n_k = 2k or 2k+1 and the
+# weight is 1.  Tables grow by doubling, never past the calling sum's term
+# cap unless it needs more, and are published whole under the lock, as
+# _base is.  At most _MAX_TABLES are held; a new one evicts the oldest.  The
+# verification suites and the sweep benchmark use about 40 (family, m) keys
+# in all (A1..B2 at m <= 4 and the registry's m, C1..C4), so 64 keeps every
+# one of them, while a loop over many m holds 64 tables of at most a term
+# cap's length each (10,000 entries, about 320 kB, by default) instead of
+# one per m.
+_MAX_TABLES = 64
+_coef_lock = threading.Lock()
+_coef: dict[tuple[SeriesFamily, int], list[float]] = {}
+
+
+def _grow_coef(family: SeriesFamily, m: int, n: int, cap: int) -> list[float]:
+    """The coefficient table of (family, m), grown to cover index n."""
+    key = (family, m)
+    kind, outer, shifted = FAMILIES[family]
+    with _coef_lock:
+        table = _coef.get(key, [])
+        if n < len(table):
+            return table     # another thread grew it meanwhile
+        size = max(n + 1, min(2 * len(table), cap))
+        done = len(table)
+        grown = table[:]
+        if outer:
+            base = _grow_base(kind, size - 1) if size > len(_base[kind]) else _base[kind]
+            # the weight C(k+m, k) (shifted) or C(k, m), both C(k+top, k-lag);
+            # from k = lag on, the next one is this one times
+            # (k+1+top)/(k+1-lag); C(k, m) is 0 below k = m and 1 at it
+            top, lag = (m, 0) if shifted else (0, m)
+            weight = math.comb(done + top, m)
+            for k in range(done, size):
+                b = base[k]
+                # base entries are 0.0 from k near 400 on, where a weight
+                # can pass the double range; the entry is 0.0 there as well
+                grown.append(b * weight if b and weight else 0.0)
+                weight = weight * (k + 1 + top) // (k + 1 - lag) if k >= lag else int(k + 1 == lag)
+        else:
+            first = 1 if shifted else 0
+            last = first + 2 * (size - 1)
+            base = _grow_base(kind, last) if last >= len(_base[kind]) else _base[kind]
+            grown += base[first + 2 * done:last + 1:2]
+        if key not in _coef and len(_coef) >= _MAX_TABLES:
+            del _coef[next(iter(_coef))]
+        _coef[key] = grown
+        return grown
+
+
 def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
                tol: float = 1e-13) -> float:
     """Sum one series family at real z to the requested tolerance.
@@ -251,69 +303,56 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     z = float(z)
     if not (isinstance(tol, float) and math.isfinite(tol)) or tol < 1e-15:
         raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
-    kind, ab_layer, shifted = validate(family, z, m)
+    _, outer, shifted = validate(family, z, m)
 
     cap = _max_terms()
-    table = _base[kind]
-    size = len(table)
-    step = 1 if ab_layer else 2   # base index advance per term
+    if outer:
+        z_pow = (1.0 / z) * (z ** -m if shifted else 1.0)
+        z_step = 1.0 / z
+    else:
+        # the alternating sign rides on the power of z
+        z_pow = z if shifted else 1.0
+        z_step = -(z * z)
 
     total = 0.0
     comp = 0.0
     prev_mag = 0.0           # last nonzero |term|, 0 until there is one
     zero_run = 0
 
-    n = 0                    # base index
-    if ab_layer:
-        z_pow = (1.0 / z) * (z ** -m if shifted else 1.0)
-        z_step = 1.0 / z
-        # the weight C(k+m, k) (shifted) or C(k, m), both C(k+top, k-lag),
-        # as an exact int: from k = lag on, the next one is this one times
-        # (k+1+top)/(k+1-lag); C(k, m) is 0 below k = m and 1 at it
-        top, lag = (m, 0) if shifted else (0, m)
-        weight = 0 if lag else 1
-    else:
-        # the alternating sign rides on the power of z
-        z_pow = z if shifted else 1.0
-        z_step = -(z * z)
-        if shifted:
-            n = 1
+    coef = _coef.get((family, m), ())
+    start = 0                # index of the next term
+    while start < cap:
+        if start >= len(coef):
+            coef = _grow_coef(family, m, start, cap)
+        part = coef if not start and len(coef) <= cap else coef[start:cap]
+        for k, c in enumerate(part, start):
+            term = c * z_pow
 
-    for k in range(cap):
-        if n >= size:
-            table = _grow_base(kind, n)
-            size = len(table)
-        if ab_layer:
-            term = table[n] * weight * z_pow
-            weight = weight * (k + 1 + top) // (k + 1 - lag) if k >= lag else int(k + 1 == lag)
-        else:
-            term = table[n] * z_pow
+            # compensated accumulation
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
 
-        # compensated accumulation
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+            mag = term if term >= 0.0 else -term     # abs(term), without the call
+            if mag > 0.0:
+                # the stop test starts past the first nonzero term and k = m
+                if prev_mag > 0.0 and k > m:
+                    rho = 1.1 * (mag / prev_mag)
+                    if rho < 1.0:
+                        tail = mag * rho / (1.0 - rho)
+                        if tail <= tol or tail <= tol * abs(total):
+                            return total
+                zero_run = 0
+                prev_mag = mag
+            else:
+                zero_run += 1
+                if zero_run >= 3 and k > m + 3:
+                    # underflowed or identically zero tail
+                    return total
 
-        mag = abs(term)
-        if mag > 0.0:
-            # the stop test starts past the first nonzero term and k = m
-            if prev_mag > 0.0 and k > m:
-                rho = 1.1 * (mag / prev_mag)
-                if rho < 1.0:
-                    tail = mag * rho / (1.0 - rho)
-                    if tail <= tol * max(1.0, abs(total)):
-                        return total
-            zero_run = 0
-            prev_mag = mag
-        else:
-            zero_run += 1
-            if zero_run >= 3 and k > m + 3:
-                # underflowed or identically zero tail
-                return total
-
-        n += step
-        z_pow *= z_step
+            z_pow *= z_step
+        start += len(part)
 
     raise TooManyTerms(
         f"family {family.value} at z = {z}, m = {m} did not meet tol = {tol} "

@@ -265,10 +265,16 @@ def test_recurrence_weights_hit_the_same_cap(monkeypatch):
         assert str(got.value) == str(want.value)
 
 
+def _cold_tables(monkeypatch):
+    monkeypatch.setattr(series, "_base", {"A": [], "B": []})
+    monkeypatch.setattr(series, "_coef", {})
+
+
 @pytest.fixture
 def cold_table(monkeypatch):
-    """An empty base-term table for the test, the module's own restored after."""
-    monkeypatch.setattr(series, "_base", {"A": [], "B": []})
+    """Empty base-term and coefficient tables for the test, the module's
+    own restored after."""
+    _cold_tables(monkeypatch)
 
 
 # one point per family with a short prefix, then one needing a longer one
@@ -292,12 +298,14 @@ class TestBaseTable:
     @pytest.mark.parametrize("family,z_short,z_long,m", _SHORT_LONG)
     def test_sums_do_not_depend_on_call_order(self, monkeypatch, family, z_short, z_long, m):
         kind = FAMILIES[SeriesFamily(family)].kind
-        monkeypatch.setattr(series, "_base", {"A": [], "B": []})
+        _cold_tables(monkeypatch)
         short_first = [sum_series(family, z_short, m)]
-        grown_to = len(series._base[kind])
+        grown_to = len(series._base[kind]), len(series._coef[family, m])
         short_first.append(sum_series(family, z_long, m))
-        assert len(series._base[kind]) > grown_to   # the second call grew the table
-        monkeypatch.setattr(series, "_base", {"A": [], "B": []})
+        # the second call grew both tables
+        assert len(series._base[kind]) > grown_to[0]
+        assert len(series._coef[family, m]) > grown_to[1]
+        _cold_tables(monkeypatch)
         long_first = [sum_series(family, z_long, m)]
         long_first.insert(0, sum_series(family, z_short, m))
         assert [v.hex() for v in short_first] == [v.hex() for v in long_first]
@@ -313,6 +321,7 @@ class TestBaseTable:
         try:
             for _ in range(10):
                 series._base.update(A=[], B=[])
+                series._coef.clear()
                 start = threading.Barrier(4)
                 results = [None] * 4
 
