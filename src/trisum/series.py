@@ -14,19 +14,24 @@ real |z| <= 1, with kind A feeding C1/C2 and kind B feeding C3/C4.
 
 Summation is compensated, with a geometric tail bound: term ratios for
 every family decrease monotonically toward their limit, so the last
-observed ratio (inflated by 10%) bounds the remainder.  The term cap is
-10000 unless the TRISUM_MAX_TERMS environment variable overrides it; the
-variable is read on every call, so a change to it holds from the next
-call on.
+observed ratio (inflated by 10%) bounds the remainder.  The sum stops
+once that bound is at most tol * |sum|, relative to the value's own
+size however small it is.  The term cap is 10000 unless the
+TRISUM_MAX_TERMS environment variable overrides it; the variable is read
+on every call, so a change to it holds from the next call on.
 
-The base terms depend on k alone, so sum_series reads them from one
-double table per kind, shared by every call and every z.  The table
-starts empty and grows, by doubling, to the longest prefix a call has
-needed; a call only multiplies its entries by the binomial weight and
-the power of z.  The weight, C(k,m) or C(k+m,k), goes from term to term
-as an exact integer by its ratio recurrence, and the alternating sign
-of C1..C4 rides on the power of z, whose step is -z^2: each term is the
-same double that math.comb and an explicit sign give.
+The base terms depend on k alone, so they are kept as one double table
+per kind, shared by every call and every z.  The coefficient that term k
+multiplies by its power of z depends on the family and m but not on z,
+so sum_series reads it from one table per (family, m): the base term
+times the binomial weight C(k,m) or C(k+m,k) for A1..B2, the weight
+carried as an exact integer by its ratio recurrence while the table is
+built, and the even- or odd-index base term for C1..C4.  Every table
+starts empty and grows by doubling to the longest prefix a call has
+needed, and at most _MAX_TABLES coefficient tables are kept.  A call
+multiplies each coefficient by a power of z, whose step for C1..C4 is
+-z^2 so that it carries the alternating sign: each term is the same
+double that math.comb and an explicit sign give.
 """
 
 from __future__ import annotations
@@ -265,27 +270,26 @@ def _grow_coef(family: SeriesFamily, m: int, n: int, cap: int) -> list[float]:
         table = _coef.get(key, [])
         if n < len(table):
             return table     # another thread grew it meanwhile
-        size = max(n + 1, min(2 * len(table), cap))
         done = len(table)
+        size = max(n + 1, min(2 * done, cap))
+        first, stride = (0, 1) if outer else (1 if shifted else 0, 2)
+        base = _grow_base(kind, first + stride * (size - 1))
+        entries = base[first + stride * done:first + stride * size:stride]
         grown = table[:]
         if outer:
-            base = _grow_base(kind, size - 1) if size > len(_base[kind]) else _base[kind]
-            # the weight C(k+m, k) (shifted) or C(k, m), both C(k+top, k-lag);
-            # from k = lag on, the next one is this one times
-            # (k+1+top)/(k+1-lag); C(k, m) is 0 below k = m and 1 at it
-            top, lag = (m, 0) if shifted else (0, m)
+            # the weight C(k+top, m), C(k+m, k) or C(k, m), as an exact int:
+            # the next one is this one times (k+1+top)/(k+1+top-m), or 1 at
+            # k+1+top = m and 0 below
+            top = m if shifted else 0
             weight = math.comb(done + top, m)
-            for k in range(done, size):
-                b = base[k]
+            for k, b in enumerate(entries, done):
                 # base entries are 0.0 from k near 400 on, where a weight
-                # can pass the double range; the entry is 0.0 there as well
+                # can pass the double range; the entry is 0.0 there too
                 grown.append(b * weight if b and weight else 0.0)
-                weight = weight * (k + 1 + top) // (k + 1 - lag) if k >= lag else int(k + 1 == lag)
+                j = k + 1 + top
+                weight = weight * j // (j - m) if j > m else int(j == m)
         else:
-            first = 1 if shifted else 0
-            last = first + 2 * (size - 1)
-            base = _grow_base(kind, last) if last >= len(_base[kind]) else _base[kind]
-            grown += base[first + 2 * done:last + 1:2]
+            grown += entries
         if key not in _coef and len(_coef) >= _MAX_TABLES:
             del _coef[next(iter(_coef))]
         _coef[key] = grown
@@ -294,7 +298,8 @@ def _grow_coef(family: SeriesFamily, m: int, n: int, cap: int) -> list[float]:
 
 def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
                tol: float = 1e-13) -> float:
-    """Sum one series family at real z to the requested tolerance.
+    """Sum one series family at real z to the requested tolerance,
+    relative to the sum.
 
     Returns the compensated double sum.  Raises NonConvergent outside
     the family's z-range, TooManyTerms if the cap is hit first.
@@ -341,7 +346,7 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
                     rho = 1.1 * (mag / prev_mag)
                     if rho < 1.0:
                         tail = mag * rho / (1.0 - rho)
-                        if tail <= tol or tail <= tol * abs(total):
+                        if tail <= tol * (total if total >= 0.0 else -total):
                             return total
                 zero_run = 0
                 prev_mag = mag

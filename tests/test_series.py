@@ -3,6 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from trisum.closedform import closed_sum
@@ -87,17 +88,21 @@ def _brute_sum(family: str, z: Fraction, m: int, terms: int) -> float:
 
 class TestSumSeries:
     def test_reference_values(self):
-        assert sum_series("A1", 2.0) == pytest.approx(A1_Z2_M0_REF, rel=2e-14)
-        assert sum_series("A1", 2.0, 1) == pytest.approx(A1_Z2_M1_REF, rel=2e-14)
-        assert sum_series("B1", 2.0) == pytest.approx(B1_Z2_M0_REF, rel=2e-13)
-        assert sum_series("A1", -4.0) == pytest.approx(A1_ZN4_M0_REF, rel=2e-14)
-        assert sum_series("B1", -4.0) == pytest.approx(B1_ZN4_M0_REF, rel=2e-13)
+        # abs=0: pytest's default abs=1e-12 would pass any of these at
+        # their size.  A1 at m = 0 is off by 8.4e-14 (z = 2) and 3.2e-14
+        # (z = -4) at the default tol of 1e-13, within what that tol
+        # promises but not within 2e-14, so those two run at tol=1e-15
+        assert sum_series("A1", 2.0, tol=1e-15) == pytest.approx(A1_Z2_M0_REF, rel=2e-14, abs=0)
+        assert sum_series("A1", 2.0, 1) == pytest.approx(A1_Z2_M1_REF, rel=2e-14, abs=0)
+        assert sum_series("B1", 2.0) == pytest.approx(B1_Z2_M0_REF, rel=2e-13, abs=0)
+        assert sum_series("A1", -4.0, tol=1e-15) == pytest.approx(A1_ZN4_M0_REF, rel=2e-14, abs=0)
+        assert sum_series("B1", -4.0) == pytest.approx(B1_ZN4_M0_REF, rel=2e-13, abs=0)
 
     def test_concluding_reference_values(self):
         assert sum_series("C1", 0.5) == pytest.approx(C1_HALF_REF, rel=2e-14, abs=0)
-        assert sum_series("C2", 0.5) == pytest.approx(C2_HALF_REF, rel=2e-14)
-        assert sum_series("C3", 0.5) == pytest.approx(C3_HALF_REF, rel=2e-13)
-        assert sum_series("C4", 0.5) == pytest.approx(C4_HALF_REF, rel=2e-14)
+        assert sum_series("C2", 0.5) == pytest.approx(C2_HALF_REF, rel=2e-14, abs=0)
+        assert sum_series("C3", 0.5) == pytest.approx(C3_HALF_REF, rel=2e-13, abs=0)
+        assert sum_series("C4", 0.5) == pytest.approx(C4_HALF_REF, rel=2e-14, abs=0)
 
     @pytest.mark.parametrize("family,z,m", [
         ("A1", 3, 2), ("A1", -8, 4), ("A2", 2, 3), ("A2", -2, 1),
@@ -186,8 +191,8 @@ class TestSumSeries:
 
 def _sum_with_comb(family: str, z: float, m: int, tol: float) -> float:
     # sum_series as it was written before the binomial weights were carried
-    # by recurrence: math.comb on every term, the alternating sign applied
-    # on odd k
+    # by recurrence and then by coefficient table: math.comb on every term,
+    # the alternating sign applied on odd k; the stop test is relative
     spec = FAMILIES[SeriesFamily(family)]
     cap = series._max_terms()
     step = 1 if spec.outer else 2
@@ -217,7 +222,7 @@ def _sum_with_comb(family: str, z: float, m: int, tol: float) -> float:
             if seen_nonzero and prev_mag > 0.0:
                 rho = 1.1 * (mag / prev_mag)
                 if rho < 1.0 and k >= m + 1:
-                    if mag * rho / (1.0 - rho) <= tol * max(1.0, abs(total)):
+                    if mag * rho / (1.0 - rho) <= tol * abs(total):
                         return total
             seen_nonzero = True
             zero_run = 0
@@ -340,6 +345,78 @@ class TestBaseTable:
                 assert results == [serial] * 4
         finally:
             sys.setswitchinterval(old)
+
+    def test_table_count_is_bounded(self, cold_table):
+        # one table per (family, m), but never more than _MAX_TABLES of
+        # them, however many m a caller walks through
+        for m in range(1001):
+            assert math.isfinite(sum_series("A1", 2.0, m))
+            assert len(series._coef) <= series._MAX_TABLES
+        assert len(series._coef) == series._MAX_TABLES
+        assert ("A1", 1000) in series._coef
+
+
+def _mp_base_terms(kind: str, count: int) -> list:
+    with mp.workdps(40):
+        h = [mp.mpf(0)]
+        for j in range(1, 3 * count + 2):
+            h.append(h[-1] + mp.mpf(1) / j)
+        return [((h[3 * k + 1] if kind == "A" else h[2 * k]) - h[k])
+                / ((3 * k + 1) * mp.binomial(3 * k, k)) for k in range(count)]
+
+
+_MP_BASE = {}
+
+
+def _mp_series(family: str, z: float, m: int):
+    # the defining series at 40 digits, summed until a term past the
+    # weight's peak is below 1e-36 of the sum; mpf exponents do not
+    # underflow, so huge |z| keeps its value
+    kind = FAMILIES[SeriesFamily(family)].kind
+    if kind not in _MP_BASE:
+        _MP_BASE[kind] = _mp_base_terms(kind, 200)
+    base = _MP_BASE[kind]
+    with mp.workdps(40):
+        zz = mp.mpf(z)
+        total = mp.mpf(0)
+        for k in range(len(base) // 2):
+            if family in ("A1", "B1"):
+                term = base[k] * mp.binomial(k, m) / zz ** (k + 1)
+            elif family in ("A2", "B2"):
+                term = base[k] * mp.binomial(k + m, k) / zz ** (k + m + 1)
+            else:
+                n = 2 * k + (1 if family in ("C2", "C4") else 0)
+                term = (-1) ** k * base[n] * zz ** n
+            total += term
+            if k > 2 * m + 4 and abs(term) < mp.mpf(10) ** -36 * abs(total):
+                return total
+            if zz == 0 and k > 0:
+                return total
+    raise AssertionError(f"reference sum for {family} z={z} m={m} needs more terms")
+
+
+_RELATIVE_GRID = {
+    **{family: [(z, m) for z in (1.0, -1.0, 2.0, -8.0, 1e3, -1e6, 1e8, 1e150)
+                for m in range(21)]
+       for family in ("A1", "A2", "B1", "B2")},
+    **{family: [(s * z, 0) for z in (1e-3, 1e-2, 0.25, 0.9, 1.0) for s in (1.0, -1.0)]
+       + [(0.0, 0)]
+       for family in ("C1", "C2", "C3", "C4")},
+}
+
+
+@pytest.mark.parametrize("family", list(_RELATIVE_GRID))
+def test_relative_error_against_multiprecision(family):
+    # relative to the value's own size, where the suites' gate
+    # tol * max(1, |ref|) is absolute below 1; a value below the double
+    # range must come back as the double nearest it
+    for z, m in _RELATIVE_GRID[family]:
+        want = _mp_series(family, z, m)
+        got = sum_series(family, z, m)
+        if abs(float(want)) < sys.float_info.min:
+            assert got == float(want), (z, m)
+        else:
+            assert abs(mp.mpf(got) - want) <= 1e-12 * abs(want), (z, m, got)
 
 
 # every bad (family, z, m): one z outside the domain plus the non-finite
