@@ -283,9 +283,9 @@ def _grow_coef(family: SeriesFamily, m: int, n: int, cap: int) -> list[float]:
             top = m if shifted else 0
             weight = math.comb(done + top, m)
             for k, b in enumerate(entries, done):
-                # base entries are 0.0 from k near 400 on, where a weight
-                # can pass the double range; the entry is 0.0 there too
-                grown.append(b * weight if b and weight else 0.0)
+                # base entries are 0.0 from k = 389 on, where a weight can
+                # pass the double range; the entry is 0.0 there too
+                grown.append(b * weight if b else 0.0)
                 j = k + 1 + top
                 weight = weight * j // (j - m) if j > m else int(j == m)
         else:
