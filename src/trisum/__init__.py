@@ -29,6 +29,7 @@ from .errors import (
     NoConvergence,
     NonConvergent,
     RepeatedRoots,
+    TermOverflow,
     TooManyTerms,
     TrisumError,
     UnknownConstant,
@@ -70,5 +71,6 @@ __all__ = [
     "VerificationRecord", "SUITES", "run_suite", "emit_report",
     # errors
     "TrisumError", "DomainError", "RepeatedRoots", "NonConvergent",
-    "TooManyTerms", "NoConvergence", "UnknownConstant", "UnknownSuite",
+    "TooManyTerms", "TermOverflow", "NoConvergence", "UnknownConstant",
+    "UnknownSuite",
 ]

@@ -178,7 +178,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             family, args.z, args.m, tol=_QUAD_TOL)
     # the suites' verdict, so a nan value disagrees
     record = _record("eval", family.value, args.z, args.m, values.get("closed"),
-                     values.get("series"), values.get("quadrature"), args.tol, started)
+                     values.get("series"), values.get("quadrature"), args.tol,
+                     (time.perf_counter() - started) * 1000.0)
     agree = record.passed if args.method == "all" else None
 
     if agree is None:

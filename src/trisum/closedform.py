@@ -112,8 +112,15 @@ def C_of(r: int, lam: complex) -> complex:
 def C_mirror(r: int, lam: complex) -> complex:
     """C_r(lam) + (-1)^r C_r(1-lam): the basis combination produced by
     the log(x/(1-x)) kernel."""
-    swap = C_of(r, 1.0 - complex(lam))
-    return C_of(r, lam) + (swap if r % 2 == 0 else -swap)
+    lam = complex(lam)
+    return _mirror(r, lam, C_of(r, lam))
+
+
+def _mirror(r: int, lam: complex, direct: complex) -> complex:
+    # C_mirror(r, lam) from direct = C_r(lam), with C_of looked up in this
+    # module's globals at call time
+    swap = C_of(r, 1.0 - lam)
+    return direct + (swap if r % 2 == 0 else -swap)
 
 
 def _binomial(c: complex, p: int, n: int) -> list[complex]:
@@ -217,10 +224,7 @@ class PoleBasis:
         else:
             # C_mirror's sum, from the kept C_r(lam)
             direct = self.values("C", which, m)
-            more = []
-            for r in range(len(have), m + 1):
-                swap = C_of(r, 1.0 - lam)
-                more.append(direct[r] + (swap if r % 2 == 0 else -swap))
+            more = [_mirror(r, lam, direct[r]) for r in range(len(have), m + 1)]
         got = self._values[name, which] = have + more
         return got
 

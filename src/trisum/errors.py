@@ -6,6 +6,7 @@ __all__ = [
     "RepeatedRoots",
     "NonConvergent",
     "TooManyTerms",
+    "TermOverflow",
     "NoConvergence",
     "UnknownConstant",
     "UnknownSuite",
@@ -30,6 +31,10 @@ class NonConvergent(TrisumError, ValueError):
 
 class TooManyTerms(TrisumError, RuntimeError):
     """Series summation hit the term cap before meeting the tolerance."""
+
+
+class TermOverflow(TrisumError, OverflowError):
+    """A series term the sum needs has a coefficient outside the double range."""
 
 
 class NoConvergence(TrisumError, RuntimeError):

@@ -20,6 +20,14 @@ values is at most tol * max(1, |reference|), the reference being the
 closed-form value when present.  A nan value makes the deviation nan,
 so the record fails and its report says why.  Records are produced in a
 fixed order so reports are deterministic apart from timings.
+
+The four suites that compare layers compute layer by layer: each layer
+(closed form, series, quadrature, and the published constant or exact
+rational) runs as one pass over all of the suite's points before the
+next, in one order that puts every point at one z next to each other
+with m ascending, and the records are then put in report order.  A
+record's runtime_ms is the sum of its own layer calls; a
+specfun-identities record's is the time its identity grid took.
 """
 
 from __future__ import annotations
@@ -93,7 +101,7 @@ def _z_tag(z: float) -> str:
     return f"zneg{mag}" if z < 0 else f"z{mag}"
 
 
-def _record(rid, family, z, m, closed, series, quad, tol, started,
+def _record(rid, family, z, m, closed, series, quad, tol, runtime_ms,
             extra=(), deviation=None) -> VerificationRecord:
     values = [v for v in (closed, series, quad, *extra) if v is not None]
     if any(map(math.isnan, values)):
@@ -111,8 +119,75 @@ def _record(rid, family, z, m, closed, series, quad, tol, started,
     passed = rel_diff <= tol     # false for a nan deviation
     return VerificationRecord(
         rid, family, z, m, closed, series, quad, abs_diff, rel_diff, tol, passed,
-        (time.perf_counter() - started) * 1000.0,
+        runtime_ms,
     )
+
+
+# The layers of the suites that compare them.  Each takes one point
+# (rid, family, z, m, scale) and looks its layer up in this module's
+# globals at call time, where perfbench/spans.py's wrappers sit.  scale
+# is the registry entry's for paper-constants and 1.0 elsewhere, and a
+# double times 1.0 is that double.
+
+def _closed(point):
+    _, family, z, m, scale = point
+    return scale * closed_sum(family, z, m).total
+
+
+def _series(point):
+    _, family, z, m, scale = point
+    return scale * sum_series(family, z, m, tol=_SERIES_TOL)
+
+
+def _quad(point):
+    _, family, z, m, scale = point
+    return scale * series_via_quadrature(family, z, m, tol=_QUAD_TOL)
+
+
+def _published(point):
+    return REGISTRY[point[0]].value()
+
+
+def _beta_exact(point):
+    return float(-base_term("A", point[3]).exact)  # integral of x^k (1-x)^{2k} log x
+
+
+def _beta_quad(point):
+    return beta_term_integral(point[3], tol=_QUAD_TOL)
+
+
+def _layer_records(points, tol, closed=None, series=None, quad=None, extra=None,
+                   order=None) -> list[VerificationRecord]:
+    """The records of points, each given layer run as one pass over all of
+    them before the next.
+
+    points are (rid, family, z, m, scale) in the order every layer visits
+    them; a layer that is None leaves its column None.  A record's
+    runtime_ms is the sum of its own layer calls.  Records come in point
+    order, or in the order of the rids in order.
+    """
+    clock = time.perf_counter
+    spent = [0.0] * len(points)
+    columns = []
+    for layer in (closed, series, quad, extra):
+        if layer is None:
+            columns.append([None] * len(points))
+            continue
+        column = []
+        for i, point in enumerate(points):
+            t0 = clock()
+            column.append(layer(point))
+            spent[i] += clock() - t0
+        columns.append(column)
+    records = [
+        _record(rid, family, z, m, c, s, q, tol, 1000.0 * dt,
+                extra=() if x is None else (x,))
+        for (rid, family, z, m, _), c, s, q, x, dt in zip(points, *columns, spent)
+    ]
+    if order is None:
+        return records
+    by_id = {r.id: r for r in records}
+    return [by_id[rid] for rid in order]
 
 
 def _suite_constants(tol: float) -> list[VerificationRecord]:
@@ -121,52 +196,35 @@ def _suite_constants(tol: float) -> list[VerificationRecord]:
     by_z: dict[float, list] = {}
     for entry in REGISTRY.values():
         by_z.setdefault(entry.z, []).append(entry)
-    done = {}
-    for entries in by_z.values():
-        for entry in sorted(entries, key=attrgetter("m")):
-            t0 = time.perf_counter()
-            s = float(entry.scale)
-            closed = s * closed_sum(entry.family, entry.z, entry.m).total
-            series = s * sum_series(entry.family, entry.z, entry.m, tol=_SERIES_TOL)
-            quad = s * series_via_quadrature(entry.family, entry.z, entry.m, tol=_QUAD_TOL)
-            done[entry.id] = _record(
-                entry.id, entry.family.value, entry.z, entry.m,
-                closed, series, quad, tol, t0, extra=(entry.value(),),
-            )
-    return [done[cid] for cid in REGISTRY]
+    points = [(e.id, e.family.value, e.z, e.m, float(e.scale))
+              for entries in by_z.values()
+              for e in sorted(entries, key=attrgetter("m"))]
+    return _layer_records(points, tol, _closed, _series, _quad, _published,
+                          order=list(REGISTRY))
+
+
+def _grid_id(family: str, z: float, m: int) -> str:
+    return f"{family}-{_z_tag(z)}-m{m}"
 
 
 def _suite_grid(tol: float) -> list[VerificationRecord]:
     # computed z-major with m ascending, so every closed form at one z
     # shares closed_sum's pole basis; records keep their family-major order
-    done = {}
-    for z in _GRID_Z:
-        for m in _GRID_M:
-            for family in _GRID_FAMILIES:
-                t0 = time.perf_counter()
-                closed = closed_sum(family, z, m).total
-                series = sum_series(family, z, m, tol=_SERIES_TOL)
-                quad = series_via_quadrature(family, z, m, tol=_QUAD_TOL)
-                rid = f"{family}-{_z_tag(z)}-m{m}"
-                done[family, z, m] = _record(rid, family, z, m, closed, series, quad, tol, t0)
-    return [done[f, z, m] for f in _GRID_FAMILIES for z in _GRID_Z for m in _GRID_M]
+    points = [(_grid_id(f, z, m), f, z, m, 1.0)
+              for z in _GRID_Z for m in _GRID_M for f in _GRID_FAMILIES]
+    order = [_grid_id(f, z, m) for f in _GRID_FAMILIES for z in _GRID_Z for m in _GRID_M]
+    return _layer_records(points, tol, _closed, _series, _quad, order=order)
 
 
 def _suite_concluding(tol: float) -> list[VerificationRecord]:
-    out = []
-    for family in _CONCLUDING_FAMILIES:
-        for z in _CONCLUDING_Z:
-            t0 = time.perf_counter()
-            series = sum_series(family, z, tol=_SERIES_TOL)
-            quad = series_via_quadrature(family, z, tol=_QUAD_TOL)
-            rid = f"{family}-{_z_tag(z)}"
-            out.append(_record(rid, family, z, 0, None, series, quad, tol, t0))
-    return out
+    points = [(f"{f}-{_z_tag(z)}", f, z, 0, 1.0)
+              for f in _CONCLUDING_FAMILIES for z in _CONCLUDING_Z]
+    return _layer_records(points, tol, series=_series, quad=_quad)
 
 
 def _identity_record(rid: str, tol: float, deviation: float, started: float):
-    return _record(rid, None, None, None, None, None, None, tol, started,
-                   deviation=deviation)
+    return _record(rid, None, None, None, None, None, None, tol,
+                   (time.perf_counter() - started) * 1000.0, deviation=deviation)
 
 
 def _suite_identities(tol: float) -> list[VerificationRecord]:
@@ -257,14 +315,8 @@ def _suite_identities(tol: float) -> list[VerificationRecord]:
 
 
 def _suite_beta(tol: float) -> list[VerificationRecord]:
-    out = []
-    for k in range(31):
-        t0 = time.perf_counter()
-        exact = -base_term("A", k).exact  # integral of x^k (1-x)^{2k} log x
-        closed = float(exact)
-        quad = beta_term_integral(k, tol=_QUAD_TOL)
-        out.append(_record(f"beta-k{k}", None, None, k, closed, None, quad, tol, t0))
-    return out
+    points = [(f"beta-k{k}", None, None, k, None) for k in range(31)]
+    return _layer_records(points, tol, closed=_beta_exact, quad=_beta_quad)
 
 
 _RUNNERS = {

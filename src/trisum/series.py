@@ -44,7 +44,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergent, TooManyTerms
+from .errors import DomainError, NonConvergent, TermOverflow, TooManyTerms
 from .specfun import harmonic
 
 __all__ = [
@@ -251,7 +251,10 @@ def _grow_base(kind: str, n: int) -> list[float]:
 # exact integer C(k, m) or C(k+m, k); for C1..C4, n_k = 2k or 2k+1 and the
 # weight is 1.  Tables grow by doubling, never past the calling sum's term
 # cap unless it needs more, and are published whole under the lock, as
-# _base is.  At most _MAX_TABLES are held; a new one evicts the oldest.  The
+# _base is.  A table ends before its first coefficient outside the double
+# range, a nonzero base entry times a weight past it (A2/B2 at large m), and
+# a sum that needs that term raises TermOverflow; no exact product stands in
+# for it.  At most _MAX_TABLES are held; a new one evicts the oldest.  The
 # verification suites and the sweep benchmark use about 40 (family, m) keys
 # in all (A1..B2 at m <= 4 and the registry's m, C1..C4), so 64 keeps every
 # one of them, while a loop over many m holds 64 tables of at most a term
@@ -284,8 +287,12 @@ def _grow_coef(family: SeriesFamily, m: int, n: int, cap: int) -> list[float]:
             weight = math.comb(done + top, m)
             for k, b in enumerate(entries, done):
                 # base entries are 0.0 from k = 389 on, where a weight can
-                # pass the double range; the entry is 0.0 there too
-                grown.append(b * weight if b else 0.0)
+                # pass the double range; the entry is 0.0 there too.  A
+                # nonzero entry whose weight is past it ends the table
+                try:
+                    grown.append(b * weight if b else 0.0)
+                except OverflowError:
+                    break
                 j = k + 1 + top
                 weight = weight * j // (j - m) if j > m else int(j == m)
         else:
@@ -293,7 +300,12 @@ def _grow_coef(family: SeriesFamily, m: int, n: int, cap: int) -> list[float]:
         if key not in _coef and len(_coef) >= _MAX_TABLES:
             del _coef[next(iter(_coef))]
         _coef[key] = grown
-        return grown
+    if n >= len(grown):
+        raise TermOverflow(
+            f"family {family.value}, m = {m}: the weight of term k = {len(grown)} "
+            f"is outside the double range"
+        )
+    return grown
 
 
 def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
@@ -302,7 +314,9 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     relative to the sum.
 
     Returns the compensated double sum.  Raises NonConvergent outside
-    the family's z-range, TooManyTerms if the cap is hit first.
+    the family's z-range, TooManyTerms if the cap is hit first, and
+    TermOverflow if the sum needs a term whose binomial weight is
+    outside the double range (A2/B2 at |z| near 1 and large m).
     """
     family = resolve_family(family)
     z = float(z)

@@ -74,6 +74,14 @@ def test_eval_closed_non_finite_exits_2(capsys):
     assert "nan" not in err and "Traceback" not in err
 
 
+def test_eval_series_weight_overflow_exits_2(capsys):
+    code, out, err = run(capsys, "eval", "--family", "A2", "--z", "1", "--m", "800",
+                         "--method", "series")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: family A2, m = 800: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("z", ["1e300", "1e160", "-1e300"])
 def test_eval_huge_z_closed_exits_2(capsys, z):
     # solve_cubic's intermediates overflow here; the error names z and

@@ -12,10 +12,12 @@ import math
 
 import pytest
 
-from trisum.closedform import REGISTRY
+from trisum import closedform, harness
+from trisum.closedform import REGISTRY, closed_sum
 from trisum.errors import DomainError, UnknownSuite
-from trisum.harness import SUITES, VerificationRecord, emit_report, run_suite
-from trisum.series import base_term
+from trisum.harness import SUITES, VerificationRecord, _record, emit_report, run_suite
+from trisum.quadrature import beta_term_integral, series_via_quadrature
+from trisum.series import base_term, sum_series
 
 EXPECTED_COUNTS = {
     "paper-constants": 17,
@@ -190,3 +192,84 @@ def test_identity_deviations_are_small(all_suites):
     for r in all_suites["specfun-identities"]:
         assert math.isfinite(r.abs_diff)
         assert r.abs_diff < 1e-13
+
+
+# -- layer passes against one loop over the records --------------------------
+#
+# The suites that compare layers run each layer over all of their points
+# before the next.  The loops below compute every record by all of its
+# layers in turn, record by record, as the suites once did; the values,
+# ids, flags and order must not depend on which way round it is done.
+
+def _record_major(name):
+    tol = harness._DEFAULT_TOL[name]
+    series_tol, quad_tol = harness._SERIES_TOL, harness._QUAD_TOL
+    out = []
+    if name == "paper-constants":
+        for entry in REGISTRY.values():
+            s = float(entry.scale)
+            closed = s * closed_sum(entry.family, entry.z, entry.m).total
+            series = s * sum_series(entry.family, entry.z, entry.m, tol=series_tol)
+            quad = s * series_via_quadrature(entry.family, entry.z, entry.m, tol=quad_tol)
+            out.append(_record(entry.id, entry.family.value, entry.z, entry.m,
+                               closed, series, quad, tol, 0.0, extra=(entry.value(),)))
+    elif name == "theorem-grid":
+        for family in harness._GRID_FAMILIES:
+            for z in harness._GRID_Z:
+                for m in harness._GRID_M:
+                    closed = closed_sum(family, z, m).total
+                    series = sum_series(family, z, m, tol=series_tol)
+                    quad = series_via_quadrature(family, z, m, tol=quad_tol)
+                    rid = f"{family}-{harness._z_tag(z)}-m{m}"
+                    out.append(_record(rid, family, z, m, closed, series, quad, tol, 0.0))
+    elif name == "concluding":
+        for family in harness._CONCLUDING_FAMILIES:
+            for z in harness._CONCLUDING_Z:
+                series = sum_series(family, z, tol=series_tol)
+                quad = series_via_quadrature(family, z, tol=quad_tol)
+                rid = f"{family}-{harness._z_tag(z)}"
+                out.append(_record(rid, family, z, 0, None, series, quad, tol, 0.0))
+    else:
+        for k in range(31):
+            closed = float(-base_term("A", k).exact)
+            quad = beta_term_integral(k, tol=quad_tol)
+            out.append(_record(f"beta-k{k}", None, None, k, closed, None, quad, tol, 0.0))
+    return out
+
+
+def _fields(record):
+    # every field but runtime_ms, floats by their exact hex digits
+    return tuple(v.hex() if isinstance(v, float) else v for v in record[:-1])
+
+
+LAYERED = ("paper-constants", "theorem-grid", "concluding", "beta-terms")
+
+
+@pytest.mark.parametrize("name", LAYERED)
+def test_layer_passes_match_record_major_loop(all_suites, name):
+    got = all_suites[name]
+    want = _record_major(name)
+    assert [r.id for r in got] == [r.id for r in want]
+    assert list(map(_fields, got)) == list(map(_fields, want))
+
+
+@pytest.mark.parametrize("name", LAYERED)
+def test_runtime_is_finite_and_positive(all_suites, name):
+    for r in all_suites[name]:
+        assert math.isfinite(r.runtime_ms) and r.runtime_ms > 0.0, r.id
+
+
+def test_grid_solves_one_cubic_per_z(monkeypatch):
+    # the closed pass visits the grid z-major, so one pole basis serves
+    # every closed form at one z
+    calls = []
+    solve = closedform.solve_cubic
+
+    def counted(z):
+        calls.append(z)
+        return solve(z)
+
+    monkeypatch.setattr(closedform, "solve_cubic", counted)
+    closedform._pole_basis.cache_clear()
+    run_suite("theorem-grid")
+    assert calls == list(harness._GRID_Z)

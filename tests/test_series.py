@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from trisum.closedform import closed_sum
-from trisum.errors import DomainError, NonConvergent, TooManyTerms, TrisumError
+from trisum.errors import DomainError, NonConvergent, TermOverflow, TooManyTerms, TrisumError
 from trisum.quadrature import IntegrandSpec, Kernel, Variant, series_via_quadrature
 from trisum import series
 from trisum.series import FAMILIES, SeriesFamily, base_term, sum_series
@@ -354,6 +354,32 @@ class TestBaseTable:
             assert len(series._coef) <= series._MAX_TABLES
         assert len(series._coef) == series._MAX_TABLES
         assert ("A1", 1000) in series._coef
+
+
+class TestWeightOverflow:
+    # C(k+m, k) leaves the double range at k = 356 for m = 800, where the
+    # A2/B2 base term is still nonzero
+
+    @pytest.mark.parametrize("family", ["A2", "B2"])
+    def test_sum_that_needs_the_term_raises_typed(self, cold_table, family):
+        for _ in range(2):
+            with pytest.raises(TermOverflow, match=rf"^family {family}, m = 800: .* k = 356 "):
+                sum_series(family, 1.0, 800)
+        assert issubclass(TermOverflow, TrisumError)
+        # the table ends before that term: its prefix is published, finite
+        table = series._coef[family, 800]
+        assert len(table) == 356
+        assert all(map(math.isfinite, table)) and table[-1] != 0.0
+
+    def test_prefix_serves_lower_indices(self, cold_table):
+        series._grow_coef(SeriesFamily.A2, 800, 300, 10000)
+        # this growth would double to 602 entries; it stops at 356
+        assert len(series._grow_coef(SeriesFamily.A2, 800, 301, 10000)) == 356
+        with pytest.raises(TermOverflow):
+            series._grow_coef(SeriesFamily.A2, 800, 356, 10000)
+
+    def test_values_in_range_unchanged(self):
+        assert sum_series("A2", 1.0, 520).hex() == "0x1.cfb61b76bfb65p+116"
 
 
 def _mp_base_terms(kind: str, count: int) -> list:
