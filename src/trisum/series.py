@@ -316,7 +316,7 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     Returns the compensated double sum.  Raises NonConvergent outside
     the family's z-range, TooManyTerms if the cap is hit first, and
     TermOverflow if the sum needs a term whose binomial weight is
-    outside the double range (A2/B2 at |z| near 1 and large m).
+    outside the double range (A2/B2 from m = 711 on).
     """
     family = resolve_family(family)
     z = float(z)
