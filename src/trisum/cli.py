@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=[v.value for v in Variant])
     _add_z_group(p)
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help=f"quadrature tolerance, at least {_MIN_TOL:g} (default 1e-10)")
     _add_output_flags(p)
 
     p = sub.add_parser("constants",
@@ -216,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_integral(args: argparse.Namespace) -> int:
     spec = IntegrandSpec(args.kernel, args.z, args.m, args.variant)
-    value = integrate(spec, tol=max(_MIN_TOL, args.tol))
+    value = integrate(spec, tol=args.tol)
     doc = {"kernel": args.kernel, "variant": args.variant,
            "z": args.z, "m": args.m, "tol": args.tol, "value": value}
     row = (args.kernel, args.variant, _fmt(args.z), str(args.m), _fmt(value))

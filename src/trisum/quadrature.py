@@ -216,20 +216,18 @@ class _OnStage:
         self.values = values
 
 
-def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL, args: tuple = ()):
+def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
     """Integrate f(x, 1-x, *args) over (0, 1).
 
     f must accept two equal-length float64 arrays, then args, and return
     an array of values (real or complex).  Stops once two successive
     refinement levels agree to tol relative to max(1, |integral|); raises
-    NoConvergence if max_level is exhausted first.  The levels of a stage
+    NoConvergence if level MAX_LEVEL (12) does not.  The levels of a stage
     are summed together, so a value of f that is not finite at any node
     of a stage makes every level sum in it non-finite.
     """
     if not (isinstance(tol, float) and math.isfinite(tol)) or tol < _MIN_TOL:
         raise DomainError(f"tol must be a float >= {_MIN_TOL}, got {tol!r}")
-    if not isinstance(max_level, int) or max_level < 2 or max_level > MAX_LEVEL:
-        raise DomainError(f"max_level must be an integer in [2, {MAX_LEVEL}]")
 
     if isinstance(f, _OnStage):
         values = f.values
@@ -253,9 +251,9 @@ def tanh_sinh(f, tol: float = 1e-12, max_level: int = MAX_LEVEL, args: tuple = (
                 err = abs(total - prev)
                 if err <= tol * max(1.0, abs(total)) and isfinite(err):
                     return total
-            if level == max_level:
+            if level == MAX_LEVEL:
                 raise NoConvergence(
-                    f"tanh-sinh refinement did not reach tol = {tol} within level {max_level}"
+                    f"tanh-sinh refinement did not reach tol = {tol} within level {MAX_LEVEL}"
                 )
             prev = total
             level += 1

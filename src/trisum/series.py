@@ -16,9 +16,10 @@ Summation is compensated, with a geometric tail bound: term ratios for
 every family decrease monotonically toward their limit, so the last
 observed ratio (inflated by 10%) bounds the remainder.  The sum stops
 once that bound is at most tol * |sum|, relative to the value's own
-size however small it is.  The term cap is 10000 unless the
-TRISUM_MAX_TERMS environment variable overrides it; the variable is read
-on every call, so a change to it holds from the next call on.
+size however small it is.  The term cap is DEFAULT_MAX_TERMS (10,000),
+read at call time.  Only A1/B1 at m >= 9996 reach it: the base terms
+are exactly 0.0 from k = 389 on, so every other sum stops by about
+k = max(392, m + 5), or raises TermOverflow first (A2/B2 from m = 711).
 
 The base terms depend on k alone, so they are kept as one double table
 per kind, shared by every call and every z.  The coefficient that term k
@@ -38,14 +39,13 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import threading
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DomainError, NonConvergent, TermOverflow, TooManyTerms
-from .specfun import harmonic
+from .specfun import _EXACT_LIMIT, harmonic
 
 __all__ = [
     "SeriesFamily",
@@ -59,9 +59,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TERMS = 10000
-_ENV_MAX_TERMS = "TRISUM_MAX_TERMS"
-_ENV_KEY = os.environ.encodekey(_ENV_MAX_TERMS)
-_EXACT_TERM_LIMIT = 170  # largest k with 3k+1 inside the exact harmonic range
+# largest k with 3k+1 inside the exact harmonic range
+_EXACT_TERM_LIMIT = (_EXACT_LIMIT - 1) // 3
 
 
 class SeriesFamily(str, enum.Enum):
@@ -142,25 +141,6 @@ def base_term(kind: str, k: int) -> TermValue:
             num_q = harmonic(2 * k, exact=True) - harmonic(k, exact=True)
         exact = num_q / den
     return TermValue(k=k, value=value, exact=exact)
-
-
-def _max_terms() -> int:
-    # Read per call, so a change to the variable takes effect at once.
-    # os.environ.get raises and catches KeyError inside os._Environ when
-    # the variable is unset, which costs more than the rest of a short
-    # sum; the dict os.environ keeps its encoded entries in answers the
-    # same question without raising.
-    raw = os.environ._data.get(_ENV_KEY)
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    raw = os.environ.decodevalue(raw)
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{_ENV_MAX_TERMS} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DomainError(f"{_ENV_MAX_TERMS} must be positive, got {cap}")
-    return cap
 
 
 # name -> member; a SeriesFamily is a str equal to its name, so a member
@@ -249,23 +229,22 @@ def _grow_base(kind: str, n: int) -> list[float]:
 # _coef[family, m][k] is the double that term k multiplies by its power of
 # z, _base[kind][n_k] * weight_k.  For A1..B2, n_k = k and the weight is the
 # exact integer C(k, m) or C(k+m, k); for C1..C4, n_k = 2k or 2k+1 and the
-# weight is 1.  Tables grow by doubling, never past the calling sum's term
-# cap unless it needs more, and are published whole under the lock, as
-# _base is.  A table ends before its first coefficient outside the double
-# range, a nonzero base entry times a weight past it (A2/B2 at large m), and
-# a sum that needs that term raises TermOverflow; no exact product stands in
-# for it.  At most _MAX_TABLES are held; a new one evicts the oldest.  The
+# weight is 1.  Tables grow by doubling, never past the term cap
+# DEFAULT_MAX_TERMS, and are published whole under the lock, as _base is.
+# A table ends before its first coefficient outside the double range, a
+# nonzero base entry times a weight past it (A2/B2 at large m), and a sum
+# that needs that term raises TermOverflow; no exact product stands in for
+# it.  At most _MAX_TABLES are held; a new one evicts the oldest.  The
 # verification suites and the sweep benchmark use about 40 (family, m) keys
 # in all (A1..B2 at m <= 4 and the registry's m, C1..C4), so 64 keeps every
-# one of them, while a loop over many m holds 64 tables of at most a term
-# cap's length each (10,000 entries, about 320 kB, by default) instead of
-# one per m.
+# one of them, while a loop over many m holds 64 tables of at most the term
+# cap's length each (10,000 entries, about 320 kB) instead of one per m.
 _MAX_TABLES = 64
 _coef_lock = threading.Lock()
 _coef: dict[tuple[SeriesFamily, int], list[float]] = {}
 
 
-def _grow_coef(family: SeriesFamily, m: int, n: int, cap: int) -> list[float]:
+def _grow_coef(family: SeriesFamily, m: int, n: int) -> list[float]:
     """The coefficient table of (family, m), grown to cover index n."""
     key = (family, m)
     kind, outer, shifted = FAMILIES[family]
@@ -274,7 +253,7 @@ def _grow_coef(family: SeriesFamily, m: int, n: int, cap: int) -> list[float]:
         if n < len(table):
             return table     # another thread grew it meanwhile
         done = len(table)
-        size = max(n + 1, min(2 * done, cap))
+        size = max(n + 1, min(2 * done, DEFAULT_MAX_TERMS))
         first, stride = (0, 1) if outer else (1 if shifted else 0, 2)
         base = _grow_base(kind, first + stride * (size - 1))
         entries = base[first + stride * done:first + stride * size:stride]
@@ -314,7 +293,8 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     relative to the sum.
 
     Returns the compensated double sum.  Raises NonConvergent outside
-    the family's z-range, TooManyTerms if the cap is hit first, and
+    the family's z-range, TooManyTerms if DEFAULT_MAX_TERMS terms do not
+    meet tol (A1/B1 from m = 9996 on), and
     TermOverflow if the sum needs a term whose binomial weight is
     outside the double range (A2/B2 from m = 711 on).
     """
@@ -324,7 +304,7 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
         raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
     _, outer, shifted = validate(family, z, m)
 
-    cap = _max_terms()
+    cap = DEFAULT_MAX_TERMS
     if outer:
         z_pow = (1.0 / z) * (z ** -m if shifted else 1.0)
         z_step = 1.0 / z
@@ -342,7 +322,7 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     start = 0                # index of the next term
     while start < cap:
         if start >= len(coef):
-            coef = _grow_coef(family, m, start, cap)
+            coef = _grow_coef(family, m, start)
         part = coef if not start and len(coef) <= cap else coef[start:cap]
         for k, c in enumerate(part, start):
             term = c * z_pow

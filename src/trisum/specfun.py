@@ -78,20 +78,22 @@ _LN2 = math.log(2.0)
 # to about 1e-32 * k instead of 2.4e-16 * k; pi's residual is half of it
 _TWO_PI_LO = 2.4492935982947064e-16
 _PI_LO = 0.5 * _TWO_PI_LO
+# the largest |theta| clausen2 reduces by that residual: k = 1.6e14
+# periods round k * _TWO_PI_LO by at most 3.5e-18
+_CL2_MAX_ARG = 1e15
 
 
 class HarmonicCache:
     """Harmonic and odd-harmonic partial sums, extended on demand.
 
-    Exact values are Fractions and are available for n <= exact_limit.
-    Float values up to the limit are the correctly rounded exact values;
+    Exact values are Fractions and are available for n <= _EXACT_LIMIT
+    (512).  Float values up to it are the correctly rounded exact values;
     past it the table continues with compensated summation seeded with
     the rounding residue of the last exact entry, so the accumulated
     error stays near one ulp for any reachable n.
     """
 
-    def __init__(self, exact_limit: int = _EXACT_LIMIT):
-        self.exact_limit = exact_limit
+    def __init__(self):
         self._exact = [Fraction(0)]        # H_n
         self._exact_odd = [Fraction(0)]    # sum of 1/(2j-1), j <= n
         self._vals = [0.0]
@@ -105,9 +107,9 @@ class HarmonicCache:
 
     def exact(self, n: int) -> Fraction:
         self._check(n)
-        if n > self.exact_limit:
+        if n > _EXACT_LIMIT:
             raise DomainError(
-                f"exact harmonic values are limited to n <= {self.exact_limit}, got {n}"
+                f"exact harmonic values are limited to n <= {_EXACT_LIMIT}, got {n}"
             )
         while len(self._exact) <= n:
             k = len(self._exact)
@@ -116,9 +118,9 @@ class HarmonicCache:
 
     def exact_odd(self, n: int) -> Fraction:
         self._check(n)
-        if n > self.exact_limit:
+        if n > _EXACT_LIMIT:
             raise DomainError(
-                f"exact odd-harmonic values are limited to n <= {self.exact_limit}, got {n}"
+                f"exact odd-harmonic values are limited to n <= {_EXACT_LIMIT}, got {n}"
             )
         while len(self._exact_odd) <= n:
             k = len(self._exact_odd)
@@ -128,7 +130,7 @@ class HarmonicCache:
     def _extend_float(self, vals: list[float], n: int, odd: bool) -> None:
         while len(vals) <= n:
             k = len(vals)
-            if k <= self.exact_limit:
+            if k <= _EXACT_LIMIT:
                 exact = self.exact_odd(k) if odd else self.exact(k)
                 v = float(exact)
                 vals.append(v)
@@ -223,15 +225,23 @@ def dilog(z: complex | float) -> complex:
 
 
 def clausen2(theta: float) -> float:
-    """Clausen function Cl2(theta) = sum_{k>=1} sin(k*theta)/k^2.
+    """Clausen function Cl2(theta) = sum_{k>=1} sin(k*theta)/k^2, for
+    |theta| <= 1e15.
 
     theta is reduced by 2*pi carried to about 32 digits, so values near a
     zero pi*k keep their relative accuracy; an exact multiple of the
-    double nearest 2*pi is taken as such a zero and gives 0.0.
+    double nearest 2*pi is taken as such a zero and gives 0.0.  Up to
+    |theta| = 1e15 the reduced argument is within 5e-18 of the exact one,
+    so the value is within 1e-15 relative plus 5e-18 times the slope
+    |log|2 sin(theta/2)||, an absolute term that shows only near a zero.
+    The reduction's error grows with |theta|, and by 1e16 the value can
+    be wrong by more than its size, so a larger |theta|, where doubles
+    are already 1/8 or more apart, raises DomainError.
     """
     t = float(theta)
-    if not math.isfinite(t):
-        raise DomainError(f"clausen2 requires a finite argument, got {theta!r}")
+    if not abs(t) <= _CL2_MAX_ARG:
+        raise DomainError(
+            f"clausen2 requires a finite |theta| <= {_CL2_MAX_ARG:g}, got {theta!r}")
     r = math.remainder(t, _TWO_PI)
     if r == 0.0:
         return 0.0

@@ -269,6 +269,18 @@ def test_integral_rejects_pole_in_range(capsys):
     assert err.startswith("error:")
 
 
+def test_integral_tol_below_floor_exits_2(capsys):
+    # a --tol the quadrature cannot meet is an error; it is not computed at
+    # the floor while the output shows the tol asked for
+    argv = ["integral", "--kernel", "lnx", "--variant", "thm1", "--z", "2", "--m", "1",
+            "--format", "json", "--tol"]
+    code, out, err = run(capsys, *argv, "1e-16")
+    assert (code, out) == (2, "")
+    assert err == "error: tol must be a float >= 1e-14, got 1e-16\n"
+    code, out, _ = run(capsys, *argv, "1e-14")
+    assert code == 0 and json.loads(out)["tol"] == 1e-14
+
+
 def test_integral_near_pole_fails_quietly(capsys):
     # the pole sits 1e-300 from [0, 1]: the integrand underflows to 0 in
     # its denominator there, which must give a typed error, not warnings

@@ -160,33 +160,11 @@ class TestSumSeries:
             sum_series("A1", 2.0, 0, tol=1e-18)
 
     def test_term_cap_env(self, monkeypatch):
-        monkeypatch.setenv("TRISUM_MAX_TERMS", "4")
-        with pytest.raises(TooManyTerms):
-            sum_series("A1", 2.0, 0, tol=1e-13)
-        monkeypatch.setenv("TRISUM_MAX_TERMS", "500")
-        assert sum_series("A1", 2.0) == pytest.approx(A1_Z2_M0_REF, rel=1e-13, abs=0)
-
-    def test_term_cap_env_read_per_call(self, monkeypatch):
-        # one process: unset, set, deleted; each call sees the variable as
-        # it is then, so a cap cached from an earlier call fails here
-        monkeypatch.delenv("TRISUM_MAX_TERMS", raising=False)
-        want = sum_series("A1", 2.0)
-        monkeypatch.setenv("TRISUM_MAX_TERMS", "4")
+        monkeypatch.setattr(series, "DEFAULT_MAX_TERMS", 4)
         with pytest.raises(TooManyTerms, match="within 4 terms"):
-            sum_series("A1", 2.0)
-        monkeypatch.delenv("TRISUM_MAX_TERMS")
-        assert sum_series("A1", 2.0) == want
-        monkeypatch.setenv("TRISUM_MAX_TERMS", " soon")
-        with pytest.raises(DomainError, match="must be an integer, got ' soon'"):
-            sum_series("A1", 2.0)
-
-    def test_term_cap_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("TRISUM_MAX_TERMS", "soon")
-        with pytest.raises(DomainError):
-            sum_series("A1", 2.0)
-        monkeypatch.setenv("TRISUM_MAX_TERMS", "0")
-        with pytest.raises(DomainError):
-            sum_series("A1", 2.0)
+            sum_series("A1", 2.0, 0, tol=1e-13)
+        monkeypatch.setattr(series, "DEFAULT_MAX_TERMS", 500)
+        assert sum_series("A1", 2.0) == pytest.approx(A1_Z2_M0_REF, rel=1e-13, abs=0)
 
 
 def _sum_with_comb(family: str, z: float, m: int, tol: float) -> float:
@@ -194,7 +172,7 @@ def _sum_with_comb(family: str, z: float, m: int, tol: float) -> float:
     # by recurrence and then by coefficient table: math.comb on every term,
     # the alternating sign applied on odd k; the stop test is relative
     spec = FAMILIES[SeriesFamily(family)]
-    cap = series._max_terms()
+    cap = series.DEFAULT_MAX_TERMS
     step = 1 if spec.outer else 2
     total = comp = prev_mag = 0.0
     seen_nonzero = False
@@ -260,7 +238,7 @@ def test_recurrence_weights_sum_bitwise_as_comb(tol):
 
 
 def test_recurrence_weights_hit_the_same_cap(monkeypatch):
-    monkeypatch.setenv("TRISUM_MAX_TERMS", "4")
+    monkeypatch.setattr(series, "DEFAULT_MAX_TERMS", 4)
     for family, z, m in [("A1", 2.0, 0), ("A1", -3.7, 8), ("B2", 1.0, 3),
                          ("C1", 0.9, 0), ("C4", -1.0, 0)]:
         with pytest.raises(TooManyTerms) as got:
@@ -372,11 +350,11 @@ class TestWeightOverflow:
         assert all(map(math.isfinite, table)) and table[-1] != 0.0
 
     def test_prefix_serves_lower_indices(self, cold_table):
-        series._grow_coef(SeriesFamily.A2, 800, 300, 10000)
+        series._grow_coef(SeriesFamily.A2, 800, 300)
         # this growth would double to 602 entries; it stops at 356
-        assert len(series._grow_coef(SeriesFamily.A2, 800, 301, 10000)) == 356
+        assert len(series._grow_coef(SeriesFamily.A2, 800, 301)) == 356
         with pytest.raises(TermOverflow):
-            series._grow_coef(SeriesFamily.A2, 800, 356, 10000)
+            series._grow_coef(SeriesFamily.A2, 800, 356)
 
     def test_values_in_range_unchanged(self):
         assert sum_series("A2", 1.0, 520).hex() == "0x1.cfb61b76bfb65p+116"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from trisum.errors import DomainError
 from trisum.specfun import (
     _LOG_SERIES,
-    HarmonicCache,
     catalan,
     clausen2,
     dilog,
@@ -96,12 +95,6 @@ class TestHarmonic:
             harmonic(513, exact=True)
         with pytest.raises(DomainError):
             odd_harmonic(-3)
-
-    def test_fresh_cache_anchoring(self):
-        cache = HarmonicCache(exact_limit=10)
-        # past the limit the compensated continuation must stay accurate
-        v = cache.value(2000)
-        assert v == pytest.approx(harmonic(2000), rel=1e-15, abs=0)
 
     @given(st.integers(min_value=0, max_value=400))
     def test_monotone(self, n):
@@ -332,6 +325,33 @@ class TestClausen:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             clausen2(math.inf)
+
+    @pytest.mark.parametrize("theta", [1e18, -1e18, 1e25, 1e300, math.nextafter(1e15, 2e15)])
+    def test_past_the_bound_rejected(self, theta):
+        # past 1e15 the reduction by 2*pi in two doubles runs out (by 1e16
+        # the value is wrong by more than its size, by 1e300 it is nan)
+        with pytest.raises(DomainError, match=r"\|theta\| <= 1e\+15"):
+            clausen2(theta)
+
+    def test_seeded_grid_up_to_the_bound(self):
+        # 10 log-uniform points per decade up to 1e15 and both zeros' doubles
+        # at large k, against 60-digit mpmath; the reduction's 5e-18 times
+        # the slope |log|2 sin(theta/2)|| is the error allowed near a zero
+        rng = random.Random(20261019)
+        thetas = [1e15, -1e15]
+        for decade in range(15):
+            thetas += [rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(decade, decade + 1)
+                       for _ in range(10)]
+        with mp.workdps(60):
+            for _ in range(20):
+                k = rng.randrange(10 ** 12, 10 ** 14)
+                thetas += [float(2 * k * mp.pi), float((2 * k + 1) * mp.pi)]
+            for t in thetas:
+                x = mp.mpf(t)
+                want = mp.clsin(2, x)
+                slope = abs(mp.log(abs(2 * mp.sin(x / 2))))
+                err = abs(clausen2(t) - want)
+                assert err <= 1e-15 * abs(want) + 5e-18 * slope, t
 
 
 def test_catalan_value():
