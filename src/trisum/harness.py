@@ -109,6 +109,10 @@ def _record(rid, family, z, m, closed, series, quad, tol, runtime_ms,
         abs_diff = math.nan
     elif deviation is not None:
         abs_diff = float(deviation)
+    elif len(values) == 3:
+        # the three pairs of the chain below, in its order
+        a, b, c = values
+        abs_diff = max(abs(a - b), abs(a - c), abs(b - c))
     else:
         # the largest |a - b| over the pairs in order (a before b), as
         # max() over them one at a time takes it; fewer than two values: 0.0

@@ -129,17 +129,17 @@ def base_term(kind: str, k: int) -> TermValue:
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"term index must be a nonnegative integer, got {k!r}")
     den = (3 * k + 1) * math.comb(3 * k, k)
-    num = _numerator_float(kind, k)
-    # exact big-integer division keeps the value correct even when the
-    # denominator overflows a double
-    value = float(Fraction(num) / den)
+    # int / int division is correctly rounded at any size, so this is the
+    # double nearest num / den even when den is past the double range
+    n, d = _numerator_float(kind, k).as_integer_ratio()
+    value = n / (d * den)
     exact = None
     if k <= _EXACT_TERM_LIMIT:
-        if kind == "A":
-            num_q = harmonic(3 * k + 1, exact=True) - harmonic(k, exact=True)
-        else:
-            num_q = harmonic(2 * k, exact=True) - harmonic(k, exact=True)
-        exact = num_q / den
+        # (p/q - r/s) / den, normalised once
+        top = 3 * k + 1 if kind == "A" else 2 * k
+        p, q = harmonic(top, exact=True).as_integer_ratio()
+        r, s = harmonic(k, exact=True).as_integer_ratio()
+        exact = Fraction(p * s - r * q, q * s * den)
     return TermValue(k=k, value=value, exact=exact)
 
 

@@ -59,12 +59,16 @@ _LOG_SERIES = (
     (18, 4.518980029619918e-16),
 )
 
-# B_18 .. B_2 entries, highest first, for Horner's rule in u^2
+# B_18 .. B_2 entries, highest first, for Horner's rule in u^2; each
+# kernel below writes its nine steps out as one expression, reading the
+# coefficients from these names
 _HORNER = tuple(c for n, c in reversed(_LOG_SERIES) if n >= 2)
+_B18, _B16, _B14, _B12, _B10, _B8, _B6, _B4, _B2 = _HORNER
 
 # |B_2k| / (2k (2k+1)!), highest first: the power-series part of Cl2
 # about 0, Cl2(t) = t - t log|t| + sum_k |B_2k| t^(2k+1) / (2k (2k+1)!)
 _CL2_HORNER = tuple(abs(c) / n for n, c in reversed(_LOG_SERIES) if n >= 2)
+_C18, _C16, _C14, _C12, _C10, _C8, _C6, _C4, _C2 = _CL2_HORNER
 
 # The same about pi, from the duplication formula Cl2(pi - d) =
 # Cl2(d) - Cl2(2d)/2, in which the d log|d| terms of the two series
@@ -72,6 +76,7 @@ _CL2_HORNER = tuple(abs(c) / n for n, c in reversed(_LOG_SERIES) if n >= 2)
 # d^(2k+1) / (2k (2k+1)!).
 _CL2_PI_HORNER = tuple(abs(c) / n * (1.0 - 2.0 ** n)
                        for n, c in reversed(_LOG_SERIES) if n >= 2)
+_P18, _P16, _P14, _P12, _P10, _P8, _P6, _P4, _P2 = _CL2_PI_HORNER
 _LN2 = math.log(2.0)
 
 # 2*pi minus its double _TWO_PI, so that a reduction by k periods is good
@@ -164,15 +169,25 @@ class HarmonicCache:
 
 
 _CACHE = HarmonicCache()
+# the cache's tables, which only ever grow in place: an int n inside one
+# is read from it, and anything else takes the checked, growing path
+_VALS, _VALS_ODD = _CACHE._vals, _CACHE._vals_odd
+_EXACT, _EXACT_ODD = _CACHE._exact, _CACHE._exact_odd
 
 
 def harmonic(n: int, exact: bool = False) -> float | Fraction:
     """H_n = sum_{j=1}^{n} 1/j, with H_0 = 0."""
+    table = _EXACT if exact else _VALS
+    if n.__class__ is int and 0 <= n < len(table):
+        return table[n]
     return _CACHE.exact(n) if exact else _CACHE.value(n)
 
 
 def odd_harmonic(n: int, exact: bool = False) -> float | Fraction:
     """O_n = sum_{j=1}^{n} 1/(2j-1), with O_0 = 0."""
+    table = _EXACT_ODD if exact else _VALS_ODD
+    if n.__class__ is int and 0 <= n < len(table):
+        return table[n]
     return _CACHE.exact_odd(n) if exact else _CACHE.value_odd(n)
 
 
@@ -183,9 +198,11 @@ def _dilog_reduced(z: complex) -> complex:
     w = 1.0 - z
     u = z if w == 1.0 else cmath.log(w) * (z / (w - 1.0))
     v = u * u
-    p = 0.0
-    for c in _HORNER:
-        p = p * v + c
+    # Horner's rule from p = 0.0: the leading 0.0 * v makes p complex from
+    # the first step, so no step rests on how the interpreter mixes a
+    # float and a complex operand
+    p = ((((((((0.0 * v + _B18) * v + _B16) * v + _B14) * v + _B12) * v + _B10)
+           * v + _B8) * v + _B6) * v + _B4) * v + _B2
     return u + v * (-0.25 + u * p)
 
 
@@ -229,11 +246,12 @@ def clausen2(theta: float) -> float:
     |theta| <= 1e15.
 
     theta is reduced by 2*pi carried to about 32 digits, so values near a
-    zero pi*k keep their relative accuracy; an exact multiple of the
-    double nearest 2*pi is taken as such a zero and gives 0.0.  Up to
-    |theta| = 1e15 the reduced argument is within 5e-18 of the exact one,
-    so the value is within 1e-15 relative plus 5e-18 times the slope
-    |log|2 sin(theta/2)||, an absolute term that shows only near a zero.
+    zero pi*k keep their relative accuracy.  That holds at an exact
+    multiple of the double nearest 2*pi too, which is not a zero: only
+    theta = 0 gives 0.0.  Up to |theta| = 1e15 the reduced argument is
+    within 5e-18 of the exact one, so the value is within 1e-15 relative
+    plus 5e-18 times the slope |log|2 sin(theta/2)||, an absolute term
+    that shows only near a zero.
     The reduction's error grows with |theta|, and by 1e16 the value can
     be wrong by more than its size, so a larger |theta|, where doubles
     are already 1/8 or more apart, raises DomainError.
@@ -243,8 +261,6 @@ def clausen2(theta: float) -> float:
         raise DomainError(
             f"clausen2 requires a finite |theta| <= {_CL2_MAX_ARG:g}, got {theta!r}")
     r = math.remainder(t, _TWO_PI)
-    if r == 0.0:
-        return 0.0
     # remainder is exact against the double _TWO_PI; the k periods' share
     # of its residual must come off too, or Cl2 loses 2.4e-16*k over the
     # distance to its nearest zero, 2*pi*k or (2k+1)*pi
@@ -253,20 +269,23 @@ def clausen2(theta: float) -> float:
     # (Sterbenz), and pi's residual and the periods' are added after it
     d = (_PI - abs(r)) + (2 * (k if r > 0.0 else -k) + 1) * _PI_LO
     if d <= 0.5:
+        # Horner's rule; for a real v, its first step from p = 0.0 is _P18
         v = d * d
-        p = 0.0
-        for c in _CL2_PI_HORNER:
-            p = p * v + c
+        p = (((((((_P18 * v + _P16) * v + _P14) * v + _P12) * v + _P10) * v + _P8)
+              * v + _P6) * v + _P4) * v + _P2
         cl = d * _LN2 + d * v * p
         return cl if r > 0.0 else -cl
     r -= k * _TWO_PI_LO
     if abs(r) > 1.0:
         return dilog(cmath.exp(1j * r)).imag
+    if r == 0.0:
+        # k = 0 and theta = 0: any other multiple of the double 2*pi is
+        # k * _TWO_PI_LO away from Cl2's zero
+        return 0.0
     # near 0, exp(1j*r) rounds away the r^2/2 that sets Cl2's size
     v = r * r
-    p = 0.0
-    for c in _CL2_HORNER:
-        p = p * v + c
+    p = (((((((_C18 * v + _C16) * v + _C14) * v + _C12) * v + _C10) * v + _C8)
+          * v + _C6) * v + _C4) * v + _C2
     return r - r * math.log(abs(r)) + r * v * p
 
 

@@ -12,6 +12,8 @@ values included.
 import itertools
 import math
 import struct
+from itertools import combinations, starmap
+from operator import sub
 
 import pytest
 
@@ -190,6 +192,18 @@ def test_pairwise_deviation_bit_for_bit():
             assert bits(got.abs_diff) == bits(want_abs), case
             assert bits(got.rel_diff) == bits(want_rel), case
             assert got.passed is want_pass, case
+
+
+def test_three_values_match_the_pair_chain():
+    # three values take the three pairs written out; the reference is the
+    # combinations chain that any other count of values still takes
+    values = (0.0, -0.0, 0.75, -3.0, 5e-324, 1e308, -1e308, math.inf, -math.inf)
+    for a, b, c in itertools.product(values, repeat=3):
+        want = max(map(abs, starmap(sub, combinations((a, b, c), 2))), default=0.0)
+        for closed, series, quad, extra in ((a, b, c, ()), (a, None, b, (c,)),
+                                            (None, a, b, (c,)), (a, b, None, (c,))):
+            got = _record("x", "A1", 2.0, 0, closed, series, quad, 1e-9, 0.0, extra=extra)
+            assert bits(got.abs_diff) == bits(want), (closed, series, quad, extra)
 
 
 def test_nan_value_fails_record():

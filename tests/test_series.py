@@ -53,6 +53,24 @@ class TestBaseTerm:
                 else:
                     assert abs(tv.value - want) <= 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_matches_the_fraction_formula(self, kind):
+        # the value from one int / int division and the exact term from one
+        # Fraction are those of three normalised Fractions, past k = 370 too,
+        # where the denominator leaves the double range
+        from trisum.specfun import harmonic
+        for k in range(601):
+            den = (3 * k + 1) * math.comb(3 * k, k)
+            top = 3 * k + 1 if kind == "A" else 2 * k
+            tv = base_term(kind, k)
+            want = float(Fraction(harmonic(top) - harmonic(k)) / den)
+            assert tv.value.hex() == want.hex(), k
+            if k <= 170:
+                exact = (harmonic(top, exact=True) - harmonic(k, exact=True)) / den
+                assert tv.exact == exact, k
+            else:
+                assert tv.exact is None
+
     def test_exact_cutoff(self):
         assert base_term("A", 170).exact is not None
         assert base_term("A", 171).exact is None

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisum import specfun
 from trisum.errors import DomainError
 from trisum.specfun import (
     _LOG_SERIES,
+    HarmonicCache,
     catalan,
     clausen2,
     dilog,
@@ -87,18 +89,32 @@ class TestHarmonic:
             assert lhs == pytest.approx(rhs, rel=5e-15, abs=0)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            harmonic(-1)
-        with pytest.raises(DomainError):
-            harmonic(2.0)  # type: ignore[arg-type]
-        with pytest.raises(DomainError):
-            harmonic(513, exact=True)
-        with pytest.raises(DomainError):
-            odd_harmonic(-3)
+        # with the tables grown, True, -1 and 2.0 would each index one, and
+        # must not read it
+        harmonic(1000), odd_harmonic(1000)
+        harmonic(512, exact=True), odd_harmonic(512, exact=True)
+        for fn in (harmonic, odd_harmonic):
+            for n, exact in ((True, False), (True, True), (-1, False), (-1, True),
+                             (-3, False), (2.0, False), (2.0, True), (513, True)):
+                with pytest.raises(DomainError):
+                    fn(n, exact=exact)
 
     @given(st.integers(min_value=0, max_value=400))
     def test_monotone(self, n):
         assert harmonic(n + 1) > harmonic(n)
+
+    def test_table_reads_match_a_fresh_cache(self):
+        # an int inside the grown tables is read from them; a fresh cache
+        # takes the checked, growing path for every n
+        harmonic(1000), odd_harmonic(1000)
+        harmonic(512, exact=True), odd_harmonic(512, exact=True)
+        fresh = HarmonicCache()
+        for n in range(1001):
+            assert harmonic(n).hex() == fresh.value(n).hex()
+            assert odd_harmonic(n).hex() == fresh.value_odd(n).hex()
+        for n in range(513):
+            assert harmonic(n, exact=True) == fresh.exact(n)
+            assert odd_harmonic(n, exact=True) == fresh.exact_odd(n)
 
 
 class TestDilog:
@@ -285,8 +301,14 @@ class TestClausen:
     def test_zeros(self):
         assert clausen2(0.0) == 0.0
         assert clausen2(math.pi) == pytest.approx(0.0, abs=1e-15)
-        assert clausen2(2 * math.pi) == 0.0
         assert clausen2(-math.pi) == pytest.approx(0.0, abs=1e-15)
+        # the double nearest 2*pi is 2.4e-16 short of the zero, where Cl2
+        # is -9.05e-15, not 0
+        with mp.workdps(40):
+            for t in (2 * math.pi, -2 * math.pi, 4 * math.pi):
+                want = float(mp.clsin(2, mp.mpf(t)))
+                assert want != 0.0
+                assert clausen2(t) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_periodicity(self):
         rng = random.Random(31)
@@ -346,12 +368,73 @@ class TestClausen:
             for _ in range(20):
                 k = rng.randrange(10 ** 12, 10 ** 14)
                 thetas += [float(2 * k * mp.pi), float((2 * k + 1) * mp.pi)]
+        # exact multiples of the double nearest 2*pi, k * 2.4e-16 from a zero
+        thetas += [k * (2 * math.pi) for k in (1, 2, 3, 7, 1000, 10 ** 9, 12345678901,
+                                                10 ** 14, 150000000000000)]
+        with mp.workdps(60):
             for t in thetas:
                 x = mp.mpf(t)
                 want = mp.clsin(2, x)
                 slope = abs(mp.log(abs(2 * mp.sin(x / 2))))
                 err = abs(clausen2(t) - want)
                 assert err <= 1e-15 * abs(want) + 5e-18 * slope, t
+
+
+def _horner_loop(coefs, v):
+    p = 0.0
+    for c in coefs:
+        p = p * v + c
+    return p
+
+
+def _dilog_reduced_loop(z):
+    # specfun._dilog_reduced with its Horner steps as a loop
+    w = 1.0 - z
+    u = z if w == 1.0 else cmath.log(w) * (z / (w - 1.0))
+    v = u * u
+    return u + v * (-0.25 + u * _horner_loop(specfun._HORNER, v))
+
+
+def _clausen2_loop(t):
+    # specfun.clausen2 with its two series' Horner steps as loops
+    r = math.remainder(t, specfun._TWO_PI)
+    k = round((t - r) / specfun._TWO_PI)
+    d = (math.pi - abs(r)) + (2 * (k if r > 0.0 else -k) + 1) * specfun._PI_LO
+    if d <= 0.5:
+        cl = d * specfun._LN2 + d * (d * d) * _horner_loop(specfun._CL2_PI_HORNER, d * d)
+        return cl if r > 0.0 else -cl
+    r -= k * specfun._TWO_PI_LO
+    if abs(r) > 1.0:
+        return dilog(cmath.exp(1j * r)).imag
+    if r == 0.0:
+        return 0.0
+    v = r * r
+    return r - r * math.log(abs(r)) + r * v * _horner_loop(specfun._CL2_HORNER, v)
+
+
+def _hex(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def test_written_out_kernels_match_horner_loops(monkeypatch):
+    # every value by float.hex, at seeded points in and on the unit circle,
+    # on the real line and across both Clausen series
+    rng = random.Random(20261020)
+    points = [cmath.rect(math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+              for _ in range(2000)]
+    points += [cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(1000)]
+    points += [rng.uniform(-30.0, 30.0) for _ in range(2000)]
+    points += [complex(0.0, 0.5), complex(0.5, -0.0), -0.0, 0.0, 0.5]
+    thetas = [rng.uniform(-50.0, 50.0) for _ in range(3000)]
+    thetas += [rng.uniform(-0.6, 0.6) for _ in range(500)]
+    thetas += [math.copysign(math.pi, rng.uniform(-1, 1)) + rng.uniform(-0.6, 0.6)
+               for _ in range(500)]
+    thetas += [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 3 * math.pi, -4 * math.pi]
+    got_dilog = [_hex(dilog(z)) for z in points]
+    got_cl2 = [clausen2(t).hex() for t in thetas]
+    monkeypatch.setattr(specfun, "_dilog_reduced", _dilog_reduced_loop)
+    assert got_dilog == [_hex(dilog(z)) for z in points]
+    assert got_cl2 == [_clausen2_loop(t).hex() for t in thetas]
 
 
 def test_catalan_value():
