@@ -16,23 +16,31 @@ The nodes are held in stages.  Stage 0 holds all 193 nodes of levels
 0-4, since at tol 1e-12 nearly every integral stops at level 3 or 4;
 each later level is a stage of its own.  The integrand is evaluated
 once per stage, and one matrix product gives the sums of every level in
-it: the stage's matrix has a row per level holding that level's weights
-times its step 2^-level, and 0 on the other levels' nodes (the nested
-levels share their nodes this way, after Takahasi & Mori 1974).  A
-stage is built on its first use and kept: its nodes x and 1-x, its
-weights and level-sum matrix, and what the catalog integrands compute
-from the nodes alone, the kernels log x and log x - log(1-x) and
-u = x(1-x)^2.  None of it depends on z, so every integral reuses it
-and only the z-dependent factor is computed per call.  That factor
-raises arrays to integer powers by repeated multiplication, since
-numpy's power calls libm pow per element for most integer exponents.
+it.  Stage 0's levels are nested (they share their nodes, after
+Takahasi & Mori 1974), so its row L holds the weights times the step
+2^-L on every node of levels 0..L and 0 on the rest, and gives the
+whole level-L trapezoid sum T_L; the row of a later level L holds its
+new nodes alone, and T_L = T_{L-1}/2 + that row's sum.  A stage is
+built on its first use and kept: its nodes x and 1-x, its weights, u =
+x(1-x)^2, and its rows, plain and folded with each catalog kernel: the
+rows times log x, times log x - log(1-x), and times each of these
+times u.  None of it depends on z, so every integral reuses it.
 
-Each catalog integrand is made once, at import, and kept in a table by
-(kernel, variant); a call passes z and m to tanh_sinh as the
-integrand's extra arguments, so it builds no function of its own.  The
-integrand computes into the arrays it allocates, in place, with the
-same operations in the same order as the formula written out on
-(x, 1-x), so its values are bitwise those of the written-out formula.
+A catalog integrand is a kernel times a factor that carries all of its
+z-dependence, so a call computes only that factor g at the nodes and
+reads T_0..T_4 from one product of its kernel's folded rows with g.
+The fold computes (w k) g where the written-out integrand has w (k g),
+so a value can differ from tanh_sinh of the written-out integrand by
+rounding: a few units of 2^-52 times h sum(w |f|), the integral of
+|f| at the stop level.  The factor raises arrays to integer powers by
+repeated multiplication, since numpy's power calls libm pow per
+element for most integer exponents.  Each catalog integrand is made
+once, at import, and kept in a table by (kernel, variant); a call
+passes z and m to tanh_sinh as its extra arguments, so it builds no
+function of its own.  The factor is computed in place in the arrays it
+allocates, with the same operations in the same order as the factor
+written out on (x, 1-x), so it is bitwise that array.  A callable f
+passed to tanh_sinh is evaluated whole, on the plain rows.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
@@ -140,20 +148,23 @@ class IntegrandSpec(_IntegrandFields):
 
 
 class _Stage(NamedTuple):
-    """The nodes of one or more consecutive refinement levels, and the
-    arrays every catalog integrand computes from them whatever its z.
-    Level i of the stage is the slice bounds[i]:bounds[i + 1].  Row i of
-    sums is that level's weights times its step h = 2^-level, and 0 on
-    the other levels' nodes, so sums @ f gives every level's h sum(w f)."""
+    """The nodes of one or more consecutive refinement levels, and their
+    level-sum rows, plain and folded with each catalog kernel.  Level i
+    of the stage holds the nodes bounds[i]:bounds[i + 1].  Row i of sums
+    is the weights times the step h = 2^-level of the stage's level i on
+    every node up to the end of that level, and 0 past it: stage 0's
+    levels are nested, so its row i gives the whole level-i trapezoid
+    sum h sum(w f), and each later stage holds one level and one row,
+    that level's new nodes.  kern[name] is sums times that kernel at
+    each node."""
 
     x: np.ndarray
     xc: np.ndarray            # 1 - x
     w: np.ndarray
-    log_x: np.ndarray         # the lnx kernel
-    log_ratio: np.ndarray     # the lnratio kernel, log x - log(1-x)
     u: np.ndarray             # x (1-x)^2
     bounds: np.ndarray
     sums: np.ndarray          # (levels in the stage, nodes)
+    kern: dict                # kernel name -> sums times that kernel
 
 
 # levels 0.._STAGE0_TOP make stage 0; every later level is its own stage
@@ -186,12 +197,16 @@ def _build_stage(first: int) -> _Stage:
     x = 1.0 / (1.0 + np.exp(-2.0 * s))
     xc = 1.0 / (1.0 + np.exp(2.0 * s))
     w = 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
-    log_x = np.log(x)
+    u = x * xc * xc
     sums = np.zeros((len(ts), len(t)))
     for i, level in enumerate(range(first, last + 1)):
-        lo, hi = bounds[i], bounds[i + 1]
-        sums[i, lo:hi] = w[lo:hi] * 2.0 ** -level
-    return _Stage(x, xc, w, log_x, log_x - np.log(xc), x * xc * xc, bounds, sums)
+        hi = bounds[i + 1]
+        sums[i, :hi] = w[:hi] * 2.0 ** -level
+    log_x = np.log(x)
+    log_ratio = log_x - np.log(xc)
+    kern = {"lnx": sums * log_x, "lnratio": sums * log_ratio,
+            "lnx*u": sums * (log_x * u), "lnratio*u": sums * (log_ratio * u)}
+    return _Stage(x, xc, w, u, bounds, sums, kern)
 
 
 def _level_nodes(level: int) -> _Stage:
@@ -207,13 +222,16 @@ def _level_nodes(level: int) -> _Stage:
 
 
 class _OnStage:
-    """An integrand that reads a stage's cached arrays: values(stage,
-    *args) returns its values at the stage's nodes."""
+    """An integrand that reads a stage's cached arrays: the stage's
+    kernel named `kernel` times a factor g, where values(stage, *args)
+    returns g at the stage's nodes; tanh_sinh takes that kernel's folded
+    rows for it."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "kernel")
 
-    def __init__(self, values):
+    def __init__(self, values, kernel: str):
         self.values = values
+        self.kernel = kernel
 
 
 def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
@@ -230,33 +248,43 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
         raise DomainError(f"tol must be a float >= {_MIN_TOL}, got {tol!r}")
 
     if isinstance(f, _OnStage):
-        values = f.values
+        values, kernel = f.values, f.kernel
     else:
         import numpy as np
 
         def values(st, *args):
             return np.asarray(f(st.x, st.xc, *args))
 
+        kernel = None
+
     isfinite = math.isfinite
-    total = prev = 0.0
-    level = 0
-    while True:
+    # stage 0: the whole trapezoid sums T_0..T_4 of levels 0-4, from one
+    # evaluation and one product, then the stop tests of levels 2-4
+    st = _level_nodes(0)
+    rows = st.sums if kernel is None else st.kern[kernel]
+    t0, t1, t2, t3, t4 = rows.dot(values(st, *args)).tolist()
+    err = abs(t2 - t1)
+    if err <= tol * max(1.0, abs(t2)) and isfinite(err):
+        return t2
+    err = abs(t3 - t2)
+    if err <= tol * max(1.0, abs(t3)) and isfinite(err):
+        return t3
+    err = abs(t4 - t3)
+    if err <= tol * max(1.0, abs(t4)) and isfinite(err):
+        return t4
+    # each later level's new nodes halve the step of the levels before it
+    total = t4
+    for level in range(_STAGE0_TOP + 1, MAX_LEVEL + 1):
         st = _level_nodes(level)
-        # every level's h sum(w f) over its own nodes, from one evaluation
-        # and one product; the new nodes of level L halve the step of the
-        # levels before it (h = 1 at level 0, where total starts at 0)
-        for contrib in st.sums.dot(values(st, *args)).tolist():
-            total = 0.5 * total + contrib
-            if level >= 2:
-                err = abs(total - prev)
-                if err <= tol * max(1.0, abs(total)) and isfinite(err):
-                    return total
-            if level == MAX_LEVEL:
-                raise NoConvergence(
-                    f"tanh-sinh refinement did not reach tol = {tol} within level {MAX_LEVEL}"
-                )
-            prev = total
-            level += 1
+        rows = st.sums if kernel is None else st.kern[kernel]
+        prev = total
+        total = 0.5 * prev + rows.dot(values(st, *args)).item()
+        err = abs(total - prev)
+        if err <= tol * max(1.0, abs(total)) and isfinite(err):
+            return total
+    raise NoConvergence(
+        f"tanh-sinh refinement did not reach tol = {tol} within level {MAX_LEVEL}"
+    )
 
 
 def _ipow(a: np.ndarray, n: int) -> np.ndarray:
@@ -274,10 +302,10 @@ def _ipow(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def _catalog_integrand(kernel: Kernel, variant: Variant) -> _OnStage:
-    """The catalog integrand of this kernel and variant, as values(stage,
-    z, m).  It computes into arrays it made itself, in place, and never
+    """The catalog integrand of this kernel and variant: its z-factor as
+    values(stage, z, m), on the stage's rows folded with its kernel.  The
+    factor is computed into arrays it made itself, in place, and never
     writes to the stage's."""
-    lnx = kernel is Kernel.LNX
     if variant in (Variant.THM1, Variant.THM2):
         # with r = 1/(u - z), the numerator x^m (1-x)^{2m} is u^m, so
         # thm1 is k r (u r)^m and thm2 is k r^{m+1}: powers of numbers of
@@ -285,40 +313,28 @@ def _catalog_integrand(kernel: Kernel, variant: Variant) -> _OnStage:
         # quietly at huge |z| where powers of u - z would overflow
         thm1 = variant is Variant.THM1
 
-        def f(st, z, m):
+        def g(st, z, m):
             import numpy as np
-            k = st.log_x if lnx else st.log_ratio
             r = st.u - z
             np.reciprocal(r, out=r)
             if thm1 and m > 0:
-                p = _ipow(st.u * r, m)
-                r *= k
-                r *= p
+                r *= _ipow(st.u * r, m)
                 return r
-            p = _ipow(r, m + 1)     # r itself or a new array
-            p *= k
-            return p
+            return _ipow(r, m + 1)     # r itself or a new array
 
-        return _OnStage(f)
+        return _OnStage(g, kernel.value)
 
-    weighted = variant in (Variant.C2, Variant.C4)
-
-    def f(st, z, m):
+    def g(st, z, m):
         import numpy as np
-        k = st.log_x if lnx else st.log_ratio
-        u = st.u
-        w = u * z
+        w = st.u * z
         w *= w
         w += 1.0
         np.reciprocal(w, out=w)     # 1/(1 + (z u)^2)
-        if weighted:
-            ku = k * u
-            ku *= w
-            return ku
-        w *= k
         return w
 
-    return _OnStage(f)
+    # c2 and c4 weigh by u = x(1-x)^2, which rides with the kernel
+    weighted = variant in (Variant.C2, Variant.C4)
+    return _OnStage(g, kernel.value + "*u" if weighted else kernel.value)
 
 
 # (kernel, variant) -> its integrand; a c variant only with its own kernel
@@ -390,11 +406,14 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-12) -> float:
 
 
 def _beta_term(st, k):
-    # x^k (1-x)^{2k} log x, with x^k (1-x)^{2k} = u^k
-    return _ipow(st.u, k) * st.log_x if k else st.log_x
+    # the factor of x^k (1-x)^{2k} log x on the lnx rows: u^k
+    if k:
+        return _ipow(st.u, k)
+    import numpy as np
+    return np.ones_like(st.u)
 
 
-_BETA_TERM = _OnStage(_beta_term)
+_BETA_TERM = _OnStage(_beta_term, Kernel.LNX.value)
 
 
 def beta_term_integral(k: int, tol: float = 1e-12) -> float:

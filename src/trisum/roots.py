@@ -18,8 +18,6 @@ __all__ = ["CubicRoots", "solve_cubic", "DISCRIMINANT_GUARD"]
 
 DISCRIMINANT_GUARD = 1e-10
 
-_cbrt = getattr(math, "cbrt", lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x))
-
 
 class CubicRoots(NamedTuple):
     """The three roots of x^3 - 2x^2 + x - z for one parameter z.
@@ -95,10 +93,10 @@ def solve_cubic(z: float) -> CubicRoots:
                 f"precision at z = {z!r}"
             )
         if q <= 0.0:
-            u = _cbrt(-q / 2.0 + s)
+            u = math.cbrt(-q / 2.0 + s)
             v = 1.0 / (9.0 * u)  # uv = -p/3
         else:
-            v = _cbrt(-q / 2.0 - s)
+            v = math.cbrt(-q / 2.0 - s)
             u = 1.0 / (9.0 * v)
         t_real = u + v
         x_real = _polish(complex(t_real + 2.0 / 3.0, 0.0), z)

@@ -16,10 +16,28 @@ from trisum.quadrature import (
     series_via_quadrature,
     tanh_sinh,
 )
-from trisum.quadrature import _extreme_z_errstate, _ipow, _pole_distance
+from trisum.quadrature import (
+    _INTEGRANDS, _extreme_z_errstate, _ipow, _level_nodes, _pole_distance,
+)
 from trisum.series import sum_series
 
 A1_Z2_M0_REF = 0.52395769463509576811
+
+
+def _visits(monkeypatch, compute):
+    """The stages tanh_sinh visits while compute() runs, and its value."""
+    import trisum.quadrature as quadrature
+    seen = []
+    nodes = quadrature._level_nodes
+
+    def counting(level):
+        seen.append(level)
+        return nodes(level)
+
+    monkeypatch.setattr(quadrature, "_level_nodes", counting)
+    got = compute()
+    monkeypatch.setattr(quadrature, "_level_nodes", nodes)
+    return seen, got
 
 
 class TestTanhSinh:
@@ -84,16 +102,7 @@ class TestTanhSinh:
 
     @staticmethod
     def _stages_visited(monkeypatch, f, tol, want):
-        import trisum.quadrature as quadrature
-        seen = []
-        nodes = quadrature._level_nodes
-
-        def counting(level):
-            seen.append(level)
-            return nodes(level)
-
-        monkeypatch.setattr(quadrature, "_level_nodes", counting)
-        got = tanh_sinh(f, tol=tol)
+        seen, got = _visits(monkeypatch, lambda: tanh_sinh(f, tol=tol))
         assert abs(got - want) <= tol * max(1.0, abs(want))
         return seen
 
@@ -102,7 +111,6 @@ class TestTanhSinh:
             tanh_sinh(lambda x, xc: x, tol=1e-15)
 
     def test_node_complement_consistency(self):
-        from trisum.quadrature import _level_nodes
         for level in (0, 1, 4, 5, 12):
             nodes = _level_nodes(level)
             x, xc, w = nodes.x, nodes.xc, nodes.w
@@ -112,7 +120,6 @@ class TestTanhSinh:
 
 
     def test_first_stage_holds_levels_0_to_4(self):
-        from trisum.quadrature import _level_nodes
         first = _level_nodes(0)
         assert first.bounds.tolist() == [0, 13, 25, 49, 97, 193]
         assert all(_level_nodes(level) is first for level in range(1, 5))
@@ -120,15 +127,45 @@ class TestTanhSinh:
 
     @pytest.mark.parametrize("first", [0, 6])
     def test_stage_sums_rows(self, first):
-        # row i holds 2^-L w on level L = first + i's slice, 0 elsewhere
-        from trisum.quadrature import _level_nodes
+        # row i holds 2^-L w, L = first + i, on every node up to the end of
+        # level L's slice and 0 past it: cumulative over stage 0's nested
+        # levels, and the one level's new nodes in a later stage
         st = _level_nodes(first)
         bounds = st.bounds.tolist()
         assert st.sums.shape == (len(bounds) - 1, len(st.x))
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for i, hi in enumerate(bounds[1:]):
             want = np.zeros(len(st.x))
-            want[lo:hi] = st.w[lo:hi] * 2.0 ** -(first + i)
+            want[:hi] = st.w[:hi] * 2.0 ** -(first + i)
             assert st.sums[i].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("first", [0, 5, 6])
+    def test_folded_rows(self, first):
+        # each catalog kernel's block is the plain rows times that kernel,
+        # written out from the stage's own x and 1-x
+        st = _level_nodes(first)
+        assert sorted(st.kern) == ["lnratio", "lnratio*u", "lnx", "lnx*u"]
+        for name, rows in st.kern.items():
+            k = _kernel(name)(st.x, st.xc)
+            assert rows.tobytes() == (st.sums * k).tobytes(), name
+
+    @pytest.mark.parametrize("f", [
+        lambda x, xc: np.log(x) * np.log(xc),
+        lambda x, xc: np.log(x) / (x - 1j),
+    ], ids=["real", "complex"])
+    def test_rows_give_whole_level_sums(self, f):
+        # stage 0's row L is the level-L trapezoid sum T_L over every node
+        # of levels <= L; a later stage's row r gives T_L = T_{L-1}/2 + r
+        st = _level_nodes(0)
+        got = st.sums.dot(np.asarray(f(st.x, st.xc)))
+        for level in range(5):
+            want, l1 = _trapezoid(f, level)
+            assert abs(got[level] - want) <= 4 * 2.0 ** -52 * l1, level
+        total = got[4]
+        for level in (5, 6, 7):
+            st = _level_nodes(level)
+            total = 0.5 * total + st.sums.dot(np.asarray(f(st.x, st.xc))).item()
+            want, l1 = _trapezoid(f, level)
+            assert abs(total - want) <= 4 * 2.0 ** -52 * l1, level
 
 
 class TestIntegrandSpec:
@@ -241,21 +278,82 @@ class TestCatalogIntegrals:
             series_via_quadrature("C1", 2.0)
 
 
-def _written_out(kernel: str, z: float, m: int, variant: str):
-    """The catalog integrand computed from x and 1-x alone."""
-    def f(x, xc):
-        k = np.log(x) if kernel == "lnx" else np.log(x) - np.log(xc)
+def _kernel(name: str):
+    """A catalog kernel computed from x and 1-x alone: log x for lnx,
+    log(x/(1-x)) for lnratio, times u = x(1-x)^2 for a name ending *u."""
+    def k(x, xc):
+        base, _, weight = name.partition("*")
+        k = np.log(x) if base == "lnx" else np.log(x) - np.log(xc)
+        return k * (x * xc * xc) if weight else k
+    return k
+
+
+def _z_factor(variant: str, z: float, m: int):
+    """The catalog integrand's factor besides its kernel, computed from
+    x and 1-x alone."""
+    def g(x, xc):
         u = x * xc * xc
         if variant in ("thm1", "thm2"):
             # x^m (1-x)^{2m} / (u - z)^{m+1} = r (u r)^m with r = 1/(u - z)
             r = 1.0 / (u - z)
             if variant == "thm1" and m > 0:
-                return k * r * _ipow(u * r, m)
-            return k * _ipow(r, m + 1)
+                return r * _ipow(u * r, m)
+            return _ipow(r, m + 1)
         zu = z * u
-        w = 1.0 / (1.0 + zu * zu)
-        return k * u * w if variant in ("c2", "c4") else k * w
-    return f
+        return 1.0 / (1.0 + zu * zu)
+    return g
+
+
+def _kernel_name(kernel: str, variant: str) -> str:
+    # c2 and c4 weigh by u, which the package folds into the kernel
+    return kernel + "*u" if variant in ("c2", "c4") else kernel
+
+
+def _written_out(kernel: str, z: float, m: int, variant: str):
+    """The catalog integrand computed from x and 1-x alone."""
+    k, g = _kernel(_kernel_name(kernel, variant)), _z_factor(variant, z, m)
+    return lambda x, xc: k(x, xc) * g(x, xc)
+
+
+def _level_slices(level: int):
+    # (x, 1-x, w) of each level's own nodes, levels 0..level; stage 0
+    # holds levels 0-4, each later stage one level
+    for lv in range(level + 1):
+        st = _level_nodes(lv)
+        i = lv if lv <= 4 else 0
+        lo, hi = st.bounds[i], st.bounds[i + 1]
+        yield st.x[lo:hi], st.xc[lo:hi], st.w[lo:hi]
+
+
+def _trapezoid(f, level: int):
+    """The level-L trapezoid sums 2^-L sum(w f) and 2^-L sum(w |f|) over
+    the nodes of levels <= L, each summed by math.fsum."""
+    x, xc, w = (np.concatenate(a) for a in zip(*_level_slices(level)))
+    v = w * np.asarray(f(x, xc))
+    h = 2.0 ** -level
+    total = h * math.fsum(v.real)
+    if np.iscomplexobj(v):
+        total = complex(total, h * math.fsum(v.imag))
+    return total, h * math.fsum(np.abs(v))
+
+
+def _stop_l1(f, tol: float = 1e-12) -> float:
+    """h sum(w |f|) at the level where the stop rule of tanh_sinh, applied
+    to the level sums of _trapezoid, stops on f."""
+    prev = _trapezoid(f, 1)[0]
+    for level in range(2, MAX_LEVEL + 1):
+        total, l1 = _trapezoid(f, level)
+        err = abs(total - prev)
+        if err <= tol * max(1.0, abs(total)) and math.isfinite(err):
+            return l1
+        prev = total
+    raise AssertionError("the level sums do not settle")
+
+
+# the catalog integrals fold each kernel into the stage's level rows, so
+# (w k) g stands where the written-out integrand has w (k g): a value may
+# move by rounding, within this many units of 2^-52 times h sum(w |f|)
+_FOLD_ULPS = 8
 
 
 def _with_powers(kernel: str, z: float, m: int, variant: str):
@@ -282,11 +380,19 @@ _CATALOG = (
 
 @pytest.mark.parametrize("kernel,variant,z,m", _CATALOG)
 def test_catalog_integrand_reads_cache_bitwise(kernel, variant, z, m):
-    # the integrands read the per-level log x, log ratio and u arrays; the
-    # value must be the very float the formula on (x, 1-x) gives
+    # the integrand reads the stage's u and folded rows: its factor must be
+    # the very array the formula on (x, 1-x) gives, on the rows of its own
+    # kernel, and its integral within rounding of the written-out one's
+    f = _INTEGRANDS[Kernel(kernel), Variant(variant)]
+    assert f.kernel == _kernel_name(kernel, variant)
+    for level in (0, 5):
+        st = _level_nodes(level)
+        got = f.values(st, z, m)
+        assert got.tobytes() == _z_factor(variant, z, m)(st.x, st.xc).tobytes(), level
     got = integrate(IntegrandSpec(kernel, z, m, variant))
-    want = tanh_sinh(_written_out(kernel, z, m, variant))
-    assert got.hex() == want.hex()
+    written = _written_out(kernel, z, m, variant)
+    want = tanh_sinh(written)
+    assert abs(got - want) <= _FOLD_ULPS * 2.0 ** -52 * _stop_l1(written)
 
 
 # family -> (kernel, variant) of its integral, written out here apart from
@@ -309,14 +415,20 @@ _FAMILY_POINTS = (
 def test_series_via_quadrature_bitwise(family, z, m):
     # the family's value is its catalog integral, signed (-1)^m for A/B,
     # negated for C1/C3 and times -z for C2/C4: the very float tanh_sinh
-    # gives for the integrand written out on (x, 1-x)
+    # gives for the integrand written out on (x, 1-x), up to the rounding
+    # the kernel's fold moves it by
     kernel, variant = _FAMILY_INTEGRAL[family]
-    raw = tanh_sinh(_written_out(kernel, z, m, variant))
+    written = _written_out(kernel, z, m, variant)
+    raw = tanh_sinh(written)
+    scale = 1.0
     if family[0] in "AB":
         want = raw if m % 2 == 0 else -raw
+    elif family in ("C2", "C4"):
+        want, scale = -z * raw, abs(z)
     else:
-        want = -z * raw if family in ("C2", "C4") else -raw
-    assert series_via_quadrature(family, z, m).hex() == want.hex()
+        want = -raw
+    got = series_via_quadrature(family, z, m)
+    assert abs(got - want) <= _FOLD_ULPS * 2.0 ** -52 * _stop_l1(written) * scale
 
 
 @pytest.mark.parametrize("kernel,variant,z,m", [
@@ -334,8 +446,35 @@ def test_extreme_z_integral_bitwise(kernel, variant, z, m):
         warnings.simplefilter("error")
         got = integrate(IntegrandSpec(kernel, z, m, variant))
     with np.errstate(all="ignore"):
-        want = tanh_sinh(_written_out(kernel, z, m, variant))
-    assert got.hex() == want.hex()
+        written = _written_out(kernel, z, m, variant)
+        want = tanh_sinh(written)
+        l1 = _stop_l1(written)
+    assert abs(got - want) <= _FOLD_ULPS * 2.0 ** -52 * l1
+
+
+@pytest.mark.parametrize("kernel,variant,z,m,stages", [
+    ("lnx", "thm1", 2.0, 1, [0]), ("lnratio", "thm2", -2.0, 2, [0]),
+    ("lnx", "thm1", -1e-3, 0, [0, 5]), ("lnx", "thm2", 0.2, 2, [0, 5, 6]),
+    ("lnx", "thm1", -1e-8, 8, [0, 5, 6, 7]), ("lnx", "c2", 3.0, 0, [0]),
+    ("lnratio", "c3", 1.0, 0, [0]), ("lnratio", "c4", -0.5, 0, [0]),
+])
+def test_folded_and_unfolded_paths_agree(monkeypatch, kernel, variant, z, m, stages):
+    # integrate() takes the kernel-folded rows, a callable the plain rows:
+    # the same integrand stops at the same stages with the same value, up
+    # to the fold's rounding
+    written = _written_out(kernel, z, m, variant)
+    seen, got = _visits(monkeypatch, lambda: integrate(IntegrandSpec(kernel, z, m, variant)))
+    seen_plain, want = _visits(monkeypatch, lambda: tanh_sinh(written))
+    assert seen == seen_plain == stages
+    assert abs(got - want) <= _FOLD_ULPS * 2.0 ** -52 * _stop_l1(written)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 30])
+def test_beta_term_folded_and_unfolded_agree(k):
+    def written(x, xc):
+        return np.log(x) * (x * xc * xc) ** k
+    got = beta_term_integral(k)
+    assert abs(got - tanh_sinh(written)) <= _FOLD_ULPS * 2.0 ** -52 * _stop_l1(written)
 
 
 def _around(x):
