@@ -144,13 +144,17 @@ def _mul(a: list[complex], b: list[complex]) -> list[complex]:
     return out
 
 
-def _pole_expansion(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[complex]]:
-    """The selected root lam and the Taylor coefficients about it, to
-    order m, of 1/((x - w_1)(x - w_2))^{m+1} over the other two roots."""
+def _check_order(m: int, which: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise DomainError(f"coefficient order m must be a nonnegative integer, got {m!r}")
     if not isinstance(which, int) or isinstance(which, bool) or which not in (1, 2, 3):
         raise DomainError(f"root selector must be 1, 2, or 3, got {which!r}")
+
+
+def _pole_expansion(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[complex]]:
+    """The selected root lam and the Taylor coefficients about it, to
+    order m, of 1/((x - w_1)(x - w_2))^{m+1} over the other two roots."""
+    _check_order(m, which)
     return _denominator(m, roots, which)
 
 
@@ -168,10 +172,16 @@ def _denominator(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[c
 def coeff_a(m: int, roots: CubicRoots, which: int) -> list[complex]:
     """Partial-fraction coefficients [a_0 .. a_m] at the selected root for
     the numerator x^m (1-x)^{2m}."""
-    lam, den = _pole_expansion(m, roots, which)
-    num = _mul(_binomial(lam, m, m), _binomial(lam - 1.0, 2 * m, m))
+    _check_order(m, which)
+    lam = roots.roots[which - 1]
+    # the numerator's binomials come first: each is O(m), and at a large m
+    # their lam ** m or (lam - 1) ** 2m raises OverflowError before the
+    # denominator's O(m^2) Cauchy product runs
+    num_x = _binomial(lam, m, m)
+    num_xc = _binomial(lam - 1.0, 2 * m, m)
+    den = _denominator(m, roots, which)[1]
     # a_r multiplies 1/(x - lam)^{r+1}; it is the order (m-r) coefficient
-    return _mul(num, den)[::-1]
+    return _mul(_mul(num_x, num_xc), den)[::-1]
 
 
 def coeff_b(m: int, roots: CubicRoots, which: int) -> list[complex]:

@@ -34,20 +34,31 @@ so a value can differ from tanh_sinh of the written-out integrand by
 rounding: a few units of 2^-52 times h sum(w |f|), the integral of
 |f| at the stop level.  The factor raises arrays to integer powers by
 repeated multiplication, since numpy's power calls libm pow per
-element for most integer exponents.  Each catalog integrand is made
-once, at import, and kept in a table by (kernel, variant); a call
-passes z and m to tanh_sinh as its extra arguments, so it builds no
-function of its own.  The factor is computed in place in the arrays it
-allocates, with the same operations in the same order as the factor
-written out on (x, 1-x), so it is bitwise that array.  A callable f
-passed to tanh_sinh is evaluated whole, on the plain rows.
+element for most integer exponents.  The factor is computed in place in
+the arrays it allocates, with the same operations in the same order as
+the factor written out on (x, 1-x), so it is bitwise that array.  A
+callable f passed to tanh_sinh is evaluated whole, on the plain rows.
+
+One table, built at import, holds an entry per catalog integral, keyed
+by (kernel, variant), and one per series family, keyed by its name
+(which its SeriesFamily member equals).  An entry holds the integrand
+(its z-factor and the name of its folded rows), the errstate rule (which
+np.errstate, if any, silences the warnings the integral raises without
+fault at a given z and m), and, for a family, the sign rule that makes
+its value from the integral: (-1)^m for A1-B2, -1 for C1/C3 and -z for
+C2/C4.  integrate() and series_via_quadrature() share the code that
+applies an entry, so each rule and the NoConvergence message exist
+once.  A family's call is one table lookup, one validate() (its only
+domain check) and one tanh_sinh call, with (z, m) as the integrand's
+extra arguments, so it builds no function of its own.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
 loads on the first quadrature call and not with the module: `import
 trisum`, the closed-form and series layers, and the CLI commands that
 use only them (`eval --method closed|series`, `constants`) never load
-it.
+it.  The catalog factors run only on a stage, so they find numpy bound
+by the first stage build instead of importing it on every call.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError, NoConvergence
 from .series import FAMILIES, SeriesFamily, check_m_z, resolve_family, validate
@@ -167,6 +178,10 @@ class _Stage(NamedTuple):
     kern: dict                # kernel name -> sums times that kernel
 
 
+# numpy, bound by the first _build_stage: the z-factors run only on a
+# stage, so they find it bound without an import of their own
+_np = None
+
 # levels 0.._STAGE0_TOP make stage 0; every later level is its own stage
 _STAGE0_TOP = 4
 
@@ -188,6 +203,8 @@ def _level_t(level: int) -> np.ndarray:
 
 def _build_stage(first: int) -> _Stage:
     import numpy as np
+    global _np
+    _np = np
 
     last = _STAGE0_TOP if first == 0 else first
     ts = [_level_t(level) for level in range(first, last + 1)]
@@ -223,7 +240,7 @@ def _level_nodes(level: int) -> _Stage:
 
 class _OnStage:
     """An integrand that reads a stage's cached arrays: the stage's
-    kernel named `kernel` times a factor g, where values(stage, *args)
+    kernel named `kernel` times a factor g, where values(stage, args)
     returns g at the stage's nodes; tanh_sinh takes that kernel's folded
     rows for it."""
 
@@ -244,7 +261,7 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
     are summed together, so a value of f that is not finite at any node
     of a stage makes every level sum in it non-finite.
     """
-    if not (isinstance(tol, float) and math.isfinite(tol)) or tol < _MIN_TOL:
+    if not (isinstance(tol, float) and _MIN_TOL <= tol < math.inf):
         raise DomainError(f"tol must be a float >= {_MIN_TOL}, got {tol!r}")
 
     if isinstance(f, _OnStage):
@@ -252,25 +269,27 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
     else:
         import numpy as np
 
-        def values(st, *args):
+        def values(st, args):
             return np.asarray(f(st.x, st.xc, *args))
 
         kernel = None
 
     isfinite = math.isfinite
     # stage 0: the whole trapezoid sums T_0..T_4 of levels 0-4, from one
-    # evaluation and one product, then the stop tests of levels 2-4
+    # evaluation and one product, then the stop tests of levels 2-4.  The
+    # stop rule err <= tol * max(1, |T_L|) is written as err <= tol or
+    # err <= tol * |T_L|, which decides alike
     st = _level_nodes(0)
     rows = st.sums if kernel is None else st.kern[kernel]
-    t0, t1, t2, t3, t4 = rows.dot(values(st, *args)).tolist()
+    t0, t1, t2, t3, t4 = rows.dot(values(st, args)).tolist()
     err = abs(t2 - t1)
-    if err <= tol * max(1.0, abs(t2)) and isfinite(err):
+    if (err <= tol or err <= tol * abs(t2)) and isfinite(err):
         return t2
     err = abs(t3 - t2)
-    if err <= tol * max(1.0, abs(t3)) and isfinite(err):
+    if (err <= tol or err <= tol * abs(t3)) and isfinite(err):
         return t3
     err = abs(t4 - t3)
-    if err <= tol * max(1.0, abs(t4)) and isfinite(err):
+    if (err <= tol or err <= tol * abs(t4)) and isfinite(err):
         return t4
     # each later level's new nodes halve the step of the levels before it
     total = t4
@@ -278,9 +297,9 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
         st = _level_nodes(level)
         rows = st.sums if kernel is None else st.kern[kernel]
         prev = total
-        total = 0.5 * prev + rows.dot(values(st, *args)).item()
+        total = 0.5 * prev + rows.dot(values(st, args)).item()
         err = abs(total - prev)
-        if err <= tol * max(1.0, abs(total)) and isfinite(err):
+        if (err <= tol or err <= tol * abs(total)) and isfinite(err):
             return total
     raise NoConvergence(
         f"tanh-sinh refinement did not reach tol = {tol} within level {MAX_LEVEL}"
@@ -301,55 +320,35 @@ def _ipow(a: np.ndarray, n: int) -> np.ndarray:
         a = a * a
 
 
-def _catalog_integrand(kernel: Kernel, variant: Variant) -> _OnStage:
-    """The catalog integrand of this kernel and variant: its z-factor as
-    values(stage, z, m), on the stage's rows folded with its kernel.  The
-    factor is computed into arrays it made itself, in place, and never
-    writes to the stage's."""
-    if variant in (Variant.THM1, Variant.THM2):
-        # with r = 1/(u - z), the numerator x^m (1-x)^{2m} is u^m, so
-        # thm1 is k r (u r)^m and thm2 is k r^{m+1}: powers of numbers of
-        # size at most 1/(distance of z from [0, 4/27]), which underflow
-        # quietly at huge |z| where powers of u - z would overflow
-        thm1 = variant is Variant.THM1
+# The z-factors, as values(stage, (z, m)).  Each computes into arrays it
+# made itself, in place, and never writes to the stage's.  With r =
+# 1/(u - z), the numerator x^m (1-x)^{2m} of thm1 is u^m, so its factor
+# is r (u r)^m; thm2's is r^{m+1}.  These are powers of numbers of size at
+# most 1/(distance of z from [0, 4/27]), which underflow quietly at huge
+# |z| where powers of u - z would overflow.
 
-        def g(st, z, m):
-            import numpy as np
-            r = st.u - z
-            np.reciprocal(r, out=r)
-            if thm1 and m > 0:
-                r *= _ipow(st.u * r, m)
-                return r
-            return _ipow(r, m + 1)     # r itself or a new array
-
-        return _OnStage(g, kernel.value)
-
-    def g(st, z, m):
-        import numpy as np
-        w = st.u * z
-        w *= w
-        w += 1.0
-        np.reciprocal(w, out=w)     # 1/(1 + (z u)^2)
-        return w
-
-    # c2 and c4 weigh by u = x(1-x)^2, which rides with the kernel
-    weighted = variant in (Variant.C2, Variant.C4)
-    return _OnStage(g, kernel.value + "*u" if weighted else kernel.value)
+def _thm1_factor(st, args):
+    z, m = args
+    r = st.u - z
+    _np.reciprocal(r, r)     # out given positionally: numpy parses it faster
+    if m:
+        r *= st.u * r if m == 1 else _ipow(st.u * r, m)
+    return r
 
 
-# (kernel, variant) -> its integrand; a c variant only with its own kernel
-_INTEGRANDS = {
-    (kernel, variant): _catalog_integrand(kernel, variant)
-    for kernel in Kernel for variant in Variant
-    if _C_KERNEL.get(variant, kernel) is kernel
-}
+def _thm2_factor(st, args):
+    z, m = args
+    r = st.u - z
+    _np.reciprocal(r, r)
+    return _ipow(r, m + 1) if m else r
 
-# family -> (kernel, variant) of its integral representation
-_INTEGRAL_OF = {
-    f: (_KIND_KERNEL[spec.kind],
-        (Variant.THM2 if spec.shifted else Variant.THM1) if spec.outer else _C_VARIANT[f])
-    for f, spec in FAMILIES.items()
-}
+
+def _alternating_factor(st, args):
+    w = st.u * args[0]
+    w *= w
+    w += 1.0
+    _np.reciprocal(w, w)     # 1/(1 + (z u)^2)
+    return w
 
 
 def _pole_distance(z: float) -> float:
@@ -357,18 +356,10 @@ def _pole_distance(z: float) -> float:
     return -z if z < 0.0 else z - 4.0 / 27.0
 
 
-def _extreme_z_errstate(z: float, m: int, variant: Variant):
-    """The np.errstate that silences the warnings an integral at this z
-    raises without fault, or None where it raises none."""
-    if variant in _C_KERNEL:
-        # (z u)^2 can overflow only once 2 log(|z| + 1) passes 700, as
-        # |u| <= 4/27 on (0, 1); the inf then makes a term far below 1e-300
-        # exactly 0.  e^350 - 1 is about 1.0e152, so the log is taken only
-        # above 1e150.
-        if abs(z) > 1e150 and 2.0 * math.log(abs(z) + 1.0) > 700.0:
-            import numpy as np
-            return np.errstate(over="ignore")
-        return None
+def _pole_errstate(z: float, m: int):
+    """The errstate rule of thm1/thm2: the np.errstate that silences the
+    warnings the integral at (z, m) raises without fault, or None where
+    it raises none."""
     # thm1/thm2 raise r = 1/(u - z), of size at most 1/pole_distance, to the
     # power m + 1.  Once pole_distance ** (m + 1) < e^-700 (about 1e-304)
     # that power can overflow at the nodes nearest the pole, and tanh_sinh
@@ -381,36 +372,100 @@ def _extreme_z_errstate(z: float, m: int, variant: Variant):
     return None
 
 
-def _integrate(kernel: Kernel, z: float, m: int, variant: Variant, tol: float) -> float:
-    # inputs already checked, as IntegrandSpec or validate() checks them
-    f = _INTEGRANDS[kernel, variant]
-    quiet = _extreme_z_errstate(z, m, variant)
+def _alternating_errstate(z: float, m: int):
+    """The errstate rule of c1-c4, as _pole_errstate's for thm1/thm2."""
+    # (z u)^2 can overflow only once 2 log(|z| + 1) passes 700, as
+    # |u| <= 4/27 on (0, 1); the inf then makes a term far below 1e-300
+    # exactly 0.  e^350 - 1 is about 1.0e152, so the log is taken only
+    # above 1e150.
+    if abs(z) > 1e150 and 2.0 * math.log(abs(z) + 1.0) > 700.0:
+        import numpy as np
+        return np.errstate(over="ignore")
+    return None
+
+
+class _Entry(NamedTuple):
+    """How one catalog integral, or one family's value, is computed.
+
+    f       the catalog integrand: its z-factor, on the stage rows folded
+            with its kernel (f.kernel names them)
+    quiet   the errstate rule: quiet(z, m) is the np.errstate that
+            silences the warnings the integral raises without fault at
+            (z, m), or None
+    sign    the sign rule that makes the family's value from the
+            integral: "(-1)^m", "-1" or "-z"; "" for a bare integral
+    """
+
+    f: _OnStage
+    quiet: Callable[[float, int], object]
+    sign: str
+
+
+def _table() -> dict:
+    """The entry of each bare integral, keyed by (kernel, variant), and of
+    each family, keyed by its name (which its member equals too)."""
+    table = {}
+    for kernel in Kernel:
+        for variant in (Variant.THM1, Variant.THM2):
+            factor = _thm1_factor if variant is Variant.THM1 else _thm2_factor
+            table[kernel, variant] = _Entry(_OnStage(factor, kernel.value),
+                                            _pole_errstate, "")
+    for variant, kernel in _C_KERNEL.items():
+        # c2 and c4 weigh by u = x(1-x)^2, which rides with the kernel
+        rows = kernel.value + "*u" if variant in (Variant.C2, Variant.C4) else kernel.value
+        table[kernel, variant] = _Entry(_OnStage(_alternating_factor, rows),
+                                        _alternating_errstate, "")
+    # the sign rule of each family's integral representation: (-1)^m for
+    # A/B, -1 for C1/C3 and -z for C2/C4
+    for family, spec in FAMILIES.items():
+        kernel = _KIND_KERNEL[spec.kind]
+        if spec.outer:
+            variant, sign = (Variant.THM2 if spec.shifted else Variant.THM1), "(-1)^m"
+        else:
+            variant, sign = _C_VARIANT[family], "-z" if spec.shifted else "-1"
+        table[family.value] = table[kernel, variant]._replace(sign=sign)
+    return table
+
+
+_ENTRIES = _table()
+
+
+def _integral(entry: _Entry, z: float, m: int, tol: float) -> float:
+    # the entry's integral at (z, m), under its errstate rule and signed
+    # by its sign rule; inputs already checked, as IntegrandSpec or
+    # validate() checks them
+    f, quiet, sign = entry
+    state = quiet(z, m)
     try:
-        if quiet is None:    # skips the cost of entering an errstate
-            return tanh_sinh(f, tol, args=(z, m))
-        with quiet:
-            return tanh_sinh(f, tol, args=(z, m))
+        if state is None:    # skips the cost of entering an errstate
+            raw = tanh_sinh(f, tol, (z, m))
+        else:
+            with state:
+                raw = tanh_sinh(f, tol, (z, m))
     except NoConvergence as exc:
-        if variant in _C_KERNEL:
+        if quiet is not _pole_errstate:
             raise
         raise NoConvergence(
             f"{exc}; the integrand has a pole near [0, 1]: z = {z!r} lies "
             f"{_pole_distance(z):.3g} outside [0, 4/27], the range of x(1-x)^2 there"
         ) from None
+    if sign == "(-1)^m":
+        return raw if m % 2 == 0 else -raw
+    if sign == "-1":
+        return -raw
+    return -z * raw if sign == "-z" else raw
 
 
 def integrate(spec: IntegrandSpec, tol: float = 1e-12) -> float:
     """Value of the catalog integral over (0, 1), as printed (no sign
     or prefactor normalization)."""
-    return _integrate(spec.kernel, spec.z, spec.m, spec.variant, tol)
+    return _integral(_ENTRIES[spec.kernel, spec.variant], spec.z, spec.m, tol)
 
 
-def _beta_term(st, k):
+def _beta_term(st, args):
     # the factor of x^k (1-x)^{2k} log x on the lnx rows: u^k
-    if k:
-        return _ipow(st.u, k)
-    import numpy as np
-    return np.ones_like(st.u)
+    k = args[0]
+    return _ipow(st.u, k) if k else _np.ones_like(st.u)
 
 
 _BETA_TERM = _OnStage(_beta_term, Kernel.LNX.value)
@@ -420,7 +475,7 @@ def beta_term_integral(k: int, tol: float = 1e-12) -> float:
     """Integral of x^k (1-x)^{2k} log x over (0, 1)."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"index must be a nonnegative integer, got {k!r}")
-    return tanh_sinh(_BETA_TERM, tol, args=(k,))
+    return tanh_sinh(_BETA_TERM, tol, (k,))
 
 
 def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
@@ -428,11 +483,14 @@ def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
     """The value each series family must take, computed from its
     integral representation.  Independent oracle for sum_series and for
     the closed forms."""
-    family = resolve_family(family)
+    try:
+        entry = _ENTRIES[family]
+    except (KeyError, TypeError):
+        entry = None
+    if entry is None or not entry.sign:
+        # not a family's name or member (a bare integral has no sign
+        # rule): resolve_family raises the enum's ValueError
+        entry = _ENTRIES[resolve_family(family)]
     z = float(z)
-    spec = validate(family, z, m)
-    kernel, variant = _INTEGRAL_OF[family]
-    raw = _integrate(kernel, z, m, variant, tol)
-    if spec.outer:
-        return raw if m % 2 == 0 else -raw
-    return -z * raw if spec.shifted else -raw
+    validate(family, z, m)
+    return _integral(entry, z, m, tol)

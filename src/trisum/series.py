@@ -143,16 +143,17 @@ def base_term(kind: str, k: int) -> TermValue:
     return TermValue(k=k, value=value, exact=exact)
 
 
-# name -> member; a SeriesFamily is a str equal to its name, so a member
-# finds itself here too, at the cost of one dict lookup instead of a call
-# of the enum
-_BY_NAME = {f.value: f for f in SeriesFamily}
+# name -> (member, spec), the entry resolve_family, validate and
+# sum_series read; a SeriesFamily is a str equal to its name, so a member
+# finds its entry here too, at the cost of one dict lookup instead of a
+# call of the enum
+_BY_NAME = {f.value: (f, spec) for f, spec in FAMILIES.items()}
 
 
 def resolve_family(family: SeriesFamily | str) -> SeriesFamily:
     """The SeriesFamily named by family; ValueError for an unknown name."""
     try:
-        return _BY_NAME[family]
+        return _BY_NAME[family][0]
     except (KeyError, TypeError):
         return SeriesFamily(family)     # raises the enum's ValueError
 
@@ -174,8 +175,11 @@ def validate(family: SeriesFamily | str, z: float, m: int) -> FamilySpec:
     DomainError for a bad m or a non-finite z, NonConvergent for z
     outside the region where the series converges.
     """
-    family = resolve_family(family)
-    spec = FAMILIES[family]
+    try:
+        family, spec = _BY_NAME[family]
+    except (KeyError, TypeError):
+        family = resolve_family(family)     # the enum's ValueError for an unknown name
+        spec = FAMILIES[family]
     check_m_z(m, z)
     if spec.outer:
         if abs(z) < 1.0:
@@ -298,11 +302,16 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     TermOverflow if the sum needs a term whose binomial weight is
     outside the double range (A2/B2 from m = 711 on).
     """
-    family = resolve_family(family)
+    # the family's entry: its member, which with m keys its coefficient
+    # table, and its spec
+    try:
+        family, (_, outer, shifted) = _BY_NAME[family]
+    except (KeyError, TypeError):
+        family, (_, outer, shifted) = _BY_NAME[resolve_family(family)]
     z = float(z)
-    if not (isinstance(tol, float) and math.isfinite(tol)) or tol < 1e-15:
+    if not (isinstance(tol, float) and 1e-15 <= tol < math.inf):
         raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
-    _, outer, shifted = validate(family, z, m)
+    validate(family, z, m)
 
     cap = DEFAULT_MAX_TERMS
     if outer:

@@ -175,6 +175,26 @@ class TestClosedSum:
         with pytest.raises(DomainError, match=re.escape(f"family {family} at z = {z!r}, m = {m}")):
             closed_sum(family, z, m)
 
+    @pytest.mark.parametrize("family,z,m", [("A1", 1.0, 16000), ("B1", -1.0, 100000)])
+    def test_huge_m_refuses_before_any_cauchy_product(self, monkeypatch, family, z, m):
+        # the numerator's binomials overflow at this m; coeff_a must find
+        # that before the denominator's Cauchy products, whose cost grows
+        # as m^2, and before the numerator's own
+        import trisum.closedform as cf
+        products = []
+        mul = cf._mul
+
+        def counting(a, b):
+            products.append(len(a))
+            return mul(a, b)
+
+        monkeypatch.setattr(cf, "_mul", counting)
+        with pytest.raises(DomainError) as info:
+            closed_sum(family, z, m)
+        assert str(info.value) == (f"closed form of family {family} at z = {z!r}, m = {m} "
+                                   f"overflows: complex exponentiation")
+        assert products == []
+
 
 def _direct(family, z, m):
     # closed_sum's sum with nothing shared: every coefficient list and basis

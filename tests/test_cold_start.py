@@ -10,6 +10,7 @@ subprocess, against the modules that interpreter held before the import.
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -81,6 +82,41 @@ def test_huge_z_quadrature_is_quiet_cold():
     proc = _python("-W", "error", "-m", "trisum.cli", "eval", "--family", "A1",
                    "--z", "1e300", "--m", "1", "--method", "quadrature")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-0\n", "")
+
+
+# numpy is bound once, by the first stage build, for the catalog factors;
+# each of these reaches the quadrature by another road, in an interpreter
+# that has no numpy yet, and must match the same call made here
+@pytest.mark.parametrize("argv", [
+    # (z u)^2 overflows: the errstate is entered before any stage exists
+    ["integral", "--kernel", "lnx", "--variant", "c1", "--z", "1e300"],
+    # beta_term_integral's factor, ones at k = 0 and powers of u after
+    ["verify", "--suite", "beta-terms", "--format", "json"],
+], ids=["integral-c1-errstate", "verify-beta-terms"])
+def test_catalog_factors_work_cold(capsys, argv):
+    proc = _python("-W", "error", "-c", _CLI_CHILD, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "numpy loaded: True\n"
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    if argv[0] == "verify":
+        # the report's timing and timestamp fields differ from run to run
+        strip = lambda text: [{k: v for k, v in rec.items() if k != "runtime_ms"}
+                              for rec in json.loads(text)["records"]]
+        assert strip(proc.stdout) == strip(want)
+    else:
+        assert proc.stdout == want
+
+
+def test_user_callable_works_cold():
+    # a callable passed to tanh_sinh takes the plain rows: it must load
+    # numpy itself, before any catalog integral has run
+    code = ("import sys; from trisum.quadrature import tanh_sinh; "
+            "print('numpy' in sys.modules, tanh_sinh(lambda x, xc: x * xc).hex())")
+    proc = _python("-W", "error", "-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    from trisum.quadrature import tanh_sinh
+    assert proc.stdout == f"False {tanh_sinh(lambda x, xc: x * xc).hex()}\n"
 
 
 def test_import_loads_no_dataclasses_inspect_or_csv():

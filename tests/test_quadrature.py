@@ -1,6 +1,9 @@
+import hashlib
+import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +20,9 @@ from trisum.quadrature import (
     tanh_sinh,
 )
 from trisum.quadrature import (
-    _INTEGRANDS, _extreme_z_errstate, _ipow, _level_nodes, _pole_distance,
+    _ENTRIES, _ipow, _level_nodes, _pole_distance,
 )
-from trisum.series import sum_series
+from trisum.series import SeriesFamily, sum_series
 
 A1_Z2_M0_REF = 0.52395769463509576811
 
@@ -383,11 +386,11 @@ def test_catalog_integrand_reads_cache_bitwise(kernel, variant, z, m):
     # the integrand reads the stage's u and folded rows: its factor must be
     # the very array the formula on (x, 1-x) gives, on the rows of its own
     # kernel, and its integral within rounding of the written-out one's
-    f = _INTEGRANDS[Kernel(kernel), Variant(variant)]
+    f = _ENTRIES[Kernel(kernel), Variant(variant)].f
     assert f.kernel == _kernel_name(kernel, variant)
     for level in (0, 5):
         st = _level_nodes(level)
-        got = f.values(st, z, m)
+        got = f.values(st, (z, m))
         assert got.tobytes() == _z_factor(variant, z, m)(st.x, st.xc).tobytes(), level
     got = integrate(IntegrandSpec(kernel, z, m, variant))
     written = _written_out(kernel, z, m, variant)
@@ -483,6 +486,14 @@ def _around(x):
             math.nextafter(x, math.inf), x * (1.0 + 1e-12))
 
 
+def _errstate_rule(variant: Variant):
+    # the errstate rule the table holds for this variant's integral
+    return _ENTRIES[Kernel(_VARIANT_KERNEL[variant.value]), variant].quiet
+
+
+_VARIANT_KERNEL = {v: k for k, v in _FAMILY_INTEGRAL.values()}
+
+
 def test_extreme_z_errstate_decision_matches_log_test():
     # the early exits (|z| <= 1e150 for c, pole distance >= 1 for thm) must
     # decide as the log test alone does, on both sides of each threshold
@@ -490,7 +501,7 @@ def test_extreme_z_errstate_decision_matches_log_test():
     for variant in (Variant.C1, Variant.C2, Variant.C3, Variant.C4):
         for z in c_z + [-z for z in c_z]:
             want = 2.0 * math.log(abs(z) + 1.0) > 700.0
-            assert (_extreme_z_errstate(z, 0, variant) is not None) == want, (variant, z)
+            assert (_errstate_rule(variant)(z, 0) is not None) == want, (variant, z)
     for m in range(51):
         edge = math.exp(-700.0 / (m + 1))
         d_values = [v for x in (edge, 1.0, 2.0) for v in _around(x)]
@@ -500,7 +511,7 @@ def test_extreme_z_errstate_decision_matches_log_test():
         for variant in (Variant.THM1, Variant.THM2):
             for z in zs:
                 want = (m + 1) * -math.log(_pole_distance(z)) > 700.0
-                assert (_extreme_z_errstate(z, m, variant) is not None) == want, (variant, z, m)
+                assert (_errstate_rule(variant)(z, m) is not None) == want, (variant, z, m)
 
 
 _HIGH_ORDER = [(kernel, variant, z, m) for kernel in ("lnx", "lnratio")
@@ -538,3 +549,124 @@ class TestBetaTermIntegral:
     def test_bad_index(self):
         with pytest.raises(DomainError):
             beta_term_integral(-1)
+
+
+# series_via_quadrature's values and errors on the oracle parity grid, as
+# recorded before the per-family entry table; "about" in the file says
+# what the grid holds
+_PARITY = json.loads((Path(__file__).parent / "data" / "oracle_parity.json").read_text())
+
+
+def _numerics_digest(stages=(0, 5)) -> str:
+    """A digest of what the quadrature values rest on besides the code:
+    the stage arrays numpy's exp, log, sinh and cosh give, and the
+    summation order of its matrix-vector product, probed on each row
+    block.  The grid visits stages 0 and 5."""
+    h = hashlib.sha256()
+    for first in stages:
+        st = _level_nodes(first)
+        for a in (st.u, st.sums, *(st.kern[k] for k in sorted(st.kern))):
+            h.update(a.tobytes())
+            h.update(a.dot(st.w[:a.shape[-1]]).tobytes())
+    return h.hexdigest()
+
+
+def _outcome(f, *args, **kwargs) -> str:
+    try:
+        return f(*args, **kwargs).hex()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("family", [f.value for f in SeriesFamily])
+def test_series_via_quadrature_parity_grid(family):
+    # every value bitwise, and every error word for word, as recorded.  The
+    # values are bitwise only on the numerics they were recorded with: a
+    # numpy whose transcendental functions or product differ in the last
+    # bit moves them by rounding, which the tests above bound
+    if _numerics_digest() != _PARITY["numerics"]:
+        pytest.skip("this numpy's nodes or matrix-vector product differ in the last bit "
+                    "from those the grid was recorded with")
+    rows = [r for r in _PARITY["rows"] if r[0] == family]
+    assert len(rows) > 20
+    got = [_outcome(series_via_quadrature, f, float.fromhex(z), m) for f, z, m, _, _ in rows]
+    assert got == [r[3] for r in rows]
+
+
+def _enum_error(family) -> str:
+    try:
+        SeriesFamily(family)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    raise AssertionError(f"{family!r} names a family")
+
+
+@pytest.mark.parametrize("family", [
+    "X9", "a1", "", " A1", 3, None, ("A1",), (Kernel.LNX, Variant.THM1), ("lnx", "thm1"),
+], ids=repr)
+def test_unknown_family_raises_the_enum_error(family):
+    # the table also holds each bare integral by (kernel, variant): a
+    # family argument must not find one
+    assert _outcome(series_via_quadrature, family, 2.0, 1) == _enum_error(family)
+    assert _outcome(series_via_quadrature, family, "abc", -1, tol=0.0) == _enum_error(family)
+
+
+def test_unhashable_family_raises_the_enum_error():
+    assert _outcome(series_via_quadrature, ["A1"], 2.0) == _enum_error(["A1"])
+
+
+# (family, z, m, keyword arguments) -> what series_via_quadrature raised
+# before the per-family entry table; checks run family, z's float(), m,
+# z finite, the family's domain, then tol
+_BAD_CALLS = [
+    (("A1", 0.5, 0), {}, "NonConvergent: family A1 requires |z| >= 1, got z = 0.5"),
+    (("B1", -0.999, 2), {}, "NonConvergent: family B1 requires |z| >= 1, got z = -0.999"),
+    (("A2", 0.0, 1), {}, "NonConvergent: family A2 requires |z| >= 1, got z = 0.0"),
+    (("C1", 1.5, 0), {}, "NonConvergent: family C1 requires |z| <= 1, got z = 1.5"),
+    (("C4", -2.0, 0), {}, "NonConvergent: family C4 requires |z| <= 1, got z = -2.0"),
+    (("C1", 0.5, 1), {}, "DomainError: family C1 takes no binomial order, got m = 1"),
+    (("C4", -0.5, 3), {}, "DomainError: family C4 takes no binomial order, got m = 3"),
+    (("C2", 2.0, 1), {}, "DomainError: family C2 takes no binomial order, got m = 1"),
+    (("A1", 2.0, True), {}, "DomainError: m must be a nonnegative integer, got True"),
+    (("B2", 2.0, False), {}, "DomainError: m must be a nonnegative integer, got False"),
+    (("A1", 2.0, -1), {}, "DomainError: m must be a nonnegative integer, got -1"),
+    (("A2", 2.0, 2.0), {}, "DomainError: m must be a nonnegative integer, got 2.0"),
+    (("C3", 0.5, True), {}, "DomainError: m must be a nonnegative integer, got True"),
+    (("A1", math.nan, 0), {}, "DomainError: z must be finite, got nan"),
+    (("B2", -math.inf, 1), {}, "DomainError: z must be finite, got -inf"),
+    (("C2", math.inf, 0), {}, "DomainError: z must be finite, got inf"),
+    (("C3", math.nan, 0), {}, "DomainError: z must be finite, got nan"),
+    (("A1", math.nan, -1), {}, "DomainError: m must be a nonnegative integer, got -1"),
+    (("C1", math.inf, 1), {}, "DomainError: z must be finite, got inf"),
+    (("A1", 2.0, 0), {"tol": 1e-16}, "DomainError: tol must be a float >= 1e-14, got 1e-16"),
+    (("A1", 2.0, 0), {"tol": 1e-15}, "DomainError: tol must be a float >= 1e-14, got 1e-15"),
+    (("C1", 0.5, 0), {"tol": math.nan}, "DomainError: tol must be a float >= 1e-14, got nan"),
+    (("B1", 2.0, 1), {"tol": math.inf}, "DomainError: tol must be a float >= 1e-14, got inf"),
+    (("A2", 2.0, 1), {"tol": 1}, "DomainError: tol must be a float >= 1e-14, got 1"),
+    (("A1", 0.5, 0), {"tol": 1e-16}, "NonConvergent: family A1 requires |z| >= 1, got z = 0.5"),
+    (("A1", 2.0, -1), {"tol": 1e-16}, "DomainError: m must be a nonnegative integer, got -1"),
+    (("A1", "abc", 0), {}, "ValueError: could not convert string to float: 'abc'"),
+    (("A1", None, 0), {},
+     "TypeError: float() argument must be a string or a real number, not 'NoneType'"),
+]
+
+
+@pytest.mark.parametrize("args,kwargs,want", _BAD_CALLS)
+def test_bad_input_raises_as_recorded(args, kwargs, want):
+    assert _outcome(series_via_quadrature, *args, **kwargs) == want
+    family, z, m = args
+    # a member finds the same entry as its name
+    assert _outcome(series_via_quadrature, SeriesFamily(family), z, m, **kwargs) == want
+
+
+def test_table_entries():
+    # each family's name and member find one entry: its integral's
+    # integrand and errstate rule, with the family's sign rule
+    signs = {"A1": "(-1)^m", "A2": "(-1)^m", "B1": "(-1)^m", "B2": "(-1)^m",
+             "C1": "-1", "C2": "-z", "C3": "-1", "C4": "-z"}
+    for family, (kernel, variant) in _FAMILY_INTEGRAL.items():
+        entry = _ENTRIES[family]
+        assert _ENTRIES[SeriesFamily(family)] is entry
+        bare = _ENTRIES[Kernel(kernel), Variant(variant)]
+        assert (entry.f, entry.quiet) == (bare.f, bare.quiet)
+        assert (entry.sign, bare.sign) == (signs[family], "")

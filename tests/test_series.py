@@ -1,7 +1,9 @@
+import json
 import math
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -467,3 +469,83 @@ def test_layers_reject_bad_input_alike(family, z, m):
             layer(family, z, m)
         raised.add((type(info.value), str(info.value)))
     assert len(raised) == 1, raised
+
+
+# sum_series's values and errors on the oracle parity grid, as recorded
+# before the per-family entry; "about" in the file says what the grid
+# holds.  The sums are Python float arithmetic alone, so they are bitwise
+# on every host
+_PARITY = json.loads((Path(__file__).parent / "data" / "oracle_parity.json").read_text())
+
+
+def _outcome(f, *args, **kwargs) -> str:
+    try:
+        return f(*args, **kwargs).hex()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("family", [f.value for f in SeriesFamily])
+def test_sum_series_parity_grid(family):
+    rows = [r for r in _PARITY["rows"] if r[0] == family]
+    assert len(rows) > 20
+    got = [_outcome(sum_series, f, float.fromhex(z), m) for f, z, m, _, _ in rows]
+    assert got == [r[4] for r in rows]
+
+
+@pytest.mark.parametrize("family", [
+    "X9", "a1", "", " A1", 3, None, ("A1",), ["A1"],
+], ids=repr)
+def test_unknown_family_raises_the_enum_error(family):
+    try:
+        SeriesFamily(family)
+    except ValueError as exc:
+        want = f"ValueError: {exc}"
+    assert _outcome(sum_series, family, 2.0, 1) == want
+    # the family is checked before z, tol and m
+    assert _outcome(sum_series, family, "abc", -1, tol=0.0) == want
+
+
+# (family, z, m, keyword arguments) -> what sum_series raised before the
+# per-family entry; checks run family, z's float(), tol, m, z finite, then
+# the family's domain
+_BAD_CALLS = [
+    (("A1", 0.5, 0), {}, "NonConvergent: family A1 requires |z| >= 1, got z = 0.5"),
+    (("B1", -0.999, 2), {}, "NonConvergent: family B1 requires |z| >= 1, got z = -0.999"),
+    (("A2", 0.0, 1), {}, "NonConvergent: family A2 requires |z| >= 1, got z = 0.0"),
+    (("C1", 1.5, 0), {}, "NonConvergent: family C1 requires |z| <= 1, got z = 1.5"),
+    (("C4", -2.0, 0), {}, "NonConvergent: family C4 requires |z| <= 1, got z = -2.0"),
+    (("C1", 0.5, 1), {}, "DomainError: family C1 takes no binomial order, got m = 1"),
+    (("C4", -0.5, 3), {}, "DomainError: family C4 takes no binomial order, got m = 3"),
+    (("C2", 2.0, 1), {}, "DomainError: family C2 takes no binomial order, got m = 1"),
+    (("A1", 2.0, True), {}, "DomainError: m must be a nonnegative integer, got True"),
+    (("B2", 2.0, False), {}, "DomainError: m must be a nonnegative integer, got False"),
+    (("A1", 2.0, -1), {}, "DomainError: m must be a nonnegative integer, got -1"),
+    (("A2", 2.0, 2.0), {}, "DomainError: m must be a nonnegative integer, got 2.0"),
+    (("C3", 0.5, True), {}, "DomainError: m must be a nonnegative integer, got True"),
+    (("A1", math.nan, 0), {}, "DomainError: z must be finite, got nan"),
+    (("B2", -math.inf, 1), {}, "DomainError: z must be finite, got -inf"),
+    (("C2", math.inf, 0), {}, "DomainError: z must be finite, got inf"),
+    (("C3", math.nan, 0), {}, "DomainError: z must be finite, got nan"),
+    (("A1", math.nan, -1), {}, "DomainError: m must be a nonnegative integer, got -1"),
+    (("C1", math.inf, 1), {}, "DomainError: z must be finite, got inf"),
+    (("A1", 2.0, 0), {"tol": 1e-16}, "DomainError: tol must be a float >= 1e-15, got 1e-16"),
+    (("C1", 0.5, 0), {"tol": math.nan}, "DomainError: tol must be a float >= 1e-15, got nan"),
+    (("B1", 2.0, 1), {"tol": math.inf}, "DomainError: tol must be a float >= 1e-15, got inf"),
+    (("A2", 2.0, 1), {"tol": 1}, "DomainError: tol must be a float >= 1e-15, got 1"),
+    (("A1", 0.5, 0), {"tol": 1e-16}, "DomainError: tol must be a float >= 1e-15, got 1e-16"),
+    (("A1", 2.0, -1), {"tol": 1e-16}, "DomainError: tol must be a float >= 1e-15, got 1e-16"),
+    (("A1", "abc", 0), {}, "ValueError: could not convert string to float: 'abc'"),
+    (("A1", None, 0), {},
+     "TypeError: float() argument must be a string or a real number, not 'NoneType'"),
+    # at the floor: a value
+    (("A1", 2.0, 0), {"tol": 1e-15}, "0x1.0c442ed5e3fd1p-1"),
+]
+
+
+@pytest.mark.parametrize("args,kwargs,want", _BAD_CALLS)
+def test_bad_input_raises_as_recorded(args, kwargs, want):
+    assert _outcome(sum_series, *args, **kwargs) == want
+    family, z, m = args
+    # a member finds the same entry as its name
+    assert _outcome(sum_series, SeriesFamily(family), z, m, **kwargs) == want
