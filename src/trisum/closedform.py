@@ -103,10 +103,17 @@ def C_of(r: int, lam: complex) -> complex:
         return dilog(1.0 / lam)
     sign = -1.0 if r % 2 else 1.0
     acc = 0j
-    for p in range(1, r):
-        acc += (1.0 / (p * lam ** (r - p))) * (1.0 / (lam - 1.0) ** p - 1.0 / lam ** p)
-    log_ratio = cmath.log((lam - 1.0) / lam)
-    return (sign / r) * acc - (sign / (r * lam ** r)) * log_ratio
+    try:
+        for p in range(1, r):
+            acc += (1.0 / (p * lam ** (r - p))) * (1.0 / (lam - 1.0) ** p - 1.0 / lam ** p)
+        log_ratio = cmath.log((lam - 1.0) / lam)
+        return (sign / r) * acc - (sign / (r * lam ** r)) * log_ratio
+    except ZeroDivisionError:
+        # a power of lam or lam - 1 underflowed to 0 where it divides
+        raise DomainError(
+            f"C_r(lam) at r = {r}, lam = {lam!r} underflows: it divides by a "
+            f"power of lam or lam - 1 that is 0 in double precision"
+        ) from None
 
 
 def C_mirror(r: int, lam: complex) -> complex:
@@ -151,15 +158,10 @@ def _check_order(m: int, which: int) -> None:
         raise DomainError(f"root selector must be 1, 2, or 3, got {which!r}")
 
 
-def _pole_expansion(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[complex]]:
-    """The selected root lam and the Taylor coefficients about it, to
-    order m, of 1/((x - w_1)(x - w_2))^{m+1} over the other two roots."""
-    _check_order(m, which)
-    return _denominator(m, roots, which)
-
-
 @lru_cache(maxsize=3)
 def _denominator(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[complex]]:
+    # the selected root lam and the Taylor coefficients about it, to order
+    # m, of 1/((x - w_1)(x - w_2))^{m+1} over the other two roots.
     # coeff_a and coeff_b at one (z, m, root) share this expansion: a
     # PoleBasis asks for both at each of its roots in turn.  Callers only
     # read the list.  CubicRoots compare by value, and solve_cubic's are
@@ -186,7 +188,8 @@ def coeff_a(m: int, roots: CubicRoots, which: int) -> list[complex]:
 
 def coeff_b(m: int, roots: CubicRoots, which: int) -> list[complex]:
     """Same as coeff_a but with numerator 1."""
-    return _pole_expansion(m, roots, which)[1][::-1]
+    _check_order(m, which)
+    return _denominator(m, roots, which)[1][::-1]
 
 
 class PoleBasis:
@@ -283,6 +286,10 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
 
     contribs = []
     try:
+        # the largest power of a root in any coefficient or basis value: at
+        # a huge m it overflows here, before the O(m^2) Cauchy products
+        for lam in rts.roots:
+            lam ** m
         for which, lam in enumerate(rts.roots, start=1):
             if lam.imag > 0.0:
                 # the roots sort the partner lam.conjugate() first
@@ -300,6 +307,11 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
         raise DomainError(
             f"closed form of family {family.value} at z = {z!r}, m = {m} "
             f"overflows: {exc}"
+        ) from None
+    except DomainError as exc:
+        # C_of's: a power it divides by underflowed to 0
+        raise DomainError(
+            f"closed form of family {family.value} at z = {z!r}, m = {m} fails: {exc}"
         ) from None
 
     grand = sum(contribs, start=0j)
@@ -323,36 +335,26 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
 _SQRT7 = math.sqrt(7.0)
 
 
+# name -> (display text, value thunk); the thunks read this module's
+# globals when called
+_ATOMS = {
+    "pi": ("pi", lambda: math.pi),
+    "ln2": ("ln2", lambda: math.log(2.0)),
+    "G": ("G", lambda: catalan()),
+    "sqrt7": ("sqrt7", lambda: _SQRT7),
+    "atan75": ("atan(sqrt7/5)", lambda: math.atan(_SQRT7 / 5.0)),
+    "re_li2_w": ("Re Li2((3+i*sqrt7)/8)", lambda: dilog(complex(3.0, _SQRT7) / 8.0).real),
+    "im_li2_w": ("Im Li2((3+i*sqrt7)/8)", lambda: dilog(complex(3.0, _SQRT7) / 8.0).imag),
+    "im_li2_quot": ("Im[Li2(2/(3+i*sqrt7))/(5+i*sqrt7)]",
+                    lambda: (dilog(2.0 / complex(3.0, _SQRT7)) / complex(5.0, _SQRT7)).imag),
+}
+
+
 @lru_cache(maxsize=None)
 def _atom(name: str) -> float:
-    if name == "pi":
-        return math.pi
-    if name == "ln2":
-        return math.log(2.0)
-    if name == "G":
-        return catalan()
-    if name == "sqrt7":
-        return _SQRT7
-    if name == "atan75":
-        return math.atan(_SQRT7 / 5.0)
-    if name in ("re_li2_w", "im_li2_w"):
-        v = dilog(complex(3.0, _SQRT7) / 8.0)
-        return v.real if name == "re_li2_w" else v.imag
-    if name == "im_li2_quot":
-        return (dilog(2.0 / complex(3.0, _SQRT7)) / complex(5.0, _SQRT7)).imag
-    raise UnknownConstant(f"unknown atom {name!r}")
-
-
-_ATOM_DISPLAY = {
-    "pi": "pi",
-    "ln2": "ln2",
-    "G": "G",
-    "sqrt7": "sqrt7",
-    "atan75": "atan(sqrt7/5)",
-    "re_li2_w": "Re Li2((3+i*sqrt7)/8)",
-    "im_li2_w": "Im Li2((3+i*sqrt7)/8)",
-    "im_li2_quot": "Im[Li2(2/(3+i*sqrt7))/(5+i*sqrt7)]",
-}
+    if name not in _ATOMS:
+        raise UnknownConstant(f"unknown atom {name!r}")
+    return _ATOMS[name][1]()
 
 
 class ConstantEntry(NamedTuple):
@@ -378,7 +380,7 @@ class ConstantEntry(NamedTuple):
         chunks = []
         for coeff, names in self.terms:
             mag = abs(coeff)
-            body = "*".join(_ATOM_DISPLAY[n] for n in names)
+            body = "*".join(_ATOMS[n][0] for n in names)
             if mag.denominator == 1:
                 lead = f"{mag.numerator}" if (mag != 1 or not body) else ""
             else:

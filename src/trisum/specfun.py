@@ -13,13 +13,16 @@ zeros at 2*pi*k, where exp(i*theta) rounds its value away.
 
 Double precision throughout; harmonic numbers also carry an exact
 rational mode used to anchor the floating-point table and to feed the
-exact series oracles.
+exact series oracles.  One HarmonicCache holds the H_n and O_n tables of
+both modes and grows them on demand under its lock; harmonic() and
+odd_harmonic() read an entry already in a table without it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -88,6 +91,41 @@ _PI_LO = 0.5 * _TWO_PI_LO
 _CL2_MAX_ARG = 1e15
 
 
+class _Sum:
+    """One partial sum s_n = sum_{j=1}^{n} 1/den(j): its exact and float
+    tables, which only ever grow in place, and the float table's carry.
+    The caller holds the owning HarmonicCache's lock."""
+
+    __slots__ = ("den", "exact", "vals", "carry")
+
+    def __init__(self, den):
+        self.den = den
+        self.exact = [Fraction(0)]
+        self.vals = [0.0]
+        self.carry = 0.0
+
+    def grow_exact(self, n: int) -> None:
+        exact, den = self.exact, self.den
+        while len(exact) <= n:
+            exact.append(exact[-1] + Fraction(1, den(len(exact))))
+
+    def grow_float(self, n: int) -> None:
+        vals = self.vals
+        while len(vals) <= n:
+            k = len(vals)
+            if k <= _EXACT_LIMIT:
+                self.grow_exact(k)
+                exact = self.exact[k]
+                v = float(exact)
+                self.carry = float(Fraction(v) - exact)
+            else:
+                prev = vals[-1]
+                y = 1.0 / self.den(k) - self.carry
+                v = prev + y
+                self.carry = (v - prev) - y
+            vals.append(v)
+
+
 class HarmonicCache:
     """Harmonic and odd-harmonic partial sums, extended on demand.
 
@@ -96,76 +134,53 @@ class HarmonicCache:
     past it the table continues with compensated summation seeded with
     the rounding residue of the last exact entry, so the accumulated
     error stays near one ulp for any reachable n.
+
+    H_n and O_n grow by the same two paths, one exact and one float, which
+    differ only in the term's denominator, j or 2j - 1.  Growth runs under
+    one lock per cache, so threads that extend a table at once build the
+    table one thread alone would.  Entries are appended in place and never
+    change, so an entry already in a table is final and may be read
+    without the lock.
     """
 
     def __init__(self):
-        self._exact = [Fraction(0)]        # H_n
-        self._exact_odd = [Fraction(0)]    # sum of 1/(2j-1), j <= n
-        self._vals = [0.0]
-        self._vals_odd = [0.0]
-        self._carry = 0.0
-        self._carry_odd = 0.0
+        self._h = _Sum(lambda j: j)           # H_n
+        self._o = _Sum(lambda j: 2 * j - 1)   # O_n
+        self._exact, self._vals = self._h.exact, self._h.vals
+        self._exact_odd, self._vals_odd = self._o.exact, self._o.vals
+        self._lock = threading.Lock()
 
     def _check(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise DomainError(f"harmonic index must be a nonnegative integer, got {n!r}")
 
-    def exact(self, n: int) -> Fraction:
+    def _exact_of(self, s: _Sum, n: int, what: str) -> Fraction:
         self._check(n)
         if n > _EXACT_LIMIT:
             raise DomainError(
-                f"exact harmonic values are limited to n <= {_EXACT_LIMIT}, got {n}"
+                f"exact {what} values are limited to n <= {_EXACT_LIMIT}, got {n}"
             )
-        while len(self._exact) <= n:
-            k = len(self._exact)
-            self._exact.append(self._exact[-1] + Fraction(1, k))
-        return self._exact[n]
+        with self._lock:
+            s.grow_exact(n)
+        return s.exact[n]
+
+    def _value_of(self, s: _Sum, n: int) -> float:
+        self._check(n)
+        with self._lock:
+            s.grow_float(n)
+        return s.vals[n]
+
+    def exact(self, n: int) -> Fraction:
+        return self._exact_of(self._h, n, "harmonic")
 
     def exact_odd(self, n: int) -> Fraction:
-        self._check(n)
-        if n > _EXACT_LIMIT:
-            raise DomainError(
-                f"exact odd-harmonic values are limited to n <= {_EXACT_LIMIT}, got {n}"
-            )
-        while len(self._exact_odd) <= n:
-            k = len(self._exact_odd)
-            self._exact_odd.append(self._exact_odd[-1] + Fraction(1, 2 * k - 1))
-        return self._exact_odd[n]
-
-    def _extend_float(self, vals: list[float], n: int, odd: bool) -> None:
-        while len(vals) <= n:
-            k = len(vals)
-            if k <= _EXACT_LIMIT:
-                exact = self.exact_odd(k) if odd else self.exact(k)
-                v = float(exact)
-                vals.append(v)
-                carry = float(Fraction(v) - exact)
-                if odd:
-                    self._carry_odd = carry
-                else:
-                    self._carry = carry
-            else:
-                term = 1.0 / (2 * k - 1) if odd else 1.0 / k
-                carry = self._carry_odd if odd else self._carry
-                prev = vals[-1]
-                y = term - carry
-                t = prev + y
-                carry = (t - prev) - y
-                vals.append(t)
-                if odd:
-                    self._carry_odd = carry
-                else:
-                    self._carry = carry
+        return self._exact_of(self._o, n, "odd-harmonic")
 
     def value(self, n: int) -> float:
-        self._check(n)
-        self._extend_float(self._vals, n, odd=False)
-        return self._vals[n]
+        return self._value_of(self._h, n)
 
     def value_odd(self, n: int) -> float:
-        self._check(n)
-        self._extend_float(self._vals_odd, n, odd=True)
-        return self._vals_odd[n]
+        return self._value_of(self._o, n)
 
 
 _CACHE = HarmonicCache()

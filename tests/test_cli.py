@@ -74,6 +74,17 @@ def test_eval_closed_non_finite_exits_2(capsys):
     assert "nan" not in err and "Traceback" not in err
 
 
+def test_eval_closed_underflow_exits_2(capsys):
+    # the real root's powers underflow to 0 where C_r divides by them: a
+    # one-line error naming the point, not a ZeroDivisionError traceback
+    code, out, err = run(capsys, "eval", "--family", "A2", "--z=-1", "--m", "1000",
+                         "--method", "closed")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: closed form of family A2 at z = -1.0, m = 1000 ")
+    assert "underflows" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_eval_series_weight_overflow_exits_2(capsys):
     code, out, err = run(capsys, "eval", "--family", "A2", "--z", "1", "--m", "800",
                          "--method", "series")

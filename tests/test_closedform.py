@@ -88,6 +88,14 @@ class TestBasisIntegral:
         with pytest.raises(DomainError):
             C_of(-1, 2.0)
 
+    @pytest.mark.parametrize("r,lam", [(1000, -0.4655712318767681), (600, 0.2 + 0.1j),
+                                       (600, 1.0 + 0.1j)])
+    def test_underflowed_power_is_a_domain_error(self, r, lam):
+        # lam ** k or (lam - 1) ** k underflows to 0 where C_r divides by it
+        with pytest.raises(DomainError, match=re.escape(
+                f"C_r(lam) at r = {r}, lam = {complex(lam)!r} underflows")):
+            C_of(r, lam)
+
 
 class TestMirror:
     def test_minus_one(self):
@@ -175,11 +183,13 @@ class TestClosedSum:
         with pytest.raises(DomainError, match=re.escape(f"family {family} at z = {z!r}, m = {m}")):
             closed_sum(family, z, m)
 
-    @pytest.mark.parametrize("family,z,m", [("A1", 1.0, 16000), ("B1", -1.0, 100000)])
+    @pytest.mark.parametrize("family,z,m", [("A1", 1.0, 16000), ("B1", -1.0, 100000),
+                                            ("A2", 1.0, 2000), ("B2", -1.0, 3000)])
     def test_huge_m_refuses_before_any_cauchy_product(self, monkeypatch, family, z, m):
-        # the numerator's binomials overflow at this m; coeff_a must find
-        # that before the denominator's Cauchy products, whose cost grows
-        # as m^2, and before the numerator's own
+        # a root's m-th power overflows at this m; closed_sum must find that
+        # before the denominator's Cauchy products, whose cost grows as m^2,
+        # and before the numerator's own.  At z = -1 only the pair roots
+        # overflow: the real root's power underflows
         import trisum.closedform as cf
         products = []
         mul = cf._mul
@@ -194,6 +204,24 @@ class TestClosedSum:
         assert str(info.value) == (f"closed form of family {family} at z = {z!r}, m = {m} "
                                    f"overflows: complex exponentiation")
         assert products == []
+
+    @pytest.mark.parametrize("family,z,m", [("A2", -1.0, 1000), ("B2", -1.1, 1300)])
+    def test_underflowed_power_is_a_domain_error(self, family, z, m):
+        # the real root's powers underflow to 0 in C_r, which divides by
+        # them: a DomainError naming the point, not a ZeroDivisionError
+        with pytest.raises(DomainError) as info:
+            closed_sum(family, z, m)
+        assert str(info.value).startswith(
+            f"closed form of family {family} at z = {z!r}, m = {m} fails: C_r(lam) at r = ")
+        assert "underflows" in str(info.value)
+
+    def test_overflow_still_comes_first(self):
+        # A1 at the same point overflows at (lam - 1) ** 2m before any power
+        # underflows, and keeps that message
+        with pytest.raises(DomainError) as info:
+            closed_sum("A1", -1.0, 1000)
+        assert str(info.value) == ("closed form of family A1 at z = -1.0, m = 1000 "
+                                   "overflows: complex exponentiation")
 
 
 def _direct(family, z, m):

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -115,6 +117,46 @@ class TestHarmonic:
         for n in range(513):
             assert harmonic(n, exact=True) == fresh.exact(n)
             assert odd_harmonic(n, exact=True) == fresh.exact_odd(n)
+
+    def test_threads_grow_the_tables_one_thread_would(self):
+        # four threads extend a fresh cache's four tables at once, and the
+        # float tables grow through the exact ones up to n = 512; a thread
+        # switch every microsecond lands inside the appends.  Every trial's
+        # tables must be the ones a serial cache builds
+        top = 1000
+        serial = HarmonicCache()
+        want = ([serial.value(n).hex() for n in range(top + 1)],
+                [serial.value_odd(n).hex() for n in range(top + 1)],
+                [serial.exact(n) for n in range(513)],
+                [serial.exact_odd(n) for n in range(513)])
+
+        def trial():
+            cache = HarmonicCache()
+            start = threading.Barrier(4)
+
+            def grow(fn, last):
+                start.wait(timeout=60)
+                for n in range(last + 1):
+                    fn(n)
+
+            threads = [threading.Thread(target=grow, args=args)
+                       for args in ((cache.value, top), (cache.value_odd, top),
+                                    (cache.exact, 512), (cache.exact_odd, 512))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            return ([v.hex() for v in cache._vals], [v.hex() for v in cache._vals_odd],
+                    cache._exact, cache._exact_odd)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [trial() for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(tables == want for tables in got)
 
 
 class TestDilog:
