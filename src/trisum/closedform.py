@@ -65,9 +65,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DomainError, UnknownConstant
+from .errors import DomainError, UnknownConstant, check_index
 from .roots import CubicRoots, solve_cubic
-from .series import FAMILIES, SeriesFamily, resolve_family, validate
+from .series import SeriesFamily, check_point, family_entry
 from .specfun import catalan, dilog
 
 __all__ = [
@@ -96,8 +96,7 @@ def _check_lam(lam: complex) -> complex:
 
 def C_of(r: int, lam: complex) -> complex:
     """Closed form of the basis integral with a pole of order r+1 at lam."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-        raise DomainError(f"pole order must be a nonnegative integer, got {r!r}")
+    check_index(r, "pole order")
     lam = _check_lam(lam)
     if r == 0:
         return dilog(1.0 / lam)
@@ -152,8 +151,7 @@ def _mul(a: list[complex], b: list[complex]) -> list[complex]:
 
 
 def _check_order(m: int, which: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"coefficient order m must be a nonnegative integer, got {m!r}")
+    check_index(m, "coefficient order m")
     if not isinstance(which, int) or isinstance(which, bool) or which not in (1, 2, 3):
         raise DomainError(f"root selector must be 1, 2, or 3, got {which!r}")
 
@@ -270,14 +268,14 @@ class ClosedFormBreakdown(NamedTuple):
 
 def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBreakdown:
     """Evaluate one family in powers of 1/z by its closed form."""
-    family = resolve_family(family)
-    if not FAMILIES[family].outer:
+    family, spec = family_entry(family)
+    if not spec.outer:
         raise DomainError(
             f"family {family.value} has no closed form; its value is defined "
             f"by series and quadrature only"
         )
     z = float(z)
-    spec = validate(family, z, m)
+    check_point(family, spec, z, m)
 
     basis = _pole_basis(z)
     rts = basis.roots
@@ -286,10 +284,13 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
 
     contribs = []
     try:
-        # the largest power of a root in any coefficient or basis value: at
-        # a huge m it overflows here, before the O(m^2) Cauchy products
+        # the largest powers of a root in any coefficient or basis value,
+        # lam ** m and, for coeff_a alone, (lam - 1) ** 2m: at a huge m one
+        # overflows here, before the O(m^2) Cauchy products
         for lam in rts.roots:
             lam ** m
+            if not spec.shifted:
+                (lam - 1.0) ** (2 * m)
         for which, lam in enumerate(rts.roots, start=1):
             if lam.imag > 0.0:
                 # the roots sort the partner lam.conjugate() first

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and check_index, the one
+check of a nonnegative integer index that every layer applies to its m,
+term index, pole order or harmonic index."""
 
 __all__ = [
+    "check_index",
     "TrisumError",
     "DomainError",
     "RepeatedRoots",
@@ -47,3 +50,10 @@ class UnknownConstant(TrisumError, KeyError):
 
 class UnknownSuite(TrisumError, KeyError):
     """Requested verification suite name is not defined."""
+
+
+def check_index(value, noun: str) -> None:
+    """Raise DomainError unless value is a nonnegative int; a bool is not
+    one.  noun names the index in the message."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DomainError(f"{noun} must be a nonnegative integer, got {value!r}")

@@ -48,9 +48,11 @@ fault at a given z and m), and, for a family, the sign rule that makes
 its value from the integral: (-1)^m for A1-B2, -1 for C1/C3 and -z for
 C2/C4.  integrate() and series_via_quadrature() share the code that
 applies an entry, so each rule and the NoConvergence message exist
-once.  A family's call is one table lookup, one validate() (its only
-domain check) and one tanh_sinh call, with (z, m) as the integrand's
-extra arguments, so it builds no function of its own.
+once.  A family's call resolves its name once, by series.family_entry,
+checks (z, m) once, by series.check_point (its only domain check),
+reads the entry of the member it resolved to, and makes one tanh_sinh
+call, with (z, m) as the integrand's extra arguments, so it builds no
+function of its own.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
@@ -68,8 +70,8 @@ import math
 import threading
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import DomainError, NoConvergence
-from .series import FAMILIES, SeriesFamily, check_m_z, resolve_family, validate
+from .errors import DomainError, NoConvergence, check_index
+from .series import FAMILIES, SeriesFamily, check_m_z, check_point, family_entry
 
 if TYPE_CHECKING:
     import numpy as np
@@ -433,7 +435,7 @@ _ENTRIES = _table()
 def _integral(entry: _Entry, z: float, m: int, tol: float) -> float:
     # the entry's integral at (z, m), under its errstate rule and signed
     # by its sign rule; inputs already checked, as IntegrandSpec or
-    # validate() checks them
+    # check_point checks them
     f, quiet, sign = entry
     state = quiet(z, m)
     try:
@@ -473,8 +475,7 @@ _BETA_TERM = _OnStage(_beta_term, Kernel.LNX.value)
 
 def beta_term_integral(k: int, tol: float = 1e-12) -> float:
     """Integral of x^k (1-x)^{2k} log x over (0, 1)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"index must be a nonnegative integer, got {k!r}")
+    check_index(k, "index")
     return tanh_sinh(_BETA_TERM, tol, (k,))
 
 
@@ -483,14 +484,7 @@ def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
     """The value each series family must take, computed from its
     integral representation.  Independent oracle for sum_series and for
     the closed forms."""
-    try:
-        entry = _ENTRIES[family]
-    except (KeyError, TypeError):
-        entry = None
-    if entry is None or not entry.sign:
-        # not a family's name or member (a bare integral has no sign
-        # rule): resolve_family raises the enum's ValueError
-        entry = _ENTRIES[resolve_family(family)]
+    family, spec = family_entry(family)
     z = float(z)
-    validate(family, z, m)
-    return _integral(entry, z, m, tol)
+    check_point(family, spec, z, m)
+    return _integral(_ENTRIES[family], z, m, tol)

@@ -44,13 +44,15 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergent, TermOverflow, TooManyTerms
+from .errors import DomainError, NonConvergent, TermOverflow, TooManyTerms, check_index
 from .specfun import _EXACT_LIMIT, harmonic
 
 __all__ = [
     "SeriesFamily",
     "FamilySpec",
     "FAMILIES",
+    "family_entry",
+    "check_point",
     "validate",
     "TermValue",
     "base_term",
@@ -126,8 +128,7 @@ def base_term(kind: str, k: int) -> TermValue:
     """
     if kind not in ("A", "B"):
         raise DomainError(f"base term kind must be 'A' or 'B', got {kind!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"term index must be a nonnegative integer, got {k!r}")
+    check_index(k, "term index")
     den = (3 * k + 1) * math.comb(3 * k, k)
     # int / int division is correctly rounded at any size, so this is the
     # double nearest num / den even when den is past the double range
@@ -143,43 +144,36 @@ def base_term(kind: str, k: int) -> TermValue:
     return TermValue(k=k, value=value, exact=exact)
 
 
-# name -> (member, spec), the entry resolve_family, validate and
-# sum_series read; a SeriesFamily is a str equal to its name, so a member
-# finds its entry here too, at the cost of one dict lookup instead of a
-# call of the enum
+# name -> (member, spec), read by family_entry alone; a SeriesFamily is a
+# str equal to its name, so a member finds its entry here too, at the cost
+# of one dict lookup instead of a call of the enum
 _BY_NAME = {f.value: (f, spec) for f, spec in FAMILIES.items()}
 
 
-def resolve_family(family: SeriesFamily | str) -> SeriesFamily:
-    """The SeriesFamily named by family; ValueError for an unknown name."""
+def family_entry(family: SeriesFamily | str) -> tuple[SeriesFamily, FamilySpec]:
+    """The member and spec of the family named by family, a SeriesFamily
+    or its name: the one family lookup of every layer.  An unknown name
+    raises the enum's ValueError."""
     try:
-        return _BY_NAME[family][0]
+        return _BY_NAME[family]
     except (KeyError, TypeError):
-        return SeriesFamily(family)     # raises the enum's ValueError
+        return _BY_NAME[SeriesFamily(family)]
 
 
 def check_m_z(m: int, z: float) -> None:
     """The input checks every family and every integrand shares: m a
     nonnegative integer, then z finite.  Raises DomainError."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
+    check_index(m, "m")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
 
 
-def validate(family: SeriesFamily | str, z: float, m: int) -> FamilySpec:
-    """Check one (family, z, m) input and return the family's spec.
-
-    Every layer calls this, so all of them check in one order (m, then
-    z finite, then the family's domain) and raise the same error:
-    DomainError for a bad m or a non-finite z, NonConvergent for z
-    outside the region where the series converges.
+def check_point(family: SeriesFamily, spec: FamilySpec, z: float, m: int) -> None:
+    """Check (z, m) for the family that family_entry resolved to (family,
+    spec), in one order for every layer: m, then z finite, then the
+    family's domain.  Raises DomainError for a bad m or a non-finite z,
+    NonConvergent for z outside the region where the series converges.
     """
-    try:
-        family, spec = _BY_NAME[family]
-    except (KeyError, TypeError):
-        family = resolve_family(family)     # the enum's ValueError for an unknown name
-        spec = FAMILIES[family]
     check_m_z(m, z)
     if spec.outer:
         if abs(z) < 1.0:
@@ -193,6 +187,13 @@ def validate(family: SeriesFamily | str, z: float, m: int) -> FamilySpec:
             raise NonConvergent(
                 f"family {family.value} requires |z| <= 1, got z = {z!r}"
             )
+
+
+def validate(family: SeriesFamily | str, z: float, m: int) -> FamilySpec:
+    """Check one (family, z, m) input and return the family's spec:
+    family_entry, then check_point."""
+    family, spec = family_entry(family)
+    check_point(family, spec, z, m)
     return spec
 
 
@@ -302,16 +303,13 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     TermOverflow if the sum needs a term whose binomial weight is
     outside the double range (A2/B2 from m = 711 on).
     """
-    # the family's entry: its member, which with m keys its coefficient
-    # table, and its spec
-    try:
-        family, (_, outer, shifted) = _BY_NAME[family]
-    except (KeyError, TypeError):
-        family, (_, outer, shifted) = _BY_NAME[resolve_family(family)]
+    # the family's member, which with m keys its coefficient table
+    family, spec = family_entry(family)
     z = float(z)
     if not (isinstance(tol, float) and 1e-15 <= tol < math.inf):
         raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
-    validate(family, z, m)
+    check_point(family, spec, z, m)
+    _, outer, shifted = spec
 
     cap = DEFAULT_MAX_TERMS
     if outer:

@@ -26,7 +26,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, check_index
 
 __all__ = [
     "HarmonicCache",
@@ -150,12 +150,8 @@ class HarmonicCache:
         self._exact_odd, self._vals_odd = self._o.exact, self._o.vals
         self._lock = threading.Lock()
 
-    def _check(self, n: int) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise DomainError(f"harmonic index must be a nonnegative integer, got {n!r}")
-
     def _exact_of(self, s: _Sum, n: int, what: str) -> Fraction:
-        self._check(n)
+        check_index(n, "harmonic index")
         if n > _EXACT_LIMIT:
             raise DomainError(
                 f"exact {what} values are limited to n <= {_EXACT_LIMIT}, got {n}"
@@ -165,7 +161,7 @@ class HarmonicCache:
         return s.exact[n]
 
     def _value_of(self, s: _Sum, n: int) -> float:
-        self._check(n)
+        check_index(n, "harmonic index")
         with self._lock:
             s.grow_float(n)
         return s.vals[n]

@@ -184,12 +184,16 @@ class TestClosedSum:
             closed_sum(family, z, m)
 
     @pytest.mark.parametrize("family,z,m", [("A1", 1.0, 16000), ("B1", -1.0, 100000),
-                                            ("A2", 1.0, 2000), ("B2", -1.0, 3000)])
+                                            ("A2", 1.0, 2000), ("B2", -1.0, 3000),
+                                            ("A1", -1.0, 1000), ("B1", -1.0, 1300)])
     def test_huge_m_refuses_before_any_cauchy_product(self, monkeypatch, family, z, m):
-        # a root's m-th power overflows at this m; closed_sum must find that
-        # before the denominator's Cauchy products, whose cost grows as m^2,
-        # and before the numerator's own.  At z = -1 only the pair roots
-        # overflow: the real root's power underflows
+        # a root's m-th power, or for A1/B1 its (lam - 1) ** 2m, overflows
+        # at this m; closed_sum must find that before the denominator's
+        # Cauchy products, whose cost grows as m^2, and before the
+        # numerator's own.  At z = -1 only the pair roots' lam ** m
+        # overflows: the real root's power underflows.  At z = -1, m = 1000
+        # and 1300 no lam ** m overflows, but the real root's (lam - 1) ** 2m
+        # does
         import trisum.closedform as cf
         products = []
         mul = cf._mul
