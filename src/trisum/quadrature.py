@@ -110,8 +110,8 @@ _KIND_KERNEL = {"A": Kernel.LNX, "B": Kernel.LNRATIO}
 
 # the c1..c4 variants are the integrals of the alternating families of the
 # same name, so they take those families' kernels
-_C_VARIANT = {f: Variant(f.value.lower()) for f, spec in FAMILIES.items() if not spec.outer}
-_C_KERNEL = {v: _KIND_KERNEL[FAMILIES[f].kind] for f, v in _C_VARIANT.items()}
+_C_KERNEL = {Variant(f.value.lower()): _KIND_KERNEL[spec.kind]
+             for f, spec in FAMILIES.items() if not spec.outer}
 
 
 class _IntegrandFields(NamedTuple):
@@ -404,28 +404,27 @@ class _Entry(NamedTuple):
 
 
 def _table() -> dict:
-    """The entry of each bare integral, keyed by (kernel, variant), and of
-    each family, keyed by its name (which its member equals too)."""
+    """The entry of each family, keyed by its name (which its member
+    equals too), and of each bare integral, keyed by (kernel, variant):
+    the eight catalog integrals are the eight families' integral
+    representations, the same entry with no sign rule."""
     table = {}
-    for kernel in Kernel:
-        for variant in (Variant.THM1, Variant.THM2):
-            factor = _thm1_factor if variant is Variant.THM1 else _thm2_factor
-            table[kernel, variant] = _Entry(_OnStage(factor, kernel.value),
-                                            _pole_errstate, "")
-    for variant, kernel in _C_KERNEL.items():
-        # c2 and c4 weigh by u = x(1-x)^2, which rides with the kernel
-        rows = kernel.value + "*u" if variant in (Variant.C2, Variant.C4) else kernel.value
-        table[kernel, variant] = _Entry(_OnStage(_alternating_factor, rows),
-                                        _alternating_errstate, "")
-    # the sign rule of each family's integral representation: (-1)^m for
-    # A/B, -1 for C1/C3 and -z for C2/C4
     for family, spec in FAMILIES.items():
         kernel = _KIND_KERNEL[spec.kind]
+        # the sign rule of the family's integral representation: (-1)^m
+        # for A/B, -1 for C1/C3 and -z for C2/C4
         if spec.outer:
-            variant, sign = (Variant.THM2 if spec.shifted else Variant.THM1), "(-1)^m"
+            variant = Variant.THM2 if spec.shifted else Variant.THM1
+            factor = _thm2_factor if spec.shifted else _thm1_factor
+            entry = _Entry(_OnStage(factor, kernel.value), _pole_errstate, "(-1)^m")
         else:
-            variant, sign = _C_VARIANT[family], "-z" if spec.shifted else "-1"
-        table[family.value] = table[kernel, variant]._replace(sign=sign)
+            variant = Variant(family.value.lower())
+            # c2 and c4 weigh by u = x(1-x)^2, which rides with the kernel
+            rows = kernel.value + "*u" if spec.shifted else kernel.value
+            entry = _Entry(_OnStage(_alternating_factor, rows), _alternating_errstate,
+                           "-z" if spec.shifted else "-1")
+        table[family.value] = entry
+        table[kernel, variant] = entry._replace(sign="")
     return table
 
 

@@ -21,15 +21,14 @@ read at call time.  Only A1/B1 at m >= 9996 reach it: the base terms
 are exactly 0.0 from k = 389 on, so every other sum stops by about
 k = max(392, m + 5), or raises TermOverflow first (A2/B2 from m = 711).
 
-The base terms depend on k alone, so they are kept as one double table
-per kind, shared by every call and every z.  The coefficient that term k
-multiplies by its power of z depends on the family and m but not on z,
-so sum_series reads it from one table per (family, m): the base term
-times the binomial weight C(k,m) or C(k+m,k) for A1..B2, the weight
-carried as an exact integer by its ratio recurrence while the table is
-built, and the even- or odd-index base term for C1..C4.  Every table
-starts empty and grows by doubling to the longest prefix a call has
-needed, and at most _MAX_TABLES coefficient tables are kept.  A call
+The coefficient that term k multiplies by its power of z depends on the
+family and m but not on z, so sum_series reads it from one table per
+(family, m): the base term times the binomial weight C(k,m) or C(k+m,k)
+for A1..B2, the weight carried as an exact integer by its ratio
+recurrence while the table is built, and the even- or odd-index base
+term for C1..C4.  Each table computes the base terms of the entries it
+adds.  Every table starts empty and grows by doubling to the longest
+prefix a call has needed, and at most _MAX_TABLES tables are kept.  A call
 multiplies each coefficient by a power of z, whose step for C1..C4 is
 -z^2 so that it carries the alternating sign: each term is the same
 double that math.comb and an explicit sign give.
@@ -202,42 +201,18 @@ def _binom_step(k: int) -> float:
     return ((k + 1) * (2 * k + 1) * (2 * k + 2)) / ((3 * k + 1) * (3 * k + 2) * (3 * k + 3))
 
 
-# Base-term table per kind: _base[kind][n] is the double base term of index
-# n, _numerator_float(kind, n) * (1/C(3n,n)) / (3n+1), with 1/C(3n,n) carried
-# by the _binom_step recurrence from n = 0.  It depends on n alone, so every
-# sum_series call reads the same entries.  It starts empty and grows by
-# doubling to the longest prefix a call has needed.  A published list is
-# never changed: growth builds a longer one under the lock and then swaps it
-# in, so a reader holds either the old list or the new one, whole.
-_base_lock = threading.Lock()
-_base: dict[str, list[float]] = {"A": [], "B": []}
-
-
-def _grow_base(kind: str, n: int) -> list[float]:
-    """The kind's base-term table, grown to cover index n."""
-    with _base_lock:
-        table = _base[kind]
-        if n < len(table):
-            return table     # another thread grew it meanwhile
-        size = max(2 * len(table), n + 1)
-        grown = table[:]
-        inv_binom = 1.0      # 1/C(3j,j)
-        for j in range(size):
-            if j >= len(table):
-                grown.append(_numerator_float(kind, j) * inv_binom / (3 * j + 1))
-            inv_binom *= _binom_step(j)
-        _base[kind] = grown
-        return grown
-
-
 # Coefficient table per (family, m), that is per (kind, outer, shifted, m):
 # _coef[family, m][k] is the double that term k multiplies by its power of
-# z, _base[kind][n_k] * weight_k.  For A1..B2, n_k = k and the weight is the
-# exact integer C(k, m) or C(k+m, k); for C1..C4, n_k = 2k or 2k+1 and the
-# weight is 1.  Tables grow by doubling, never past the term cap
-# DEFAULT_MAX_TERMS, and are published whole under the lock, as _base is.
+# z, the base term of index n times the weight.  For A1..B2, n = k and the
+# weight is the exact integer C(k, m) or C(k+m, k); for C1..C4, n = 2k or
+# 2k+1 and the weight is 1.  The base term is _numerator_float(kind, n) *
+# (1/C(3n,n)) / (3n+1), with 1/C(3n,n) carried by the _binom_step
+# recurrence from n = 0.  Tables grow by doubling, never past the term cap
+# DEFAULT_MAX_TERMS.  A published list is never changed: growth builds a
+# longer one under the lock and then swaps it in, so a reader holds either
+# the old list or the new one, whole.
 # A table ends before its first coefficient outside the double range, a
-# nonzero base entry times a weight past it (A2/B2 at large m), and a sum
+# nonzero base term times a weight past it (A2/B2 at large m), and a sum
 # that needs that term raises TermOverflow; no exact product stands in for
 # it.  At most _MAX_TABLES are held; a new one evicts the oldest.  The
 # verification suites and the sweep benchmark use about 40 (family, m) keys
@@ -259,28 +234,38 @@ def _grow_coef(family: SeriesFamily, m: int, n: int) -> list[float]:
             return table     # another thread grew it meanwhile
         done = len(table)
         size = max(n + 1, min(2 * done, DEFAULT_MAX_TERMS))
+        # entry k takes the base term of index first + stride * k
         first, stride = (0, 1) if outer else (1 if shifted else 0, 2)
-        base = _grow_base(kind, first + stride * (size - 1))
-        entries = base[first + stride * done:first + stride * size:stride]
+        # the weight C(k+top, m), C(k+m, k) or C(k, m), as an exact int:
+        # the next one is this one times (k+1+top)/(k+1+top-m), or 1 at
+        # k+1+top = m and 0 below.  C1..C4 have m = 0, so theirs stays 1
+        top = m if shifted else 0
+        weight = math.comb(done + top, m)
         grown = table[:]
-        if outer:
-            # the weight C(k+top, m), C(k+m, k) or C(k, m), as an exact int:
-            # the next one is this one times (k+1+top)/(k+1+top-m), or 1 at
-            # k+1+top = m and 0 below
-            top = m if shifted else 0
-            weight = math.comb(done + top, m)
-            for k, b in enumerate(entries, done):
-                # base entries are 0.0 from k = 389 on, where a weight can
-                # pass the double range; the entry is 0.0 there too.  A
-                # nonzero entry whose weight is past it ends the table
-                try:
-                    grown.append(b * weight if b else 0.0)
-                except OverflowError:
-                    break
-                j = k + 1 + top
-                weight = weight * j // (j - m) if j > m else int(j == m)
-        else:
-            grown += entries
+        j = 0
+        inv_binom = 1.0      # 1/C(3j,j)
+        for k in range(done, size):
+            base_n = first + stride * k
+            while j < base_n and inv_binom:
+                inv_binom *= _binom_step(j)
+                j += 1
+            if not inv_binom:
+                # 1/C(3n,n) is 0.0 from n = 393 on, so every later entry
+                # is 0.0 too
+                grown += [0.0] * (size - k)
+                break
+            b = 0.0
+            if weight:       # C(k, m) is 0 below k = m, and so is the entry
+                b = _numerator_float(kind, base_n) * inv_binom / (3 * base_n + 1)
+            # base terms are 0.0 from n = 389 on, where a weight can pass
+            # the double range; the entry is 0.0 there too.  A nonzero base
+            # term whose weight is past it ends the table
+            try:
+                grown.append(b * weight if b else 0.0)
+            except OverflowError:
+                break
+            i = k + 1 + top
+            weight = weight * i // (i - m) if i > m else int(i == m)
         if key not in _coef and len(_coef) >= _MAX_TABLES:
             del _coef[next(iter(_coef))]
         _coef[key] = grown

@@ -187,6 +187,13 @@ class TestSumSeries:
         assert sum_series("A1", 2.0) == pytest.approx(A1_Z2_M0_REF, rel=1e-13, abs=0)
 
 
+def _base_entry(kind: str, n: int) -> float:
+    # the base term of index n as the tables compute it: entry n of the
+    # A1/B1 m = 0 table, the base term times C(n, 0) = 1
+    family = SeriesFamily.A1 if kind == "A" else SeriesFamily.B1
+    return series._grow_coef(family, 0, n)[n]
+
+
 def _sum_with_comb(family: str, z: float, m: int, tol: float) -> float:
     # sum_series as it was written before the binomial weights were carried
     # by recurrence and then by coefficient table: math.comb on every term,
@@ -205,7 +212,7 @@ def _sum_with_comb(family: str, z: float, m: int, tol: float) -> float:
         z_step = z * z
         n = 1 if spec.shifted else 0
     for k in range(cap):
-        base = series._grow_base(spec.kind, n)[n]
+        base = _base_entry(spec.kind, n)
         if spec.outer:
             binom = math.comb(k + m, k) if spec.shifted else math.comb(k, m)
             term = base * binom * z_pow
@@ -269,14 +276,13 @@ def test_recurrence_weights_hit_the_same_cap(monkeypatch):
 
 
 def _cold_tables(monkeypatch):
-    monkeypatch.setattr(series, "_base", {"A": [], "B": []})
     monkeypatch.setattr(series, "_coef", {})
 
 
 @pytest.fixture
 def cold_table(monkeypatch):
-    """Empty base-term and coefficient tables for the test, the module's
-    own restored after."""
+    """Empty coefficient tables for the test, the module's own restored
+    after."""
     _cold_tables(monkeypatch)
 
 
@@ -290,8 +296,10 @@ _SHORT_LONG = [
 
 class TestBaseTable:
     def test_entries_match_base_term(self, cold_table):
-        for kind in ("A", "B"):
-            table = series._grow_base(kind, 2000)
+        # the A1/B1 m = 0 tables hold the base terms themselves
+        for family in (SeriesFamily.A1, SeriesFamily.B1):
+            kind = FAMILIES[family].kind
+            table = series._grow_coef(family, 0, 2000)
             assert len(table) > 2000
             for k in range(2001):
                 if table[k] != 0.0:
@@ -300,14 +308,13 @@ class TestBaseTable:
 
     @pytest.mark.parametrize("family,z_short,z_long,m", _SHORT_LONG)
     def test_sums_do_not_depend_on_call_order(self, monkeypatch, family, z_short, z_long, m):
-        kind = FAMILIES[SeriesFamily(family)].kind
         _cold_tables(monkeypatch)
         short_first = [sum_series(family, z_short, m)]
-        grown_to = len(series._base[kind]), len(series._coef[family, m])
+        grown_to = len(series._coef[family, m])
         short_first.append(sum_series(family, z_long, m))
-        # the second call grew both tables
-        assert len(series._base[kind]) > grown_to[0]
-        assert len(series._coef[family, m]) > grown_to[1]
+        # the second call grew the family's table, and no other was built
+        assert len(series._coef[family, m]) > grown_to
+        assert list(series._coef) == [(family, m)]
         _cold_tables(monkeypatch)
         long_first = [sum_series(family, z_long, m)]
         long_first.insert(0, sum_series(family, z_short, m))
@@ -323,7 +330,6 @@ class TestBaseTable:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                series._base.update(A=[], B=[])
                 series._coef.clear()
                 start = threading.Barrier(4)
                 results = [None] * 4
@@ -343,6 +349,27 @@ class TestBaseTable:
                 assert results == [serial] * 4
         finally:
             sys.setswitchinterval(old)
+
+    def test_alternating_tables_hold_the_outer_base_terms(self, cold_table):
+        # each table computes its own base terms, by one recurrence from
+        # n = 0: entry k of C1/C3 is bitwise entry 2k of A1/B1 at m = 0,
+        # and entry k of C2/C4 is entry 2k + 1
+        for outer, even, odd in (("A1", "C1", "C2"), ("B1", "C3", "C4")):
+            base = series._grow_coef(SeriesFamily(outer), 0, 2001)[:2002]
+            for family, first in ((even, 0), (odd, 1)):
+                table = series._grow_coef(SeriesFamily(family), 0, 1000)[:1001]
+                assert [c.hex() for c in table] == [b.hex() for b in base[first::2]]
+
+    @pytest.mark.parametrize("family,z", [("A1", 2.0), ("B1", -1.0)])
+    def test_real_term_cap(self, cold_table, family, z):
+        # m = 9996 is the least m whose sum reaches DEFAULT_MAX_TERMS: every
+        # term from k = 389 on is 0.0, and the zero-tail stop waits for
+        # k > m + 3
+        with pytest.raises(TooManyTerms) as got:
+            sum_series(family, z, 9996)
+        assert str(got.value) == (f"family {family} at z = {z}, m = 9996 did not meet "
+                                  f"tol = 1e-13 within 10000 terms")
+        assert len(series._coef[family, 9996]) == series.DEFAULT_MAX_TERMS == 10000
 
     def test_table_count_is_bounded(self, cold_table):
         # one table per (family, m), but never more than _MAX_TABLES of
