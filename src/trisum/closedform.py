@@ -109,10 +109,25 @@ def C_of(r: int, lam: complex) -> complex:
         return (sign / r) * acc - (sign / (r * lam ** r)) * log_ratio
     except ZeroDivisionError:
         # a power of lam or lam - 1 underflowed to 0 where it divides
-        raise DomainError(
-            f"C_r(lam) at r = {r}, lam = {lam!r} underflows: it divides by a "
-            f"power of lam or lam - 1 that is 0 in double precision"
-        ) from None
+        raise _underflow(r, lam) from None
+
+
+def _underflow(r: int, lam: complex) -> DomainError:
+    return DomainError(
+        f"C_r(lam) at r = {r}, lam = {lam!r} underflows: it divides by a "
+        f"power of lam or lam - 1 that is 0 in double precision"
+    )
+
+
+def _check_powers(lam: complex, m: int) -> None:
+    # C_of's error for the first r <= m at which C_of(r, lam) divides by a
+    # power that is 0, found in O(m) powers and no C_r: once every r below
+    # has passed, the new powers at r are (lam - 1) ** (r - 1) and lam ** r,
+    # in C_of's expressions.  A power that overflows raises OverflowError
+    # here as it does there
+    for r in range(1, m + 1):
+        if (r > 1 and (lam - 1.0) ** (r - 1) == 0) or lam ** r == 0:
+            raise _underflow(r, lam)
 
 
 def C_mirror(r: int, lam: complex) -> complex:
@@ -291,6 +306,24 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
             lam ** m
             if not spec.shifted:
                 (lam - 1.0) ** (2 * m)
+        # a power C_of divides by can underflow to 0 only at a large m: for
+        # |z| >= 1 no root or root - 1 is below 0.4656 in modulus (the real
+        # root at z = -1), and 0.4656 ** 900 is 1.5e-299.  From there,
+        # compute, root by root in the order of the loop below, the powers
+        # that fail first: the denominator's in _binomial, then those C_of
+        # divides by at lam and, for B, at 1 - lam.  An underflow is
+        # refused here, before any coefficient or C_r, with C_of's error;
+        # one this skipped would still raise below, only later
+        if m >= 900:
+            for which, lam in enumerate(rts.roots, start=1):
+                if lam.imag > 0.0:
+                    continue
+                for i, w in enumerate(rts.roots, start=1):
+                    if i != which:
+                        (lam - w) ** -(m + 1)
+                _check_powers(lam, m)
+                if spec.kind == "B":
+                    _check_powers(1.0 - lam, m)
         for which, lam in enumerate(rts.roots, start=1):
             if lam.imag > 0.0:
                 # the roots sort the partner lam.conjugate() first
@@ -310,7 +343,7 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
             f"overflows: {exc}"
         ) from None
     except DomainError as exc:
-        # C_of's: a power it divides by underflowed to 0
+        # _check_powers': a power C_of divides by underflows to 0
         raise DomainError(
             f"closed form of family {family.value} at z = {z!r}, m = {m} fails: {exc}"
         ) from None

@@ -1,9 +1,13 @@
-"""Exception types shared across the package, and check_index, the one
-check of a nonnegative integer index that every layer applies to its m,
-term index, pole order or harmonic index."""
+"""Exception types shared across the package; check_index, the one check
+of a nonnegative integer index that every layer applies to its m, term
+index, pole order or harmonic index; and check_tol, the one check of a
+tolerance."""
+
+import math
 
 __all__ = [
     "check_index",
+    "check_tol",
     "TrisumError",
     "DomainError",
     "RepeatedRoots",
@@ -57,3 +61,10 @@ def check_index(value, noun: str) -> None:
     one.  noun names the index in the message."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise DomainError(f"{noun} must be a nonnegative integer, got {value!r}")
+
+
+def check_tol(tol, floor: float, noun: str) -> None:
+    """Raise DomainError unless tol is a finite float >= floor; an int is
+    not one.  noun names the tolerance in the message."""
+    if not (isinstance(tol, float) and floor <= tol < math.inf):
+        raise DomainError(f"{noun} must be a float >= {floor}, got {tol!r}")

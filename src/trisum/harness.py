@@ -24,10 +24,12 @@ fixed order so reports are deterministic apart from timings.
 The four suites that compare layers compute layer by layer: each layer
 (closed form, series, quadrature, and the published constant or exact
 rational) runs as one pass over all of the suite's points before the
-next, in one order that puts every point at one z next to each other
-with m ascending, and the records are then put in report order.  A
-record's runtime_ms is the sum of its own layer calls; a
-specfun-identities record's is the time its identity grid took.
+next.  Every pass visits the points by one rule: the points at one z
+together, in the order each z first appears in the report, m ascending,
+ties in report order.  So the closed forms at one z share closed_sum's
+pole basis, and records still come in report order.  A record's
+runtime_ms is the sum of its own layer calls; a specfun-identities
+record's is the time its identity grid took.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ import random
 import time
 from itertools import combinations, starmap
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, sub
+from operator import sub
 from typing import NamedTuple
 
 from .closedform import REGISTRY, closed_sum
-from .errors import DomainError, UnknownSuite
+from .errors import DomainError, UnknownSuite, check_tol
 from .quadrature import beta_term_integral, series_via_quadrature, tanh_sinh
 from .series import FAMILIES, base_term, sum_series
 from .specfun import catalan, clausen2, dilog, harmonic, odd_harmonic
@@ -152,64 +154,47 @@ def _beta_quad(point):
     return beta_term_integral(point[3], tol=_QUAD_TOL)
 
 
-def _layer_records(points, tol, closed=None, series=None, quad=None, extra=None,
-                   order=None) -> list[VerificationRecord]:
+def _layer_records(points, tol, closed=None, series=None, quad=None,
+                   extra=None) -> list[VerificationRecord]:
     """The records of points, each given layer run as one pass over all of
     them before the next.
 
-    points are (rid, family, z, m, scale) in the order every layer visits
-    them; a layer that is None leaves its column None.  A record's
-    runtime_ms is the sum of its own layer calls.  Records come in point
-    order, or in the order of the rids in order.
+    points are (rid, family, z, m, scale) in report order, and records
+    come in that order; every layer visits them by the rule in the module
+    docstring.  A layer that is None leaves its column None.  A record's
+    runtime_ms is the sum of its own layer calls.
     """
+    first_at: dict = {}
+    for point in points:
+        first_at.setdefault(point[2], len(first_at))
+    visit = sorted(enumerate(points), key=lambda item: (first_at[item[1][2]], item[1][3]))
     clock = time.perf_counter
     spent = [0.0] * len(points)
     columns = []
     for layer in (closed, series, quad, extra):
-        if layer is None:
-            columns.append([None] * len(points))
-            continue
-        column = []
-        for i, point in enumerate(points):
-            t0 = clock()
-            column.append(layer(point))
-            spent[i] += clock() - t0
+        column = [None] * len(points)
+        if layer is not None:
+            for i, point in visit:
+                t0 = clock()
+                column[i] = layer(point)
+                spent[i] += clock() - t0
         columns.append(column)
-    records = [
+    return [
         _record(rid, family, z, m, c, s, q, tol, 1000.0 * dt,
                 extra=() if x is None else (x,))
         for (rid, family, z, m, _), c, s, q, x, dt in zip(points, *columns, spent)
     ]
-    if order is None:
-        return records
-    by_id = {r.id: r for r in records}
-    return [by_id[rid] for rid in order]
 
 
 def _suite_constants(tol: float) -> list[VerificationRecord]:
-    # computed z-major with m ascending, so the entries at one z share
-    # closed_sum's pole basis; records keep the registry's order
-    by_z: dict[float, list] = {}
-    for entry in REGISTRY.values():
-        by_z.setdefault(entry.z, []).append(entry)
-    points = [(e.id, e.family.value, e.z, e.m, float(e.scale))
-              for entries in by_z.values()
-              for e in sorted(entries, key=attrgetter("m"))]
-    return _layer_records(points, tol, _closed, _series, _quad, _published,
-                          order=list(REGISTRY))
-
-
-def _grid_id(family: str, z: float, m: int) -> str:
-    return f"{family}-{_z_tag(z)}-m{m}"
+    points = [(e.id, e.family.value, e.z, e.m, float(e.scale)) for e in REGISTRY.values()]
+    return _layer_records(points, tol, _closed, _series, _quad, _published)
 
 
 def _suite_grid(tol: float) -> list[VerificationRecord]:
-    # computed z-major with m ascending, so every closed form at one z
-    # shares closed_sum's pole basis; records keep their family-major order
-    points = [(_grid_id(f, z, m), f, z, m, 1.0)
-              for z in _GRID_Z for m in _GRID_M for f in _GRID_FAMILIES]
-    order = [_grid_id(f, z, m) for f in _GRID_FAMILIES for z in _GRID_Z for m in _GRID_M]
-    return _layer_records(points, tol, _closed, _series, _quad, order=order)
+    points = [(f"{f}-{_z_tag(z)}-m{m}", f, z, m, 1.0)
+              for f in _GRID_FAMILIES for z in _GRID_Z for m in _GRID_M]
+    return _layer_records(points, tol, _closed, _series, _quad)
 
 
 def _suite_concluding(tol: float) -> list[VerificationRecord]:
@@ -334,8 +319,7 @@ def run_suite(name: str, tol: float | None = None) -> list[VerificationRecord]:
         )
     if tol is None:
         tol = _DEFAULT_TOL[name]
-    if not (isinstance(tol, float) and math.isfinite(tol)) or tol < 1e-13:
-        raise DomainError(f"suite tolerance must be a float >= 1e-13, got {tol!r}")
+    check_tol(tol, 1e-13, "suite tolerance")
     return runner(tol)
 
 
@@ -486,21 +470,14 @@ def _table_report(records) -> str:
     return "\n".join([*lines, lines[1], footer]) + "\n"
 
 
-def emit_report(records, fmt: str = "table", path: str | None = None,
-                suite: str | None = None, tol: float | None = None) -> str:
-    """Render records as json, csv, or a fixed-width table.
-
-    Returns the rendered text; writes it to path when one is given.
-    """
+def emit_report(records, fmt: str = "table", suite: str | None = None,
+                tol: float | None = None) -> str:
+    """Render records as json, csv, or a fixed-width table, and return
+    the text."""
     if fmt == "json":
-        text = _json_report(records, suite, tol)
-    elif fmt == "csv":
-        text = _csv_report(records)
-    elif fmt == "table":
-        text = _table_report(records)
-    else:
-        raise DomainError(f"unknown report format {fmt!r}; use json, csv, or table")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+        return _json_report(records, suite, tol)
+    if fmt == "csv":
+        return _csv_report(records)
+    if fmt == "table":
+        return _table_report(records)
+    raise DomainError(f"unknown report format {fmt!r}; use json, csv, or table")

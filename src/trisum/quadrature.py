@@ -70,7 +70,7 @@ import math
 import threading
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import DomainError, NoConvergence, check_index
+from .errors import DomainError, NoConvergence, check_index, check_tol
 from .series import FAMILIES, SeriesFamily, check_m_z, check_point, family_entry
 
 if TYPE_CHECKING:
@@ -263,8 +263,7 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
     are summed together, so a value of f that is not finite at any node
     of a stage makes every level sum in it non-finite.
     """
-    if not (isinstance(tol, float) and _MIN_TOL <= tol < math.inf):
-        raise DomainError(f"tol must be a float >= {_MIN_TOL}, got {tol!r}")
+    check_tol(tol, _MIN_TOL, "tol")
 
     if isinstance(f, _OnStage):
         values, kernel = f.values, f.kernel

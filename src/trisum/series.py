@@ -43,7 +43,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergent, TermOverflow, TooManyTerms, check_index
+from .errors import (DomainError, NonConvergent, TermOverflow, TooManyTerms, check_index,
+                     check_tol)
 from .specfun import _EXACT_LIMIT, harmonic
 
 __all__ = [
@@ -291,8 +292,7 @@ def sum_series(family: SeriesFamily | str, z: float, m: int = 0,
     # the family's member, which with m keys its coefficient table
     family, spec = family_entry(family)
     z = float(z)
-    if not (isinstance(tol, float) and 1e-15 <= tol < math.inf):
-        raise DomainError(f"tol must be a float >= 1e-15, got {tol!r}")
+    check_tol(tol, 1e-15, "tol")
     check_point(family, spec, z, m)
     _, outer, shifted = spec
 

@@ -117,7 +117,9 @@ class _Sum:
                 self.grow_exact(k)
                 exact = self.exact[k]
                 v = float(exact)
-                self.carry = float(Fraction(v) - exact)
+                if k == _EXACT_LIMIT:
+                    # the rounding residue that seeds the compensated sum
+                    self.carry = float(Fraction(v) - exact)
             else:
                 prev = vals[-1]
                 y = 1.0 / self.den(k) - self.carry

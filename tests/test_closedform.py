@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -87,6 +88,12 @@ class TestBasisIntegral:
     def test_bad_order(self):
         with pytest.raises(DomainError):
             C_of(-1, 2.0)
+
+    @pytest.mark.parametrize("lam", [complex(math.inf, 0.0), complex(2.0, math.nan)])
+    def test_non_finite_pole_rejected(self, lam):
+        with pytest.raises(DomainError, match=re.escape(
+                f"pole location must be finite, got {lam!r}")):
+            C_of(1, lam)
 
     @pytest.mark.parametrize("r,lam", [(1000, -0.4655712318767681), (600, 0.2 + 0.1j),
                                        (600, 1.0 + 0.1j)])
@@ -209,15 +216,31 @@ class TestClosedSum:
                                    f"overflows: complex exponentiation")
         assert products == []
 
+    # the first r at which C_r divides by a zero power, and the root
+    UNDERFLOW_AT = {"A2": (975, "(-0.4655712318767681+0j)"),
+                    "B2": (1055, "(-0.49329140899870805+0j)")}
+
     @pytest.mark.parametrize("family,z,m", [("A2", -1.0, 1000), ("B2", -1.1, 1300)])
-    def test_underflowed_power_is_a_domain_error(self, family, z, m):
+    def test_underflowed_power_is_a_domain_error(self, monkeypatch, family, z, m):
         # the real root's powers underflow to 0 in C_r, which divides by
-        # them: a DomainError naming the point, not a ZeroDivisionError
+        # them: a DomainError naming the point and the first such r, not a
+        # ZeroDivisionError, and found before any C_r or Cauchy product
+        import trisum.closedform as cf
+        r, lam = self.UNDERFLOW_AT[family]
+
+        def never(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(cf, "C_of", never)
+        monkeypatch.setattr(cf, "_mul", never)
+        cf._pole_basis.cache_clear()
+        cf._denominator.cache_clear()
         with pytest.raises(DomainError) as info:
             closed_sum(family, z, m)
-        assert str(info.value).startswith(
-            f"closed form of family {family} at z = {z!r}, m = {m} fails: C_r(lam) at r = ")
-        assert "underflows" in str(info.value)
+        assert str(info.value) == (
+            f"closed form of family {family} at z = {z!r}, m = {m} fails: C_r(lam) at "
+            f"r = {r}, lam = {lam} underflows: it divides by a power of lam or lam - 1 "
+            f"that is 0 in double precision")
 
     def test_overflow_still_comes_first(self):
         # A1 at the same point overflows at (lam - 1) ** 2m before any power
@@ -489,6 +512,18 @@ class TestRegistry:
     def test_unknown_constant(self):
         with pytest.raises(UnknownConstant):
             reference_constant("nope")
+
+    def test_unknown_atom(self):
+        entry = REGISTRY["a1-z2-m0"]._replace(terms=((Fraction(1), ("pi", "nope")),))
+        with pytest.raises(UnknownConstant, match="unknown atom 'nope'"):
+            entry.value()
+
+    def test_integer_coefficients_render(self):
+        # a unit coefficient shows only its atoms, or 1 when it has none
+        entry = REGISTRY["a1-z2-m0"]._replace(terms=(
+            (Fraction(3), ("pi",)), (Fraction(-1), ("G",)), (Fraction(2), ()),
+            (Fraction(-1), ())))
+        assert entry.expression() == "3*pi - G + 2 - 1"
 
     def test_expressions_render(self):
         expr = REGISTRY["a1-z2-m0"].expression()

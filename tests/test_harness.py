@@ -177,12 +177,6 @@ def test_table_report(all_suites):
     assert "1 records, 0 passed, 1 failed" in fail_text
 
 
-def test_report_written_to_path(tmp_path, all_suites):
-    target = tmp_path / "report.json"
-    text = emit_report(all_suites["concluding"], "json", path=str(target))
-    assert target.read_text(encoding="utf-8") == text
-
-
 def test_unknown_format():
     with pytest.raises(DomainError):
         emit_report([], "yaml")
@@ -259,9 +253,8 @@ def test_runtime_is_finite_and_positive(all_suites, name):
         assert math.isfinite(r.runtime_ms) and r.runtime_ms > 0.0, r.id
 
 
-def test_grid_solves_one_cubic_per_z(monkeypatch):
-    # the closed pass visits the grid z-major, so one pole basis serves
-    # every closed form at one z
+def _cubics_solved(monkeypatch, suite):
+    # the z of every cubic solved by one run of suite from a cold pole basis
     calls = []
     solve = closedform.solve_cubic
 
@@ -271,5 +264,35 @@ def test_grid_solves_one_cubic_per_z(monkeypatch):
 
     monkeypatch.setattr(closedform, "solve_cubic", counted)
     closedform._pole_basis.cache_clear()
-    run_suite("theorem-grid")
-    assert calls == list(harness._GRID_Z)
+    run_suite(suite)
+    return calls
+
+
+def test_grid_solves_one_cubic_per_z(monkeypatch):
+    # the closed pass visits the points at one z together, so one pole
+    # basis serves every closed form at that z
+    assert _cubics_solved(monkeypatch, "theorem-grid") == list(harness._GRID_Z)
+
+
+def test_constants_solve_one_cubic_per_z(monkeypatch):
+    # the registry interleaves z = 2 and z = -4; each is solved once
+    assert _cubics_solved(monkeypatch, "paper-constants") == [2.0, -4.0]
+
+
+def test_layers_visit_by_z_then_m():
+    # points at one z together, in the order each z first appears, m
+    # ascending, ties in report order; records stay in report order
+    points = [(rid, None, z, m, 1.0) for rid, z, m in (
+        ("a", 2.0, 3), ("b", -4.0, 0), ("c", 2.0, 1), ("d", None, 5),
+        ("e", 2.0, 1), ("f", -4.0, 0), ("g", None, 2))]
+    visits = []
+
+    def layer(point):
+        visits.append(point[0])
+        return float(len(visits))
+
+    records = harness._layer_records(points, 1e-9, closed=layer, quad=layer)
+    assert visits == list("ceabfgd") * 2
+    assert [r.id for r in records] == list("abcdefg")
+    assert [r.closed for r in records] == [3.0, 4.0, 1.0, 7.0, 2.0, 5.0, 6.0]
+    assert [r.quad_oracle for r in records] == [10.0, 11.0, 8.0, 14.0, 9.0, 12.0, 13.0]

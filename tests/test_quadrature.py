@@ -670,3 +670,19 @@ def test_table_entries():
         bare = _ENTRIES[Kernel(kernel), Variant(variant)]
         assert (entry.f, entry.quiet) == (bare.f, bare.quiet)
         assert (entry.sign, bare.sign) == (signs[family], "")
+
+
+def test_c_family_no_convergence_passes_through(monkeypatch):
+    # only thm1/thm2 have a pole near [0, 1] to name; a C family's
+    # NoConvergence leaves _integral as tanh_sinh raised it.  No C-family
+    # input is known to fail, so tanh_sinh is stubbed
+    import trisum.quadrature as quadrature
+
+    def fail(f, tol, args):
+        raise NoConvergence("did not converge")
+
+    monkeypatch.setattr(quadrature, "tanh_sinh", fail)
+    for family in ("C1", "C2", "C3", "C4"):
+        with pytest.raises(NoConvergence) as info:
+            series_via_quadrature(family, 0.5)
+        assert str(info.value) == "did not converge"

@@ -189,6 +189,18 @@ def test_values_of_other_types_render_as_before():
     assert emit_report([record(id=7, m=2.0)], "csv") == ref_csv([record(id=7, m=2.0)])
 
 
+def test_strings_outside_str_columns_render_as_before():
+    # a str in a float column, a str subclass as id, and a str tol each
+    # take the per-cell rule, which writes a str as json.dumps does
+    class Tag(str):
+        pass
+
+    odd = record(id=Tag("tagged"), z="2", closed="x\"y")
+    got = emit_report([odd], "json", tol="1e-9")
+    assert got == ref_json([odd], None, "1e-9", _STAMP.search(got).group(1))
+    assert '"z": "2"' in got and '"tol": "1e-9"' in got
+
+
 def test_non_finite_json_parses():
     text = emit_report([SYNTHETIC[-1]], "json", tol=math.nan)
     assert '"abs_diff": Infinity' in text

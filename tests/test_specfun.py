@@ -76,6 +76,22 @@ class TestHarmonic:
         assert harmonic(5000) == pytest.approx(H_5000_REF, rel=1e-15, abs=0)
         assert harmonic(30000) == pytest.approx(H_30000_REF, rel=1e-15, abs=0)
 
+    # recorded float.hex of (H_n, O_n) around and past the exact limit,
+    # where the compensated sum starts from the rounding residue of the
+    # exact value at n = 512
+    PINNED_BITS = {
+        512: ("0x1.b441ce9122323p+2", "0x1.06756e4685850p+2"),
+        513: ("0x1.b461be991e343p+2", "0x1.06856a4785451p+2"),
+        1000: ("0x1.df11f45f4e61ap+2", "0x1.1be167dd42c64p+2"),
+        5000: ("0x1.2306376e18052p+3", "0x1.4f61ebb7a4520p+2"),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED_BITS))
+    def test_float_table_bits_are_pinned(self, n):
+        fresh = HarmonicCache()
+        assert (fresh.value(n).hex(), fresh.value_odd(n).hex()) == self.PINNED_BITS[n]
+        assert (harmonic(n).hex(), odd_harmonic(n).hex()) == self.PINNED_BITS[n]
+
     def test_even_odd_split_exact(self):
         # H_{2n} = H_n/2 + O_n and H_{2n-1} = H_{n-1}/2 + O_n
         for n in range(1, 201):
@@ -305,10 +321,15 @@ class TestDilog:
         )
     )
     def test_landen_complex(self, z):
-        # Li2(z) + Li2(z/(z-1)) = -log(1-z)^2/2 away from the cuts
-        if abs(z - 1) < 1e-3 or (z.imag == 0.0 and z.real > 0.999):
+        # Li2(z) + Li2(z/(z-1)) = -log(1-z)^2/2 away from the cuts, for
+        # both arguments: at z = 3 - 5e-324j the imaginary part of
+        # z/(z-1), about 1.2e-324, rounds to 0 and puts it on the cut
+        if abs(z - 1) < 1e-3:
             return
-        lhs = dilog(z) + dilog(z / (z - 1))
+        w = z / (z - 1)
+        if any(a.imag == 0.0 and a.real > 0.999 for a in (z, w)):
+            return
+        lhs = dilog(z) + dilog(w)
         rhs = -0.5 * cmath.log(1 - z) ** 2
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
