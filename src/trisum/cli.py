@@ -32,7 +32,7 @@ from .harness import (_QUAD_TOL, _SERIES_TOL, SUITES, _fmt, _record, columns, cs
                       emit_report, run_suite)
 from .quadrature import (_MIN_TOL, IntegrandSpec, Kernel, Variant, integrate,
                          series_via_quadrature)
-from .series import SeriesFamily, sum_series, validate
+from .series import SeriesFamily, check_point, family_entry, sum_series
 from .specfun import catalan, clausen2, dilog
 
 __all__ = ["build_parser", "main"]
@@ -161,10 +161,10 @@ def _emit(args: argparse.Namespace, doc: dict, header, rows, table: str) -> None
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    family = SeriesFamily(args.family)
+    family, spec = family_entry(args.family)
     # the series defines the object, so its convergence domain gates every
     # method, closed form included
-    spec = validate(family, args.z, args.m)
+    check_point(family, spec, args.z, args.m)
 
     # methods always run at the suites' tolerances; args.tol is the
     # agreement gate for --method all

@@ -189,9 +189,10 @@ def coeff_a(m: int, roots: CubicRoots, which: int) -> list[complex]:
     the numerator x^m (1-x)^{2m}."""
     _check_order(m, which)
     lam = roots.roots[which - 1]
-    # the numerator's binomials come first: each is O(m), and at a large m
-    # their lam ** m or (lam - 1) ** 2m raises OverflowError before the
-    # denominator's O(m^2) Cauchy product runs
+    # the numerator's binomials come first: each is O(m), and where their
+    # lam ** m or (lam - 1) ** 2m overflows with an exponent above 100 it
+    # raises OverflowError before the denominator's O(m^2) Cauchy product
+    # runs
     num_x = _binomial(lam, m, m)
     num_xc = _binomial(lam - 1.0, 2 * m, m)
     den = _denominator(m, roots, which)[1]
@@ -281,6 +282,11 @@ class ClosedFormBreakdown(NamedTuple):
     imag_residual: float
 
 
+def _refusal(family: SeriesFamily, z: float, m: int, what: str) -> DomainError:
+    # closed_sum's error at one point, built only when it refuses
+    return DomainError(f"closed form of family {family.value} at z = {z!r}, m = {m} {what}")
+
+
 def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBreakdown:
     """Evaluate one family in powers of 1/z by its closed form."""
     family, spec = family_entry(family)
@@ -299,25 +305,28 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
 
     contribs = []
     try:
-        # the largest powers of a root in any coefficient or basis value,
-        # lam ** m and, for coeff_a alone, (lam - 1) ** 2m: at a huge m one
-        # overflows here, before the O(m^2) Cauchy products
-        for lam in rts.roots:
+        # one refusal pass before any coefficient or basis value, root by
+        # root in the order of the loop below (the pair root with positive
+        # imaginary part has its partner's powers, conjugated).  lam ** m
+        # and, for coeff_a alone, (lam - 1) ** 2m are the largest powers of
+        # a root in either: where one overflows with an exponent above 100,
+        # complex ** raises OverflowError here, before the O(m^2) Cauchy
+        # products.  Up to 100 it multiplies instead and can give nan
+        # without raising; a later power or the finite check below refuses
+        for which, lam in enumerate(rts.roots, start=1):
+            if lam.imag > 0.0:
+                continue
             lam ** m
             if not spec.shifted:
                 (lam - 1.0) ** (2 * m)
-        # a power C_of divides by can underflow to 0 only at a large m: for
-        # |z| >= 1 no root or root - 1 is below 0.4656 in modulus (the real
-        # root at z = -1), and 0.4656 ** 900 is 1.5e-299.  From there,
-        # compute, root by root in the order of the loop below, the powers
-        # that fail first: the denominator's in _binomial, then those C_of
-        # divides by at lam and, for B, at 1 - lam.  An underflow is
-        # refused here, before any coefficient or C_r, with C_of's error;
-        # one this skipped would still raise below, only later
-        if m >= 900:
-            for which, lam in enumerate(rts.roots, start=1):
-                if lam.imag > 0.0:
-                    continue
+            if m >= 900:
+                # a power C_of divides by can underflow to 0 only at a large
+                # m: for |z| >= 1 no root or root - 1 is below 0.4656 in
+                # modulus (the real root at z = -1), and 0.4656 ** 900 is
+                # 1.5e-299.  From there, the powers that fail first: the
+                # denominator's in _binomial, then those C_of divides by at
+                # lam and, for B, at 1 - lam, so an underflow is refused
+                # with C_of's error
                 for i, w in enumerate(rts.roots, start=1):
                     if i != which:
                         (lam - w) ** -(m + 1)
@@ -330,6 +339,12 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
                 contribs.append(contribs[rts.roots.index(lam.conjugate())].conjugate())
                 continue
             coeffs = basis.coeffs(coeff, which, m)
+            if m >= 900 and not all(map(cmath.isfinite, coeffs)):
+                # the sum is not finite whatever the basis values are, and
+                # the checks above leave nothing in them to raise: skip
+                # their O(m^2) build, and the finite check below refuses
+                contribs.append(complex(math.nan, math.nan))
+                continue
             cs = basis.values(values, which, m)
             inner = 0j
             for a_r, c_r in zip(coeffs, cs):    # coeffs holds r = 0..m
@@ -338,24 +353,16 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
     except OverflowError as exc:
         # complex ** raises where float arithmetic would give inf: at huge
         # |z| the roots' powers in _binomial pass the double range
-        raise DomainError(
-            f"closed form of family {family.value} at z = {z!r}, m = {m} "
-            f"overflows: {exc}"
-        ) from None
+        raise _refusal(family, z, m, f"overflows: {exc}") from None
     except DomainError as exc:
         # _check_powers': a power C_of divides by underflows to 0
-        raise DomainError(
-            f"closed form of family {family.value} at z = {z!r}, m = {m} fails: {exc}"
-        ) from None
+        raise _refusal(family, z, m, f"fails: {exc}") from None
 
     grand = sum(contribs, start=0j)
     if not all(map(cmath.isfinite, (grand, *contribs))):
         # a coefficient or basis value left the double range, where
         # complex * and / give inf or nan instead of raising
-        raise DomainError(
-            f"closed form of family {family.value} at z = {z!r}, m = {m} "
-            f"overflows: its sum is not finite"
-        )
+        raise _refusal(family, z, m, "overflows: its sum is not finite")
     if m % 2:
         grand = -grand
     return ClosedFormBreakdown(

@@ -53,7 +53,6 @@ __all__ = [
     "FAMILIES",
     "family_entry",
     "check_point",
-    "validate",
     "TermValue",
     "base_term",
     "sum_series",
@@ -187,14 +186,6 @@ def check_point(family: SeriesFamily, spec: FamilySpec, z: float, m: int) -> Non
             raise NonConvergent(
                 f"family {family.value} requires |z| <= 1, got z = {z!r}"
             )
-
-
-def validate(family: SeriesFamily | str, z: float, m: int) -> FamilySpec:
-    """Check one (family, z, m) input and return the family's spec:
-    family_entry, then check_point."""
-    family, spec = family_entry(family)
-    check_point(family, spec, z, m)
-    return spec
 
 
 def _binom_step(k: int) -> float:

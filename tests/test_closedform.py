@@ -192,7 +192,8 @@ class TestClosedSum:
 
     @pytest.mark.parametrize("family,z,m", [("A1", 1.0, 16000), ("B1", -1.0, 100000),
                                             ("A2", 1.0, 2000), ("B2", -1.0, 3000),
-                                            ("A1", -1.0, 1000), ("B1", -1.0, 1300)])
+                                            ("A1", -1.0, 1000), ("B1", -1.0, 1300),
+                                            ("B1", -1.1, 1300)])
     def test_huge_m_refuses_before_any_cauchy_product(self, monkeypatch, family, z, m):
         # a root's m-th power, or for A1/B1 its (lam - 1) ** 2m, overflows
         # at this m; closed_sum must find that before the denominator's
@@ -200,7 +201,9 @@ class TestClosedSum:
         # numerator's own.  At z = -1 only the pair roots' lam ** m
         # overflows: the real root's power underflows.  At z = -1, m = 1000
         # and 1300 no lam ** m overflows, but the real root's (lam - 1) ** 2m
-        # does
+        # does.  At z = -1.1, m = 1300 the pair root, checked first, passes
+        # every check, and the real root's (lam - 1) ** 2m overflows before
+        # the pass reaches its powers that underflow
         import trisum.closedform as cf
         products = []
         mul = cf._mul
@@ -217,16 +220,18 @@ class TestClosedSum:
         assert products == []
 
     # the first r at which C_r divides by a zero power, and the root
-    UNDERFLOW_AT = {"A2": (975, "(-0.4655712318767681+0j)"),
-                    "B2": (1055, "(-0.49329140899870805+0j)")}
+    UNDERFLOW_AT = {("A2", -1.0): (975, "(-0.4655712318767681+0j)"),
+                    ("B2", -1.0): (975, "(-0.4655712318767681+0j)"),
+                    ("B2", -1.1): (1055, "(-0.49329140899870805+0j)")}
 
-    @pytest.mark.parametrize("family,z,m", [("A2", -1.0, 1000), ("B2", -1.1, 1300)])
+    @pytest.mark.parametrize("family,z,m", [("A2", -1.0, 1000), ("B2", -1.1, 1300),
+                                            ("B2", -1.0, 1000)])
     def test_underflowed_power_is_a_domain_error(self, monkeypatch, family, z, m):
         # the real root's powers underflow to 0 in C_r, which divides by
         # them: a DomainError naming the point and the first such r, not a
         # ZeroDivisionError, and found before any C_r or Cauchy product
         import trisum.closedform as cf
-        r, lam = self.UNDERFLOW_AT[family]
+        r, lam = self.UNDERFLOW_AT[family, z]
 
         def never(*args):
             raise AssertionError("called")
@@ -241,6 +246,22 @@ class TestClosedSum:
             f"closed form of family {family} at z = {z!r}, m = {m} fails: C_r(lam) at "
             f"r = {r}, lam = {lam} underflows: it divides by a power of lam or lam - 1 "
             f"that is 0 in double precision")
+
+    def test_non_finite_coefficients_refuse_before_basis_values(self, monkeypatch):
+        # at B1 z = 2, m = 900 no power raises, but most coeff_a entries at
+        # each evaluated root leave the double range: closed_sum refuses
+        # from the coefficients, without building any C_r
+        import trisum.closedform as cf
+
+        def never(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(cf, "C_of", never)
+        cf._pole_basis.cache_clear()
+        with pytest.raises(DomainError) as info:
+            closed_sum("B1", 2.0, 900)
+        assert str(info.value) == ("closed form of family B1 at z = 2.0, m = 900 "
+                                   "overflows: its sum is not finite")
 
     def test_overflow_still_comes_first(self):
         # A1 at the same point overflows at (lam - 1) ** 2m before any power
