@@ -109,25 +109,10 @@ def C_of(r: int, lam: complex) -> complex:
         return (sign / r) * acc - (sign / (r * lam ** r)) * log_ratio
     except ZeroDivisionError:
         # a power of lam or lam - 1 underflowed to 0 where it divides
-        raise _underflow(r, lam) from None
-
-
-def _underflow(r: int, lam: complex) -> DomainError:
-    return DomainError(
-        f"C_r(lam) at r = {r}, lam = {lam!r} underflows: it divides by a "
-        f"power of lam or lam - 1 that is 0 in double precision"
-    )
-
-
-def _check_powers(lam: complex, m: int) -> None:
-    # C_of's error for the first r <= m at which C_of(r, lam) divides by a
-    # power that is 0, found in O(m) powers and no C_r: once every r below
-    # has passed, the new powers at r are (lam - 1) ** (r - 1) and lam ** r,
-    # in C_of's expressions.  A power that overflows raises OverflowError
-    # here as it does there
-    for r in range(1, m + 1):
-        if (r > 1 and (lam - 1.0) ** (r - 1) == 0) or lam ** r == 0:
-            raise _underflow(r, lam)
+        raise DomainError(
+            f"C_r(lam) at r = {r}, lam = {lam!r} underflows: it divides by a "
+            f"power of lam or lam - 1 that is 0 in double precision"
+        ) from None
 
 
 def C_mirror(r: int, lam: complex) -> complex:
@@ -215,10 +200,12 @@ class PoleBasis:
     not depend on m, so each list grows to the largest m asked and
     serves every smaller one.  coeffs(name, which, m) is the list of
     coeff_a ("a") or coeff_b ("b") at that root and m; only the last m's
-    lists are kept.  Everything is built through this module's globals
-    solve_cubic, coeff_a, coeff_b and C_of, and a list is stored only
-    once whole, so a build that raised is tried again on the next
-    request, and threads that race on a list build equal ones.
+    lists are kept, and only finite ones: a list with an entry that is
+    not finite raises OverflowError as soon as it is built.  Everything is
+    built through this module's globals solve_cubic, coeff_a, coeff_b and
+    C_of, and a list is stored only once whole, so a build that raised is
+    tried again on the next request, and threads that race on a list
+    build equal ones.
     """
 
     __slots__ = ("roots", "_values", "_coeffs")
@@ -237,8 +224,12 @@ class PoleBasis:
             held = self._coeffs = (m, {})
         got = held[1].get((name, which))
         if got is None:
-            build = coeff_a if name == "a" else coeff_b
-            got = held[1][name, which] = build(m, self.roots, which)
+            got = (coeff_a if name == "a" else coeff_b)(m, self.roots, which)
+            if not all(map(cmath.isfinite, got)):
+                # complex * and / give inf or nan where a coefficient
+                # leaves the double range, instead of raising
+                raise OverflowError(f"coeff_{name} at m = {m} leaves the double range")
+            held[1][name, which] = got
         return got
 
     def values(self, name: str, which: int, m: int) -> list[complex]:
@@ -282,13 +273,34 @@ class ClosedFormBreakdown(NamedTuple):
     imag_residual: float
 
 
-def _refusal(family: SeriesFamily, z: float, m: int, what: str) -> DomainError:
-    # closed_sum's error at one point, built only when it refuses
-    return DomainError(f"closed form of family {family.value} at z = {z!r}, m = {m} {what}")
+def _divides_by_zero(c: complex, m: int) -> bool:
+    # whether C_of(r, c) divides by a power that is 0 at some r <= m, from
+    # the largest powers it divides by, c ** m and (c - 1) ** (m - 1); one
+    # that overflows raises OverflowError as it does in C_of.  With an
+    # exponent above 100 complex ** raises where pow(|c|, n) overflows and
+    # is 0 exactly where pow(|c|, n) is (a nonzero subnormal modulus rounds
+    # to a nonzero component); up to 100 it multiplies, and for |z| >= 1 no
+    # root or root - 1 is below 0.4656 in modulus, so nothing underflows
+    # there.  pow(|c|, n) is monotone in n, so these powers fail wherever a
+    # smaller one would
+    return c ** m == 0 or (c - 1.0) ** (m - 1) == 0
+
+
+def _refusal(family: SeriesFamily, z: float, m: int) -> DomainError:
+    # closed_sum's one error, built only when it refuses
+    return DomainError(
+        f"closed form of family {family.value} at z = {z!r}, m = {m} leaves the double range"
+    )
 
 
 def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBreakdown:
-    """Evaluate one family in powers of 1/z by its closed form."""
+    """Evaluate one family in powers of 1/z by its closed form.
+
+    Raises DomainError "closed form of family F at z = ..., m = ...
+    leaves the double range" where a power of a root overflows, or
+    underflows to 0 where C_r divides by it, or a coefficient or the sum
+    is not finite; it never returns nan.
+    """
     family, spec = family_entry(family)
     if not spec.outer:
         raise DomainError(
@@ -305,64 +317,43 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
 
     contribs = []
     try:
-        # one refusal pass before any coefficient or basis value, root by
-        # root in the order of the loop below (the pair root with positive
-        # imaginary part has its partner's powers, conjugated).  lam ** m
-        # and, for coeff_a alone, (lam - 1) ** 2m are the largest powers of
-        # a root in either: where one overflows with an exponent above 100,
-        # complex ** raises OverflowError here, before the O(m^2) Cauchy
-        # products.  Up to 100 it multiplies instead and can give nan
-        # without raising; a later power or the finite check below refuses
-        for which, lam in enumerate(rts.roots, start=1):
+        # one O(1) refusal test per evaluated root, before any coefficient
+        # or basis value (the pair root with positive imaginary part has
+        # its partner's powers, conjugated): (lam - 1) ** 2m, the largest
+        # power in coeff_a, raises OverflowError where it overflows, and
+        # _divides_by_zero tests lam ** m, coeff_a's other largest power,
+        # with the powers C_of divides by at lam and, for B, at 1 - lam.
+        # The denominator's powers in _binomial cannot fail: for |z| >= 1
+        # the roots are at least 1.4897 apart, so each |lam - w| ** -(m + 1)
+        # is at most 1
+        for lam in rts.roots:
             if lam.imag > 0.0:
                 continue
-            lam ** m
             if not spec.shifted:
                 (lam - 1.0) ** (2 * m)
-            if m >= 900:
-                # a power C_of divides by can underflow to 0 only at a large
-                # m: for |z| >= 1 no root or root - 1 is below 0.4656 in
-                # modulus (the real root at z = -1), and 0.4656 ** 900 is
-                # 1.5e-299.  From there, the powers that fail first: the
-                # denominator's in _binomial, then those C_of divides by at
-                # lam and, for B, at 1 - lam, so an underflow is refused
-                # with C_of's error
-                for i, w in enumerate(rts.roots, start=1):
-                    if i != which:
-                        (lam - w) ** -(m + 1)
-                _check_powers(lam, m)
-                if spec.kind == "B":
-                    _check_powers(1.0 - lam, m)
+            if _divides_by_zero(lam, m) or (
+                    spec.kind == "B" and _divides_by_zero(1.0 - lam, m)):
+                raise _refusal(family, z, m)
         for which, lam in enumerate(rts.roots, start=1):
             if lam.imag > 0.0:
                 # the roots sort the partner lam.conjugate() first
                 contribs.append(contribs[rts.roots.index(lam.conjugate())].conjugate())
                 continue
             coeffs = basis.coeffs(coeff, which, m)
-            if m >= 900 and not all(map(cmath.isfinite, coeffs)):
-                # the sum is not finite whatever the basis values are, and
-                # the checks above leave nothing in them to raise: skip
-                # their O(m^2) build, and the finite check below refuses
-                contribs.append(complex(math.nan, math.nan))
-                continue
             cs = basis.values(values, which, m)
             inner = 0j
             for a_r, c_r in zip(coeffs, cs):    # coeffs holds r = 0..m
                 inner += a_r * c_r
             contribs.append(inner)
-    except OverflowError as exc:
-        # complex ** raises where float arithmetic would give inf: at huge
-        # |z| the roots' powers in _binomial pass the double range
-        raise _refusal(family, z, m, f"overflows: {exc}") from None
-    except DomainError as exc:
-        # _check_powers': a power C_of divides by underflows to 0
-        raise _refusal(family, z, m, f"fails: {exc}") from None
+    except OverflowError:
+        # from a power above, or PoleBasis.coeffs' list that is not finite
+        raise _refusal(family, z, m) from None
 
     grand = sum(contribs, start=0j)
     if not all(map(cmath.isfinite, (grand, *contribs))):
-        # a coefficient or basis value left the double range, where
-        # complex * and / give inf or nan instead of raising
-        raise _refusal(family, z, m, "overflows: its sum is not finite")
+        # a basis value or the sum left the double range, where complex
+        # * and / give inf or nan instead of raising
+        raise _refusal(family, z, m)
     if m % 2:
         grand = -grand
     return ClosedFormBreakdown(

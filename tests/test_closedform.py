@@ -216,22 +216,16 @@ class TestClosedSum:
         with pytest.raises(DomainError) as info:
             closed_sum(family, z, m)
         assert str(info.value) == (f"closed form of family {family} at z = {z!r}, m = {m} "
-                                   f"overflows: complex exponentiation")
+                                   f"leaves the double range")
         assert products == []
-
-    # the first r at which C_r divides by a zero power, and the root
-    UNDERFLOW_AT = {("A2", -1.0): (975, "(-0.4655712318767681+0j)"),
-                    ("B2", -1.0): (975, "(-0.4655712318767681+0j)"),
-                    ("B2", -1.1): (1055, "(-0.49329140899870805+0j)")}
 
     @pytest.mark.parametrize("family,z,m", [("A2", -1.0, 1000), ("B2", -1.1, 1300),
                                             ("B2", -1.0, 1000)])
     def test_underflowed_power_is_a_domain_error(self, monkeypatch, family, z, m):
         # the real root's powers underflow to 0 in C_r, which divides by
-        # them: a DomainError naming the point and the first such r, not a
-        # ZeroDivisionError, and found before any C_r or Cauchy product
+        # them: a DomainError naming the point, not a ZeroDivisionError,
+        # and found before any C_r or Cauchy product
         import trisum.closedform as cf
-        r, lam = self.UNDERFLOW_AT[family, z]
 
         def never(*args):
             raise AssertionError("called")
@@ -242,34 +236,66 @@ class TestClosedSum:
         cf._denominator.cache_clear()
         with pytest.raises(DomainError) as info:
             closed_sum(family, z, m)
-        assert str(info.value) == (
-            f"closed form of family {family} at z = {z!r}, m = {m} fails: C_r(lam) at "
-            f"r = {r}, lam = {lam} underflows: it divides by a power of lam or lam - 1 "
-            f"that is 0 in double precision")
+        assert str(info.value) == (f"closed form of family {family} at z = {z!r}, m = {m} "
+                                   f"leaves the double range")
 
     def test_non_finite_coefficients_refuse_before_basis_values(self, monkeypatch):
-        # at B1 z = 2, m = 900 no power raises, but most coeff_a entries at
-        # each evaluated root leave the double range: closed_sum refuses
-        # from the coefficients, without building any C_r
+        # at these points no power raises, but most coeff_a entries at each
+        # evaluated root leave the double range: closed_sum refuses from the
+        # coefficients at any m, without building any C_r
         import trisum.closedform as cf
 
         def never(*args):
             raise AssertionError("called")
 
         monkeypatch.setattr(cf, "C_of", never)
-        cf._pole_basis.cache_clear()
-        with pytest.raises(DomainError) as info:
-            closed_sum("B1", 2.0, 900)
-        assert str(info.value) == ("closed form of family B1 at z = 2.0, m = 900 "
-                                   "overflows: its sum is not finite")
+        for family, z, m in [("B1", 2.0, 600), ("B1", 2.0, 899), ("B1", 2.0, 900),
+                             ("A1", 1.0, 899)]:
+            cf._pole_basis.cache_clear()
+            with pytest.raises(DomainError) as info:
+                closed_sum(family, z, m)
+            assert str(info.value) == (f"closed form of family {family} at z = {z!r}, "
+                                       f"m = {m} leaves the double range")
 
     def test_overflow_still_comes_first(self):
         # A1 at the same point overflows at (lam - 1) ** 2m before any power
-        # underflows, and keeps that message
+        # underflows, and refuses with the same text
         with pytest.raises(DomainError) as info:
             closed_sum("A1", -1.0, 1000)
         assert str(info.value) == ("closed form of family A1 at z = -1.0, m = 1000 "
-                                   "overflows: complex exponentiation")
+                                   "leaves the double range")
+
+    def test_one_power_test_matches_the_scan(self):
+        # closed_sum tests only the largest powers C_of divides by at r = m;
+        # the reference is the O(m) scan it replaced, which tries every
+        # r <= m and stops at the first power that is 0 or overflows.  One
+        # scan per root gives its verdict at every m: refuse from r on
+        import trisum.closedform as cf
+
+        def first_failure(c, top):
+            for r in range(1, top + 1):
+                try:
+                    if (r > 1 and (c - 1.0) ** (r - 1) == 0) or c ** r == 0:
+                        return r
+                except OverflowError:
+                    return r
+            return top + 1
+
+        def refuses(c, m):
+            try:
+                return cf._divides_by_zero(c, m)
+            except OverflowError:
+                return True
+
+        top = 3000
+        for z in (1.0, -1.0, 1.1, -1.1, -1.37, 1.5, -1.5, 2.0, -2.0, -4.0, 5.0):
+            for lam in solve_cubic(z).roots:
+                if lam.imag > 0.0:
+                    continue
+                for c in (lam, 1.0 - lam):
+                    first = first_failure(c, top)
+                    assert [refuses(c, m) for m in range(top + 1)] == \
+                        [m >= first for m in range(top + 1)], (z, c)
 
 
 def _direct(family, z, m):
@@ -311,7 +337,8 @@ def _closed_bits(family, z, m):
     try:
         bd = closed_sum(family, z, m)
     except DomainError as exc:
-        assert f"family {family} at z = {z!r}, m = {m} overflows" in str(exc)
+        assert str(exc) == (f"closed form of family {family} at z = {z!r}, m = {m} "
+                            f"leaves the double range")
         return "overflows"
     return _bits(bd.total, bd.contributions, bd.imag_residual)
 
@@ -364,7 +391,7 @@ class TestSharedBasis:
         # nan, without an OverflowError: no value to return
         assert _direct("A2", 1e150, 6) == "overflows"
         with pytest.raises(DomainError, match=re.escape(
-                "closed form of family A2 at z = 1e+150, m = 6 overflows")) as err:
+                "closed form of family A2 at z = 1e+150, m = 6 leaves the double range")) as err:
             closed_sum("A2", 1e150, 6)
         assert "nan" not in str(err.value)
 

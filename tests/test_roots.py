@@ -102,6 +102,17 @@ class TestHugeZ:
         assert "nan" not in msg
 
 
+def test_roots_well_apart_on_the_closed_form_domain():
+    # for |z| >= 1 the roots are at least 1.4897 apart, the minimum at
+    # z = 1: so closed_sum needs no check of the denominator's powers
+    # |lam - w| ** -(m + 1), which are at most 1
+    for k in range(2000):
+        mag = 10.0 ** (154 * k / 1999)
+        for z in (mag, -mag):
+            a, b, c = solve_cubic(z).roots
+            assert min(abs(a - b), abs(a - c), abs(b - c)) >= 1.48, z
+
+
 @given(st.floats(min_value=-50.0, max_value=50.0))
 def test_properties_random_z(z):
     disc = z * (4.0 - 27.0 * z)
