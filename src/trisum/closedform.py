@@ -165,7 +165,7 @@ def _denominator(m: int, roots: CubicRoots, which: int) -> tuple[complex, list[c
     # read the list.  CubicRoots compare by value, and solve_cubic's are
     # equal only when their z is, so a hit is the expansion of these roots
     lam = roots.roots[which - 1]
-    w1, w2 = (r for i, r in enumerate(roots.roots) if i != which - 1)
+    w1, w2 = roots.roots[:which - 1] + roots.roots[which:]
     return lam, _mul(_binomial(lam - w1, -(m + 1), m), _binomial(lam - w2, -(m + 1), m))
 
 
@@ -194,24 +194,49 @@ def coeff_b(m: int, roots: CubicRoots, which: int) -> list[complex]:
 class PoleBasis:
     """What every A/B closed form at one z is built from.
 
-    roots is solve_cubic(z).  values(name, which, m) is a list over r for
-    the root lam = roots.roots[which - 1], at least m + 1 long: "C" the
-    values C_r(lam) and "mirror" the values C_mirror(r, lam).  These do
-    not depend on m, so each list grows to the largest m asked and
-    serves every smaller one.  coeffs(name, which, m) is the list of
-    coeff_a ("a") or coeff_b ("b") at that root and m; only the last m's
-    lists are kept, and only finite ones: a list with an entry that is
-    not finite raises OverflowError as soon as it is built.  Everything is
-    built through this module's globals solve_cubic, coeff_a, coeff_b and
-    C_of, and a list is stored only once whole, so a build that raised is
-    tried again on the next request, and threads that race on a list
-    build equal ones.
+    roots is solve_cubic(z).  What closed_sum needs of z alone is settled
+    here, once:
+
+    - plan, the roots it evaluates, as (which, lam) pairs with
+      lam.imag <= 0: the real root and the pair root with negative
+      imaginary part.  sources[i] says where the contribution of
+      roots.roots[i] comes from: (j, False) for plan[j]'s own, (j, True)
+      for the conjugate of plan[j]'s, its pair partner's.
+    - safe_m = 350 / max |ln|c|| over c = lam and lam - 1 at the roots of
+      plan.  Every power closed_sum's refusal tests take has modulus
+      |lam|^k or |lam - 1|^k with |k| <= max(2m, 1), so for m <= safe_m
+      each lies in [e^-700, e^700]: none overflows, and none is 0, since a
+      modulus above the subnormals keeps a nonzero component.  On
+      closed_sum's domain, 1 <= |z| <= 1.3e154, safe_m is at least 2.9,
+      so m = 0, whose (lam - 1) ** -1 has |k| = 1, is covered too.
+
+    values(name, which, m) is a list over r for the root lam =
+    roots.roots[which - 1], at least m + 1 long: "C" the values C_r(lam)
+    and "mirror" the values C_mirror(r, lam).  These do not depend on m,
+    so each list grows to the largest m asked and serves every smaller
+    one.  coeffs(name, which, m) is the list of coeff_a ("a") or coeff_b
+    ("b") at that root and m; only the last m's lists are kept, and only
+    finite ones: a list whose build raises OverflowError, or with an
+    entry that is not finite, is refused with OverflowError, and an empty
+    list marks it, so a refused list is remembered for its m and a repeat
+    raises at once.  Everything is built through this module's globals
+    solve_cubic, coeff_a, coeff_b and C_of, and a list is stored only once
+    whole, so threads that race on a list build equal ones.
     """
 
-    __slots__ = ("roots", "_values", "_coeffs")
+    __slots__ = ("roots", "plan", "sources", "safe_m", "_values", "_coeffs")
 
     def __init__(self, z: float):
         self.roots = solve_cubic(z)
+        roots = self.roots.roots
+        self.plan = tuple((which, lam) for which, lam in enumerate(roots, start=1)
+                          if lam.imag <= 0.0)
+        # the roots sort a pair partner lam.conjugate() before lam
+        evaluated = [lam for _, lam in self.plan]
+        self.sources = tuple((evaluated.index(lam.conjugate()), True) if lam.imag > 0.0
+                             else (evaluated.index(lam), False) for lam in roots)
+        self.safe_m = 350.0 / max(abs(math.log(abs(c))) for lam in evaluated
+                                  for c in (lam, lam - 1.0))
         self._values: dict[tuple[str, int], list[complex]] = {}
         # (m, {(name, which): list}), replaced whole when m changes; each
         # call works on the pair it read, so a call at another m that runs
@@ -224,12 +249,18 @@ class PoleBasis:
             held = self._coeffs = (m, {})
         got = held[1].get((name, which))
         if got is None:
-            got = (coeff_a if name == "a" else coeff_b)(m, self.roots, which)
+            try:
+                got = (coeff_a if name == "a" else coeff_b)(m, self.roots, which)
+            except OverflowError:
+                got = []
             if not all(map(cmath.isfinite, got)):
                 # complex * and / give inf or nan where a coefficient
                 # leaves the double range, instead of raising
-                raise OverflowError(f"coeff_{name} at m = {m} leaves the double range")
+                got = []
+            # a refused list is kept as [], its marker for this m
             held[1][name, which] = got
+        if not got:
+            raise OverflowError(f"coeff_{name} at m = {m} leaves the double range")
         return got
 
     def values(self, name: str, which: int, m: int) -> list[complex]:
@@ -282,7 +313,8 @@ def _divides_by_zero(c: complex, m: int) -> bool:
     # to a nonzero component); up to 100 it multiplies, and for |z| >= 1 no
     # root or root - 1 is below 0.4656 in modulus, so nothing underflows
     # there.  pow(|c|, n) is monotone in n, so these powers fail wherever a
-    # smaller one would
+    # smaller one would.  closed_sum calls this only above PoleBasis.safe_m,
+    # below which none of these powers can fail
     return c ** m == 0 or (c - 1.0) ** (m - 1) == 0
 
 
@@ -311,55 +343,49 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
     check_point(family, spec, z, m)
 
     basis = _pole_basis(z)
-    rts = basis.roots
     coeff = "b" if spec.shifted else "a"
     values = "mirror" if spec.kind == "B" else "C"
 
-    contribs = []
+    inner = []
     try:
-        # one O(1) refusal test per evaluated root, before any coefficient
-        # or basis value (the pair root with positive imaginary part has
-        # its partner's powers, conjugated): (lam - 1) ** 2m, the largest
-        # power in coeff_a, raises OverflowError where it overflows, and
-        # _divides_by_zero tests lam ** m, coeff_a's other largest power,
-        # with the powers C_of divides by at lam and, for B, at 1 - lam.
-        # The denominator's powers in _binomial cannot fail: for |z| >= 1
-        # the roots are at least 1.4897 apart, so each |lam - w| ** -(m + 1)
-        # is at most 1
-        for lam in rts.roots:
-            if lam.imag > 0.0:
-                continue
-            if not spec.shifted:
-                (lam - 1.0) ** (2 * m)
-            if _divides_by_zero(lam, m) or (
-                    spec.kind == "B" and _divides_by_zero(1.0 - lam, m)):
-                raise _refusal(family, z, m)
-        for which, lam in enumerate(rts.roots, start=1):
-            if lam.imag > 0.0:
-                # the roots sort the partner lam.conjugate() first
-                contribs.append(contribs[rts.roots.index(lam.conjugate())].conjugate())
-                continue
-            coeffs = basis.coeffs(coeff, which, m)
-            cs = basis.values(values, which, m)
-            inner = 0j
-            for a_r, c_r in zip(coeffs, cs):    # coeffs holds r = 0..m
-                inner += a_r * c_r
-            contribs.append(inner)
+        if m > basis.safe_m:
+            # one O(1) refusal test per root of the plan, before any
+            # coefficient or basis value (a pair partner's powers are their
+            # conjugates, and below safe_m no test can fire):
+            # (lam - 1) ** 2m, the largest power in coeff_a, raises
+            # OverflowError where it overflows, and _divides_by_zero tests
+            # lam ** m, coeff_a's other largest power, with the powers C_of
+            # divides by at lam and, for B, at 1 - lam.  The denominator's
+            # powers in _binomial cannot fail: for |z| >= 1 the roots are
+            # at least 1.4897 apart, so each |lam - w| ** -(m + 1) is at
+            # most 1
+            for _, lam in basis.plan:
+                if not spec.shifted:
+                    (lam - 1.0) ** (2 * m)
+                if _divides_by_zero(lam, m) or (
+                        spec.kind == "B" and _divides_by_zero(1.0 - lam, m)):
+                    raise _refusal(family, z, m)
+        for which, _ in basis.plan:
+            acc = 0j
+            # coeffs holds r = 0..m, and is asked for before any basis value
+            for a_r, c_r in zip(basis.coeffs(coeff, which, m), basis.values(values, which, m)):
+                acc += a_r * c_r
+            inner.append(acc)
     except OverflowError:
-        # from a power above, or PoleBasis.coeffs' list that is not finite
+        # from a power above, or a coefficient list PoleBasis.coeffs refuses
         raise _refusal(family, z, m) from None
 
+    contribs = tuple(inner[j].conjugate() if conj else inner[j] for j, conj in basis.sources)
     grand = sum(contribs, start=0j)
-    if not all(map(cmath.isfinite, (grand, *contribs))):
+    if not cmath.isfinite(grand):
         # a basis value or the sum left the double range, where complex
-        # * and / give inf or nan instead of raising
+        # * and / give inf or nan instead of raising; complex + works on
+        # each component, so the sum is finite only when every
+        # contribution is
         raise _refusal(family, z, m)
     if m % 2:
         grand = -grand
-    return ClosedFormBreakdown(
-        family, z, m, grand.real, rts, (contribs[0], contribs[1], contribs[2]),
-        abs(grand.imag),
-    )
+    return ClosedFormBreakdown(family, z, m, grand.real, basis.roots, contribs, abs(grand.imag))
 
 
 # -- reference constants ----------------------------------------------------

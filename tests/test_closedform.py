@@ -1,10 +1,13 @@
 import cmath
+import hashlib
+import json
 import math
 import random
 import re
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +17,7 @@ from trisum.closedform import (
     REGISTRY,
     C_mirror,
     C_of,
+    PoleBasis,
     _pole_basis,
     closed_sum,
     coeff_a,
@@ -297,6 +301,44 @@ class TestClosedSum:
                     assert [refuses(c, m) for m in range(top + 1)] == \
                         [m >= first for m in range(top + 1)], (z, c)
 
+    def test_power_screen_is_exact(self):
+        # below PoleBasis.safe_m closed_sum skips its power tests, so at
+        # m = floor(safe_m) none of them may fire.  Each power's modulus is
+        # monotone in m, so this covers every smaller m too
+        import trisum.closedform as cf
+
+        mags = np.logspace(0.0, math.log10(1.3e154), 2000)
+        zs = [s * float(v) for v in mags for s in (1.0, -1.0)]
+        zs += [1.0 + 2.0 ** -52, -(1.0 + 2.0 ** -52), -1.37]
+        lowest = math.inf
+        for z in zs:
+            basis = PoleBasis(z)
+            lowest = min(lowest, basis.safe_m)
+            m = math.floor(basis.safe_m)
+            for _, lam in basis.plan:
+                (lam - 1.0) ** (2 * m)
+                assert not cf._divides_by_zero(lam, m), (z, lam, m)
+                assert not cf._divides_by_zero(1.0 - lam, m), (z, lam, m)
+        # m = 0 takes (lam - 1) ** -1, covered while safe_m >= 1/2
+        assert lowest >= 2.9
+
+    def test_small_m_skips_the_power_tests(self, monkeypatch):
+        # the suites' points are all below safe_m: they never reach the
+        # exact power tests, and give the bits of a sum from scratch
+        import trisum.closedform as cf
+
+        def never(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(cf, "_divides_by_zero", never)
+        points = [(f, z, m) for f in _GRID_FAMILIES for z in _GRID_Z for m in _GRID_M]
+        points += [(e.family.value, e.z, e.m) for e in REGISTRY.values()]
+        assert len(points) == 137
+        for p in points:
+            want = _direct(*p)
+            assert want != "overflows"
+            assert _closed_bits(*p) == want, p
+
 
 def _direct(family, z, m):
     # closed_sum's sum with nothing shared: every coefficient list and basis
@@ -451,6 +493,29 @@ class TestSharedBasis:
         for family, m in [("A1", 5), ("A2", 5), ("A1", 3), ("B1", 3), ("B2", 5)]:
             assert _closed_bits(family, 2.0, m) == _direct(family, 2.0, m), (family, m)
 
+    def test_repeated_refusal_answers_at_once(self, monkeypatch):
+        # a refused coefficient list is remembered for its m: the repeat
+        # raises without building it again, and another m at the same z
+        # still builds its own lists
+        import trisum.closedform as cf
+        coeff_a_, coeff_b_ = cf.coeff_a, cf.coeff_b
+        for family, z, m in [("B1", 2.0, 899), ("A1", 1.0, 899)]:
+            _pole_basis.cache_clear()
+            monkeypatch.setattr(cf, "coeff_a", coeff_a_)
+            monkeypatch.setattr(cf, "coeff_b", coeff_b_)
+            assert _closed_bits(family, z, m) == "overflows"
+
+            def only_other_m(build):
+                def stub(m_, roots, which):
+                    assert m_ != m, "a refused list was built again"
+                    return build(m_, roots, which)
+                return stub
+
+            monkeypatch.setattr(cf, "coeff_a", only_other_m(coeff_a_))
+            monkeypatch.setattr(cf, "coeff_b", only_other_m(coeff_b_))
+            assert _closed_bits(family, z, m) == "overflows"
+            assert _closed_bits(family, z, 3) == _direct(family, z, 3)
+
     def test_threads_share_one_cache(self):
         # every thread walks the z values in the same order, so the threads
         # mostly share one basis while each asks for its own m
@@ -480,6 +545,73 @@ class TestSharedBasis:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 4
+
+
+# closed_sum's totals, residuals and refusals on the closed parity grid, as
+# recorded before the evaluation plan in PoleBasis; "about" in the file
+# says what the grid holds and how it was written
+_CLOSED_PARITY = json.loads(
+    (Path(__file__).parent / "data" / "closed_parity.json").read_text())
+
+_PARITY_Z = (1.0, -1.0, 1.1, -1.1, -1.37, 1.5, -1.5, 2.0, -2.0, -4.0, 5.0, -8.0,
+             30.0, -30.0, 1e3, -1e6, 1e8, 1e58, 1e100, 1e150)
+_PARITY_M = (*range(21), 60)
+
+
+def _libm_digest() -> str:
+    """A digest of the libm results the closed forms rest on besides
+    Python's own float and complex arithmetic: cmath.log in C_r and the
+    dilogarithm, math.log, and math.cbrt, acos, cos and sqrt in
+    solve_cubic, each at fixed arguments."""
+    h = hashlib.sha256()
+    for w in (2.0, -0.5, complex(0.3, -0.7), complex(-1.5, 1.3228756555322954),
+              complex(1e-8, 2.5), complex(-3e100, -1e99)):
+        v = cmath.log(w)
+        h.update(f"{v.real.hex()} {v.imag.hex()}".encode())
+    for f, args in ((math.log, (2.0, 0.37, 1e150, 3.5e-200)),
+                    (math.cbrt, (0.5, -7.3, 1e150, 2.5e-20)),
+                    (math.acos, (-0.999, -0.25, 0.5, 0.875)),
+                    (math.cos, (0.3, 2.1, -4.0, 1e3)),
+                    (math.sqrt, (2.0, 3.0, 0.1, 1e300))):
+        for x in args:
+            h.update(f(x).hex().encode())
+    return h.hexdigest()
+
+
+def _closed_parity_rows():
+    """Rows [family, z.hex(), m, total.hex(), imag_residual.hex()], or
+    [family, z.hex(), m, "ErrorType: message"] for a refusal, over A1,
+    A2, B1, B2 x _PARITY_Z x _PARITY_M in that order, and one SHA-256 over
+    the float.hex() of every contribution in row order: what
+    tests/data/closed_parity.json holds under "rows" and "contributions"."""
+    rows, h = [], hashlib.sha256()
+    for family in ("A1", "A2", "B1", "B2"):
+        for z in _PARITY_Z:
+            for m in _PARITY_M:
+                try:
+                    bd = closed_sum(family, z, m)
+                except Exception as exc:
+                    rows.append([family, z.hex(), m, f"{type(exc).__name__}: {exc}"])
+                    continue
+                rows.append([family, z.hex(), m, bd.total.hex(), bd.imag_residual.hex()])
+                for c in bd.contributions:
+                    h.update(f"{c.real.hex()} {c.imag.hex()} ".encode())
+    return rows, h.hexdigest()
+
+
+def test_closed_parity_grid():
+    # every total and residual bitwise, every contribution through the
+    # digest, and every refusal word for word, as recorded.  Bitwise only
+    # on the libm they were recorded with: a cmath.log or cbrt that differs
+    # in the last bit moves them by rounding, which the tests above bound
+    if _libm_digest() != _CLOSED_PARITY["libm"]:
+        pytest.skip("this libm's log, cbrt, acos, cos or sqrt differ in the last bit "
+                    "from those the grid was recorded with")
+    _pole_basis.cache_clear()
+    rows, digest = _closed_parity_rows()
+    assert len(rows) == 1760
+    assert rows == _CLOSED_PARITY["rows"]
+    assert digest == _CLOSED_PARITY["contributions"]
 
 
 def _mp_base_terms(kind, count):
