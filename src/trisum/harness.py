@@ -24,11 +24,18 @@ fixed order so reports are deterministic apart from timings.
 The four suites that compare layers compute layer by layer: each layer
 (closed form, series, quadrature, and the published constant or exact
 rational) runs as one pass over all of the suite's points before the
-next.  Every pass visits the points by one rule: the points at one z
-together, in the order each z first appears in the report, m ascending,
-ties in report order.  So the closed forms at one z share closed_sum's
-pole basis, and records still come in report order.  A record's
-runtime_ms is the sum of its own layer calls; a specfun-identities
+next.  The closed-form, series and published passes visit the points by
+one rule: the points at one z together, in the order each z first
+appears in the report, m ascending, ties in report order.  So the closed
+forms at one z share closed_sum's pole basis.  The quadrature pass
+groups the points by (family, m), in the order each group first appears
+in the report, and makes one call per group, with the group's z in
+report order: series_via_quadrature's sequence form, which computes the
+z-factors of a group of 4 z or more together (beta-terms has one k per
+group, and one beta_term_integral call for it).  Records still come in
+report order.  A
+record's runtime_ms is the sum of its own layer calls, a quadrature
+call's time shared equally among its group; a specfun-identities
 record's is the time its identity grid took.
 """
 
@@ -121,10 +128,12 @@ def _record(rid, family, z, m, closed, series, quad, tol, runtime_ms,
     )
 
 
-# The layers of the suites that compare them.  Each takes one point
-# (rid, family, z, m, scale) and looks its layer up in this module's
-# globals at call time, where perfbench/spans.py's wrappers sit.  scale
-# is the registry entry's for paper-constants and 1.0 elsewhere, and a
+# The layers of the suites that compare them.  Each looks its layer up
+# in this module's globals at call time, where perfbench/spans.py's
+# wrappers sit.  The closed-form, series and extra layers take one point
+# (rid, family, z, m, scale); the quadrature layers take a group of
+# points that share (family, m) and return a value for each.  scale is
+# the registry entry's for paper-constants and 1.0 elsewhere, and a
 # double times 1.0 is that double.
 
 def _closed(point):
@@ -137,9 +146,11 @@ def _series(point):
     return scale * sum_series(family, z, m, tol=_SERIES_TOL)
 
 
-def _quad(point):
-    _, family, z, m, scale = point
-    return scale * series_via_quadrature(family, z, m, tol=_QUAD_TOL)
+def _quad(group):
+    # one call for the group's z: series_via_quadrature's sequence form
+    _, family, _, m, _ = group[0]
+    values = series_via_quadrature(family, [point[2] for point in group], m, tol=_QUAD_TOL)
+    return [point[4] * value for point, value in zip(group, values)]
 
 
 def _published(point):
@@ -150,8 +161,8 @@ def _beta_exact(point):
     return float(-base_term("A", point[3]).exact)  # integral of x^k (1-x)^{2k} log x
 
 
-def _beta_quad(point):
-    return beta_term_integral(point[3], tol=_QUAD_TOL)
+def _beta_quad(group):
+    return [beta_term_integral(point[3], tol=_QUAD_TOL) for point in group]
 
 
 def _layer_records(points, tol, closed=None, series=None, quad=None,
@@ -160,25 +171,39 @@ def _layer_records(points, tol, closed=None, series=None, quad=None,
     them before the next.
 
     points are (rid, family, z, m, scale) in report order, and records
-    come in that order; every layer visits them by the rule in the module
-    docstring.  A layer that is None leaves its column None.  A record's
-    runtime_ms is the sum of its own layer calls.
+    come in that order; every layer visits them by the rules in the
+    module docstring.  A layer that is None leaves its column None.  A
+    record's runtime_ms is the sum of its own layer calls, where a
+    quadrature call counts its group's time over the group's size.
     """
     first_at: dict = {}
-    for point in points:
+    groups: dict = {}
+    for i, point in enumerate(points):
         first_at.setdefault(point[2], len(first_at))
+        groups.setdefault((point[1], point[3]), []).append(i)
     visit = sorted(enumerate(points), key=lambda item: (first_at[item[1][2]], item[1][3]))
     clock = time.perf_counter
     spent = [0.0] * len(points)
     columns = []
-    for layer in (closed, series, quad, extra):
+    for layer, grouped in ((closed, False), (series, False), (quad, True), (extra, False)):
         column = [None] * len(points)
-        if layer is not None:
+        columns.append(column)
+        if layer is None:
+            continue
+        if grouped:
+            for members in groups.values():
+                group = [points[i] for i in members]
+                t0 = clock()
+                values = layer(group)
+                share = (clock() - t0) / len(members)
+                for i, value in zip(members, values):
+                    column[i] = value
+                    spent[i] += share
+        else:
             for i, point in visit:
                 t0 = clock()
                 column[i] = layer(point)
                 spent[i] += clock() - t0
-        columns.append(column)
     return [
         _record(rid, family, z, m, c, s, q, tol, 1000.0 * dt,
                 extra=() if x is None else (x,))

@@ -54,6 +54,16 @@ reads the entry of the member it resolved to, and makes one tanh_sinh
 call, with (z, m) as the integrand's extra arguments, so it builds no
 function of its own.
 
+series_via_quadrature also takes a sequence of z at one (family, m), and
+gives each z's scalar value bit for bit.  A z-factor broadcasts over a
+column of z, so from _SHARE_MIN z on each stage computes the factor of
+every z still unsettled as one array with a row per z (in blocks that
+stay in cache), and each row's level sums come from the same
+matrix-vector product the scalar call makes; the stop rule then settles
+each z on its own, and the rest go on to the next stage together.  A
+gemm of the whole array would sum in another order and move the last
+bit.  Fewer z make one scalar call each.
+
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
 loads on the first quadrature call and not with the module: `import
@@ -68,7 +78,8 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, NoConvergence, check_index, check_tol
 from .series import FAMILIES, SeriesFamily, check_m_z, check_point, family_entry
@@ -275,36 +286,104 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
 
         kernel = None
 
-    isfinite = math.isfinite
     # stage 0: the whole trapezoid sums T_0..T_4 of levels 0-4, from one
-    # evaluation and one product, then the stop tests of levels 2-4.  The
-    # stop rule err <= tol * max(1, |T_L|) is written as err <= tol or
-    # err <= tol * |T_L|, which decides alike
+    # evaluation and one product, then the stop tests of levels 2-4
     st = _level_nodes(0)
     rows = st.sums if kernel is None else st.kern[kernel]
-    t0, t1, t2, t3, t4 = rows.dot(values(st, args)).tolist()
-    err = abs(t2 - t1)
-    if (err <= tol or err <= tol * abs(t2)) and isfinite(err):
-        return t2
-    err = abs(t3 - t2)
-    if (err <= tol or err <= tol * abs(t3)) and isfinite(err):
-        return t3
-    err = abs(t4 - t3)
-    if (err <= tol or err <= tol * abs(t4)) and isfinite(err):
-        return t4
+    sums = rows.dot(values(st, args)).tolist()
+    value = _stage0_value(sums, tol)
+    if value is not None:
+        return value
     # each later level's new nodes halve the step of the levels before it
-    total = t4
+    total = sums[-1]
     for level in range(_STAGE0_TOP + 1, MAX_LEVEL + 1):
         st = _level_nodes(level)
         rows = st.sums if kernel is None else st.kern[kernel]
         prev = total
         total = 0.5 * prev + rows.dot(values(st, args)).item()
-        err = abs(total - prev)
-        if (err <= tol or err <= tol * abs(total)) and isfinite(err):
+        if _settles(prev, total, tol):
             return total
-    raise NoConvergence(
+    raise _unsettled(tol)
+
+
+def _stage0_value(sums: list, tol: float):
+    """The first of T_2, T_3, T_4 in stage 0's level sums T_0..T_4 that
+    settles from the level before it, by the stop rule of _settles, or
+    None; the rule is written out here, as this runs once a call."""
+    _, t1, t2, t3, t4 = sums
+    err = abs(t2 - t1)
+    if (err <= tol or err <= tol * abs(t2)) and math.isfinite(err):
+        return t2
+    err = abs(t3 - t2)
+    if (err <= tol or err <= tol * abs(t3)) and math.isfinite(err):
+        return t3
+    err = abs(t4 - t3)
+    if (err <= tol or err <= tol * abs(t4)) and math.isfinite(err):
+        return t4
+    return None
+
+
+def _settles(prev: float, total: float, tol: float) -> bool:
+    """The stop rule: level sum total is within tol * max(1, |total|) of
+    the one before it, prev.  It is written as err <= tol or err <= tol *
+    |total|, which decides alike, and a sum that is not finite never
+    settles."""
+    err = abs(total - prev)
+    return (err <= tol or err <= tol * abs(total)) and math.isfinite(err)
+
+
+def _unsettled(tol: float) -> NoConvergence:
+    return NoConvergence(
         f"tanh-sinh refinement did not reach tol = {tol} within level {MAX_LEVEL}"
     )
+
+
+def _tanh_sinh_columns(f: _OnStage, tol: float, zs: list, m: int) -> list:
+    """tanh_sinh(f, tol, (z, m)) for each z of zs, bit for bit, or None
+    where that call raises NoConvergence; tol already checked.  The z
+    share each stage's factor computation, and each z's level sums come
+    from the gemv its scalar call makes (see the module docstring)."""
+    st = _level_nodes(0)
+    rows = st.kern[f.kernel]
+    out = [None] * len(zs)
+    left = []       # (index, last level sum) of the z not yet settled
+    for i, g in enumerate(_factor_rows(f, st, zs, m)):
+        sums = rows.dot(g).tolist()
+        value = _stage0_value(sums, tol)
+        if value is None:
+            left.append((i, sums[-1]))
+        else:
+            out[i] = value
+    for level in range(_STAGE0_TOP + 1, MAX_LEVEL + 1):
+        if not left:
+            break
+        st = _level_nodes(level)
+        rows = st.kern[f.kernel]
+        todo, left = left, []
+        for (i, prev), g in zip(todo, _factor_rows(f, st, [zs[i] for i, _ in todo], m)):
+            total = 0.5 * prev + rows.dot(g).item()
+            if _settles(prev, total, tol):
+                out[i] = total
+            else:
+                left.append((i, total))
+    return out
+
+
+# the most factor values _factor_rows computes at once: a block's arrays
+# stay in cache, where one array for hundreds of z would not
+_BLOCK = 1 << 13
+
+
+def _factor_rows(f: _OnStage, st: _Stage, zs: list, m: int):
+    """f's z-factor at st's nodes for each z of zs: an iterable of rows,
+    one per z, computed a block of z at a time."""
+    col = _np.array(zs)[:, None]
+    nodes = len(st.x)
+    if len(zs) * nodes <= _BLOCK:
+        return f.values(st, (col, m))
+    step = max(1, _BLOCK // nodes)
+    return chain.from_iterable([f.values(st, (col[start:start + step], m))
+                                for start in range(0, len(zs), step)])
 
 
 def _ipow(a: np.ndarray, n: int) -> np.ndarray:
@@ -445,10 +524,44 @@ def _integral(entry: _Entry, z: float, m: int, tol: float) -> float:
     except NoConvergence as exc:
         if quiet is not _pole_errstate:
             raise
-        raise NoConvergence(
-            f"{exc}; the integrand has a pole near [0, 1]: z = {z!r} lies "
-            f"{_pole_distance(z):.3g} outside [0, 4/27], the range of x(1-x)^2 there"
-        ) from None
+        raise _near_pole(exc, z) from None
+    return _signed(sign, raw, z, m)
+
+
+def _integrals(entry: _Entry, zs: list, m: int, tol: float) -> list:
+    # _integral(entry, z, m, tol) for each z of zs, bit for bit, tol
+    # checked; raises the NoConvergence of the first z that has one.  The
+    # errstate entered is any z's that is not None: a rule silences only
+    # warnings raised without fault, and at a z whose rule is None the
+    # integral raises no warning, so the group warns as its z do one at a
+    # time
+    f, quiet, sign = entry
+    state = None
+    for z in zs:
+        state = quiet(z, m)
+        if state is not None:
+            break
+    if state is None:
+        raws = _tanh_sinh_columns(f, tol, zs, m)
+    else:
+        with state:
+            raws = _tanh_sinh_columns(f, tol, zs, m)
+    if None in raws:
+        z = zs[raws.index(None)]
+        exc = _unsettled(tol)
+        raise _near_pole(exc, z) if quiet is _pole_errstate else exc
+    return [_signed(sign, raw, z, m) for z, raw in zip(zs, raws)]
+
+
+def _near_pole(exc: NoConvergence, z: float) -> NoConvergence:
+    return NoConvergence(
+        f"{exc}; the integrand has a pole near [0, 1]: z = {z!r} lies "
+        f"{_pole_distance(z):.3g} outside [0, 4/27], the range of x(1-x)^2 there"
+    )
+
+
+def _signed(sign: str, raw: float, z: float, m: int) -> float:
+    # the family's value from its integral, by the entry's sign rule
     if sign == "(-1)^m":
         return raw if m % 2 == 0 else -raw
     if sign == "-1":
@@ -477,12 +590,62 @@ def beta_term_integral(k: int, tol: float = 1e-12) -> float:
     return tanh_sinh(_BETA_TERM, tol, (k,))
 
 
-def series_via_quadrature(family: SeriesFamily | str, z: float, m: int = 0,
-                          tol: float = 1e-12) -> float:
+def series_via_quadrature(family: SeriesFamily | str, z: float | Sequence[float],
+                          m: int = 0, tol: float = 1e-12) -> float | list[float]:
     """The value each series family must take, computed from its
     integral representation.  Independent oracle for sum_series and for
-    the closed forms."""
+    the closed forms.
+
+    z is a real number, or a sequence of them: a list, a tuple or a 1-D
+    ndarray.  For a sequence the result is a list whose element i is
+    series_via_quadrature(family, z[i], m, tol), bit for bit, and the
+    call raises what that list comprehension raises, at its first
+    failing z; so an empty sequence gives [].  From 4 z on, the z
+    share each stage's z-factor computation.
+    """
+    if z.__class__ is not float and (isinstance(z, (list, tuple))
+                                     or getattr(z, "ndim", 0) == 1):
+        return _series_many(family, z, m, tol)
     family, spec = family_entry(family)
     z = float(z)
     check_point(family, spec, z, m)
     return _integral(_ENTRIES[family], z, m, tol)
+
+
+# the fewest z whose z-factors are computed together: below it the
+# shared arrays cost more to set up than the numpy calls they save (on
+# A1-C4 at 3 z the shared call took 0.88-1.14 times the scalar calls'
+# time, at 4 z 0.73-0.87 times)
+_SHARE_MIN = 4
+
+
+def _series_many(family: SeriesFamily | str, z: Sequence[float], m: int,
+                 tol: float) -> list[float]:
+    # the sequence form.  From _SHARE_MIN z on: every z converted and
+    # checked as the scalar call checks it, up to the first that fails;
+    # the integrals of the z before that one, whose NoConvergence comes
+    # first; then its failure
+    if len(z) < _SHARE_MIN:
+        return [series_via_quadrature(family, zi, m, tol) for zi in z]
+    family, spec = family_entry(family)
+    zs = []
+    failure = None
+    for zi in z:
+        try:
+            zi = float(zi)
+            check_point(family, spec, zi, m)
+            if not zs:       # tanh_sinh's check, after the first point's
+                check_tol(tol, _MIN_TOL, "tol")
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            # what float() and the checks raise
+            failure = exc
+            break
+        zs.append(zi)
+    entry = _ENTRIES[family]
+    if len(zs) < _SHARE_MIN:
+        values = [_integral(entry, zi, m, tol) for zi in zs]
+    else:
+        values = _integrals(entry, zs, m, tol)
+    if failure is not None:
+        raise failure
+    return values

@@ -95,3 +95,19 @@ def test_tracer_sees_one_basis_across_m():
     assert names.count("roots.solve_cubic") == 1
     assert names.count("closedform.C_of") == 10
     assert names.count("jets.coeff") == 10
+
+
+def test_tracer_sees_one_quadrature_call_per_group():
+    # the theorem-grid's quadrature pass makes one series_via_quadrature
+    # call per (family, m) group, through harness's module globals: four
+    # families times m = 0..4, each group's six z settled in stage 0
+    tracer = _spans.Tracer(trisum)
+    tracer.install()
+    try:
+        trisum.harness.run_suite("theorem-grid")
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("quadrature.sqv") == 20
+    assert tracer.counts["quadrature.levels"] == 20
+    assert tracer.counts["quadrature.nodes"] == 20 * 193

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -279,20 +280,35 @@ def test_constants_solve_one_cubic_per_z(monkeypatch):
     assert _cubics_solved(monkeypatch, "paper-constants") == [2.0, -4.0]
 
 
-def test_layers_visit_by_z_then_m():
-    # points at one z together, in the order each z first appears, m
-    # ascending, ties in report order; records stay in report order
-    points = [(rid, None, z, m, 1.0) for rid, z, m in (
-        ("a", 2.0, 3), ("b", -4.0, 0), ("c", 2.0, 1), ("d", None, 5),
-        ("e", 2.0, 1), ("f", -4.0, 0), ("g", None, 2))]
-    visits = []
+def test_layers_visit_by_z_then_m(monkeypatch):
+    # the point passes visit the points at one z together, in the order
+    # each z first appears, m ascending, ties in report order; the
+    # quadrature pass makes one call per (family, m) group, in the order
+    # each group first appears, its points in report order, and shares
+    # the call's time equally among them; records stay in report order
+    points = [(rid, family, z, m, 1.0) for rid, family, z, m in (
+        ("a", "A1", 2.0, 3), ("b", "A1", -4.0, 0), ("c", "A1", 2.0, 1), ("d", None, None, 5),
+        ("e", "B1", 2.0, 1), ("f", "A1", -4.0, 0), ("g", None, None, 2))]
+    now = [0.0]
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    visits, calls = [], []
 
     def layer(point):
+        now[0] += 1.0
         visits.append(point[0])
         return float(len(visits))
 
-    records = harness._layer_records(points, 1e-9, closed=layer, quad=layer)
+    def quad(group):
+        now[0] += 6.0
+        calls.append("".join(point[0] for point in group))
+        return [10.0 * len(calls) + k for k in range(len(group))]
+
+    records = harness._layer_records(points, 1e-9, closed=layer, series=layer, quad=quad)
     assert visits == list("ceabfgd") * 2
+    assert calls == ["a", "bf", "c", "d", "e", "g"]
     assert [r.id for r in records] == list("abcdefg")
     assert [r.closed for r in records] == [3.0, 4.0, 1.0, 7.0, 2.0, 5.0, 6.0]
-    assert [r.quad_oracle for r in records] == [10.0, 11.0, 8.0, 14.0, 9.0, 12.0, 13.0]
+    assert [r.series_oracle for r in records] == [10.0, 11.0, 8.0, 14.0, 9.0, 12.0, 13.0]
+    assert [r.quad_oracle for r in records] == [10.0, 20.0, 30.0, 40.0, 50.0, 21.0, 60.0]
+    assert [r.runtime_ms for r in records] == [8000.0, 5000.0, 8000.0, 8000.0, 8000.0,
+                                               5000.0, 8000.0]

@@ -686,3 +686,95 @@ def test_c_family_no_convergence_passes_through(monkeypatch):
         with pytest.raises(NoConvergence) as info:
             series_via_quadrature(family, 0.5)
         assert str(info.value) == "did not converge"
+
+
+# -- the sequence form: many z at one (family, m) ---------------------------
+
+# duplicates, +-1 and the doubles next to 1, the pole distance 1 (4/27 + 1,
+# where the errstate rule's early exit ends), +-30, 1e150 and 1e300; for
+# C1-C4, z in [0, 1] and its mirror.  A2/B2 at z near 1 run past stage 0
+# from m = 5, beside z that stop in it
+_SEQ_Z_OUTER = [2.0, 1.0, -1.0, 2.0, math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0),
+                4.0 / 27.0 + 1.0, 30.0, -30.0, 1e150, -1e150, 1e300, -1e300, 1.0]
+_SEQ_Z_INNER = [0.5, 0.0, -0.0, 0.25, 0.5, 0.9, 1.0, -1.0, 1e-8, 5e-324, -0.3]
+
+
+def _hexes(call) -> list[str] | str:
+    try:
+        return [value.hex() for value in call()]
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _one_by_one(family, zs, m=0, **kwargs):
+    return lambda: [series_via_quadrature(family, z, m, **kwargs) for z in zs]
+
+
+@pytest.mark.parametrize("family", [f.value for f in SeriesFamily])
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+def test_sequence_matches_scalar_calls_bitwise(family, tol):
+    outer = family[0] in "AB"
+    zs = _SEQ_Z_OUTER if outer else _SEQ_Z_INNER
+    # four copies pass the 42 rows of one block of stage 0's factor
+    for m in [*range(9), 20] if outer else [0]:
+        for some in (zs[:0], zs[:1], zs[:2], zs[:3], zs[:4], zs[:7], zs, zs * 4):
+            want = _hexes(_one_by_one(family, some, m, tol=tol))
+            for form in (list, tuple, np.array):
+                got = series_via_quadrature(family, form(some), m, tol)
+                assert type(got) is list
+                assert [value.hex() for value in got] == want, (m, len(some), form)
+
+
+@pytest.mark.parametrize("family,m,tol", [
+    ("A2", 3000, 1e-14),     # columns leave at levels 0, 6 and 9
+    ("B2", 1000, 1e-12),
+    ("A2", 4400, 1e-12),     # the errstate rule is on at z = 1 and off at 2 and -3
+])
+def test_sequence_visits_each_stage_once(monkeypatch, family, m, tol):
+    # the z go on together through the stages the scalar calls visit
+    zs = [2.0, 1.0, -1.0, 1.2, 1.0, -3.0]
+    stages = set()
+    for z in zs:
+        seen, _ = _visits(monkeypatch, lambda: series_via_quadrature(family, z, m, tol))
+        stages.update(seen)
+    seen, got = _visits(monkeypatch, lambda: series_via_quadrature(family, zs, m, tol))
+    assert seen == sorted(stages) and len(seen) >= 4
+    assert [value.hex() for value in got] == _hexes(_one_by_one(family, zs, m, tol=tol))
+
+
+@pytest.mark.parametrize("family,zs,m,kwargs", [
+    # a domain error before a NoConvergence, and after one: A2/B2 at z = 1,
+    # m = 5000 overflow near the pole and never settle, while the other z
+    # settle; with 4 z or more before the failure they share their factors
+    ("A2", [3.0, -1.0, 2.0, -3.0, 0.5, 1.0], 5000, {}),
+    ("A2", [3.0, -1.0, 2.0, -3.0, 1.0, 0.5], 5000, {}),
+    ("A2", [3.0, 0.5, 1.0, 2.0, -3.0], 5000, {}),
+    ("A2", [3.0, 1.0, 0.5, 2.0, -3.0], 5000, {}),
+    ("B2", [-1.0, 2.0, 1.0, 3.0, 1.0], 5000, {}),
+    ("A1", [2.0, 3.0, -4.0, 5.0, math.nan, 0.5], 0, {}),
+    ("A1", [2.0, 3.0, -4.0, 5.0, "abc"], 0, {}),
+    ("A1", [2.0, None, 3.0, -4.0, 5.0], 0, {}),
+    ("A1", ["2", 3, -4.0, 5.0], 0, {}),
+    ("C2", [0.5, 0.25, -0.5, 0.75, 1.5], 0, {}),
+    ("C1", [0.5, 0.25, -0.5, 0.75], 1, {}),
+    ("B1", [2.0, 3.0, -4.0, 5.0], -1, {}),
+    ("A1", [2.0, 3.0, -4.0, 5.0], 0, {"tol": 1e-16}),
+    ("A1", [0.5, 2.0, 3.0, -4.0, 5.0], 0, {"tol": 1e-16}),
+    ("A1", [2.0, 0.5, 3.0, -4.0, 5.0], 0, {"tol": 1e-16}),
+    ("X9", [2.0, 3.0, -4.0, 5.0], 0, {}),
+    ("X9", [], 0, {}),
+    ("A1", [], -1, {"tol": 0.0}),
+    ("A2", [3.0, 1.0], 5000, {}),
+    ("A1", [2.0, 0.5], 0, {}),
+])
+def test_sequence_raises_the_first_error_of_the_scalar_calls(family, zs, m, kwargs):
+    want = _hexes(_one_by_one(family, zs, m, **kwargs))
+    for form in (list, tuple):
+        assert _hexes(lambda: series_via_quadrature(family, form(zs), m, **kwargs)) == want
+
+
+def test_str_and_0d_z_stay_scalar():
+    want = series_via_quadrature("A1", 2.0, 1)
+    assert series_via_quadrature("A1", "2", 1) == want
+    assert series_via_quadrature("A1", np.float64(2.0), 1) == want
+    assert series_via_quadrature("A1", np.array(2.0), 1) == want
