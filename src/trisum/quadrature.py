@@ -57,12 +57,12 @@ function of its own.
 series_via_quadrature also takes a sequence of z at one (family, m), and
 gives each z's scalar value bit for bit.  A z-factor broadcasts over a
 column of z, so from _SHARE_MIN z on each stage computes the factor of
-every z still unsettled as one array with a row per z (in blocks that
-stay in cache), and each row's level sums come from the same
-matrix-vector product the scalar call makes; the stop rule then settles
-each z on its own, and the rest go on to the next stage together.  A
-gemm of the whole array would sum in another order and move the last
-bit.  Fewer z make one scalar call each.
+every z still unsettled as one array with a row per z, and each row's
+level sums come from the same matrix-vector product the scalar call
+makes; the stop rule then settles each z on its own, and the rest go on
+to the next stage together.  A gemm of the whole array would sum in
+another order and move the last bit.  Fewer z are integrated one at a
+time, as the scalar call integrates them.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
@@ -78,7 +78,6 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, NoConvergence, check_index, check_tol
@@ -369,21 +368,9 @@ def _tanh_sinh_columns(f: _OnStage, tol: float, zs: list, m: int) -> list:
     return out
 
 
-# the most factor values _factor_rows computes at once: a block's arrays
-# stay in cache, where one array for hundreds of z would not
-_BLOCK = 1 << 13
-
-
-def _factor_rows(f: _OnStage, st: _Stage, zs: list, m: int):
-    """f's z-factor at st's nodes for each z of zs: an iterable of rows,
-    one per z, computed a block of z at a time."""
-    col = _np.array(zs)[:, None]
-    nodes = len(st.x)
-    if len(zs) * nodes <= _BLOCK:
-        return f.values(st, (col, m))
-    step = max(1, _BLOCK // nodes)
-    return chain.from_iterable([f.values(st, (col[start:start + step], m))
-                                for start in range(0, len(zs), step)])
+def _factor_rows(f: _OnStage, st: _Stage, zs: list, m: int) -> np.ndarray:
+    """f's z-factor at st's nodes for each z of zs: one row per z."""
+    return f.values(st, (_np.array(zs)[:, None], m))
 
 
 def _ipow(a: np.ndarray, n: int) -> np.ndarray:
@@ -621,12 +608,11 @@ _SHARE_MIN = 4
 
 def _series_many(family: SeriesFamily | str, z: Sequence[float], m: int,
                  tol: float) -> list[float]:
-    # the sequence form.  From _SHARE_MIN z on: every z converted and
-    # checked as the scalar call checks it, up to the first that fails;
-    # the integrals of the z before that one, whose NoConvergence comes
-    # first; then its failure
-    if len(z) < _SHARE_MIN:
-        return [series_via_quadrature(family, zi, m, tol) for zi in z]
+    # the sequence form: every z converted and checked as the scalar call
+    # checks it, up to the first that fails; the integrals of the z before
+    # that one, whose NoConvergence comes first; then its failure
+    if not len(z):
+        return []
     family, spec = family_entry(family)
     zs = []
     failure = None

@@ -715,7 +715,7 @@ def _one_by_one(family, zs, m=0, **kwargs):
 def test_sequence_matches_scalar_calls_bitwise(family, tol):
     outer = family[0] in "AB"
     zs = _SEQ_Z_OUTER if outer else _SEQ_Z_INNER
-    # four copies pass the 42 rows of one block of stage 0's factor
+    # zs * 4 holds every z four times in one group
     for m in [*range(9), 20] if outer else [0]:
         for some in (zs[:0], zs[:1], zs[:2], zs[:3], zs[:4], zs[:7], zs, zs * 4):
             want = _hexes(_one_by_one(family, some, m, tol=tol))
