@@ -47,7 +47,9 @@ to the largest m asked so far, the coefficients for the last m only.
 closed_sum keeps the last one, so calls at one z in a row, whatever
 their family and m, solve the cubic once and compute each C_r once.  The
 parts are the same doubles each call would compute itself, summed in the
-same order, so sharing changes no total.
+same order, so sharing changes no total.  closed_sum adds the three
+contributions to 0j one at a time in root order, with complex +, so the
+total does not depend on how the interpreter's sum() rounds.
 
 The registry at the bottom holds the published closed-form constants
 for specific (family, z, m) triples, stored as exact-rational
@@ -101,11 +103,15 @@ def C_of(r: int, lam: complex) -> complex:
     if r == 0:
         return dilog(1.0 / lam)
     sign = -1.0 if r % 2 else 1.0
+    lam1 = lam - 1.0
     acc = 0j
     try:
+        # each lam ** k is taken twice, at p = k and at p = r - k: keeping
+        # them in a list measured slower at r = 2-4, the suites' range, than
+        # taking a small power again
         for p in range(1, r):
-            acc += (1.0 / (p * lam ** (r - p))) * (1.0 / (lam - 1.0) ** p - 1.0 / lam ** p)
-        log_ratio = cmath.log((lam - 1.0) / lam)
+            acc += (1.0 / (p * lam ** (r - p))) * (1.0 / lam1 ** p - 1.0 / lam ** p)
+        log_ratio = cmath.log(lam1 / lam)
         return (sign / r) * acc - (sign / (r * lam ** r)) * log_ratio
     except ZeroDivisionError:
         # a power of lam or lam - 1 underflowed to 0 where it divides
@@ -375,8 +381,15 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
         # from a power above, or a coefficient list PoleBasis.coeffs refuses
         raise _refusal(family, z, m) from None
 
-    contribs = tuple(inner[j].conjugate() if conj else inner[j] for j, conj in basis.sources)
-    grand = sum(contribs, start=0j)
+    # each root's contribution from the plan's: its own or its pair
+    # partner's conjugate.  grand adds them to 0j in root order (so a -0.0
+    # component of the first becomes 0.0)
+    (j0, conj0), (j1, conj1), (j2, conj2) = basis.sources
+    c0 = inner[j0].conjugate() if conj0 else inner[j0]
+    c1 = inner[j1].conjugate() if conj1 else inner[j1]
+    c2 = inner[j2].conjugate() if conj2 else inner[j2]
+    contribs = (c0, c1, c2)
+    grand = 0j + c0 + c1 + c2
     if not cmath.isfinite(grand):
         # a basis value or the sum left the double range, where complex
         # * and / give inf or nan instead of raising; complex + works on

@@ -59,12 +59,14 @@ class UnknownSuite(TrisumError, KeyError):
 def check_index(value, noun: str) -> None:
     """Raise DomainError unless value is a nonnegative int; a bool is not
     one.  noun names the index in the message."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    # the exact class int first: the common case skips both isinstance calls
+    if not (value.__class__ is int or isinstance(value, int) and not isinstance(value, bool)) \
+            or value < 0:
         raise DomainError(f"{noun} must be a nonnegative integer, got {value!r}")
 
 
 def check_tol(tol, floor: float, noun: str) -> None:
     """Raise DomainError unless tol is a finite float >= floor; an int is
     not one.  noun names the tolerance in the message."""
-    if not (isinstance(tol, float) and floor <= tol < math.inf):
+    if not ((tol.__class__ is float or isinstance(tol, float)) and floor <= tol < math.inf):
         raise DomainError(f"{noun} must be a float >= {floor}, got {tol!r}")

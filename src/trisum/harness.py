@@ -37,6 +37,14 @@ report order.  A
 record's runtime_ms is the sum of its own layer calls, a quadrature
 call's time shared equally among its group; a specfun-identities
 record's is the time its identity grid took.
+
+A json report writes each record by one row function generated from the
+column table.  Within one report each distinct nonzero float of a
+17-digit column is formatted once and its text reused: z repeats across
+a suite's families and m, tol on every record, and rel_diff equals
+abs_diff wherever |reference| <= 1.  Zeros are formatted each time, as
+0.0 and -0.0 compare and hash equal but are written apart.  The memo
+lives for one emit_report call.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import random
 import time
 from itertools import combinations, starmap
 from json.encoder import encode_basestring_ascii
+from math import isnan
 from operator import sub
 from typing import NamedTuple
 
@@ -104,20 +113,26 @@ def _z_tag(z: float) -> str:
 
 def _record(rid, family, z, m, closed, series, quad, tol, runtime_ms,
             extra=(), deviation=None) -> VerificationRecord:
-    values = [v for v in (closed, series, quad, *extra) if v is not None]
-    if any(map(math.isnan, values)):
-        # max() would keep an earlier finite pair over a later nan one
-        abs_diff = math.nan
-    elif deviation is not None:
-        abs_diff = float(deviation)
-    elif len(values) == 3:
-        # the three pairs of the chain below, in its order
-        a, b, c = values
-        abs_diff = max(abs(a - b), abs(a - c), abs(b - c))
+    # A nan value makes the deviation nan: max() would keep an earlier
+    # finite pair over a later nan one.  Otherwise it is the largest
+    # |a - b| over the pairs of values in order (a before b), as max() over
+    # them one at a time takes it, and 0.0 for fewer than two values.
+    if (closed is not None and series is not None and quad is not None
+            and not extra and deviation is None):
+        # the three layers alone, the theorem-grid case: the chain's three
+        # pairs written out, in its order
+        if isnan(closed) or isnan(series) or isnan(quad):
+            abs_diff = math.nan
+        else:
+            abs_diff = max(abs(closed - series), abs(closed - quad), abs(series - quad))
     else:
-        # the largest |a - b| over the pairs in order (a before b), as
-        # max() over them one at a time takes it; fewer than two values: 0.0
-        abs_diff = max(map(abs, starmap(sub, combinations(values, 2))), default=0.0)
+        values = [v for v in (closed, series, quad, *extra) if v is not None]
+        if any(map(isnan, values)):
+            abs_diff = math.nan
+        elif deviation is not None:
+            abs_diff = float(deviation)
+        else:
+            abs_diff = max(map(abs, starmap(sub, combinations(values, 2))), default=0.0)
     ref = closed if closed is not None else series
     scale = max(1.0, abs(ref)) if ref is not None else 1.0
     rel_diff = abs_diff / scale
@@ -391,18 +406,27 @@ _COLUMNS = (
 
 # A json cell of a column of each type: for a value of exactly that type the
 # text _json_value(v, spec) gives, without its isinstance chain; any other
-# value, None included, is passed to _json_value itself.
+# value, None included, is passed to _json_value itself.  A float is
+# formatted by a %-directive, '%.17g' % v, which writes what
+# format(v, '.17g') writes.  In a ".17g" column a float that is not 0 takes
+# its text from texts, the report's memo keyed by value, so each distinct
+# value is formatted once a report; 0.0 and -0.0 compare and hash equal but
+# are written apart, so a zero skips the memo.
 _JSON_CELL = {
     str: "_encode({v}) if {v}.__class__ is str else _json_value({v}, {spec!r})",
-    float: "format({v}, {spec!r}) if {v}.__class__ is float and _isfinite({v}) "
+    float: "'%{spec}' % {v} if {v}.__class__ is float and _isfinite({v}) "
            "else _json_value({v}, {spec!r})",
     int: "str({v}) if {v}.__class__ is int else _json_value({v}, {spec!r})",
     bool: "'true' if {v} is True else 'false' if {v} is False else _json_value({v}, {spec!r})",
 }
+_MEMO_SPEC = ".17g"
+_MEMO_CELL = ("(texts[{v}] if {v} in texts else texts.setdefault({v}, {fresh})) "
+              "if {v}.__class__ is float and {v} else _json_value({v}, {spec!r})")
 
 
 def _compile_json_row():
-    """_json_row(record): one record as its json report line.
+    """_json_row(record, texts): one record as its json report line, texts
+    being the report's float memo (an empty dict for a new report).
 
     The function is generated from _COLUMNS as one %-template and one
     expression per cell, so a row costs one Python call instead of one per
@@ -410,11 +434,15 @@ def _compile_json_row():
     """
     names = [f"v{i}" for i in range(len(_COLUMNS))]
     template = "    {" + ", ".join(f'"{name}": %s' for name, _, _ in _COLUMNS) + "}"
-    cells = ", ".join(f"({_JSON_CELL[kind].format(v=v, spec=spec)})"
-                      for v, (_, kind, spec) in zip(names, _COLUMNS))
-    source = (f"def _json_row(record):\n"
+    cells = []
+    for v, (_, kind, spec) in zip(names, _COLUMNS):
+        cell = _JSON_CELL[kind].format(v=v, spec=spec)
+        if kind is float and spec == _MEMO_SPEC:
+            cell = _MEMO_CELL.format(v=v, spec=spec, fresh=cell)
+        cells.append(f"({cell})")
+    source = (f"def _json_row(record, texts):\n"
               f"    {', '.join(names)} = record\n"
-              f"    return {template!r} % ({cells})\n")
+              f"    return {template!r} % ({', '.join(cells)})\n")
     namespace = {"_encode": encode_basestring_ascii, "_isfinite": math.isfinite,
                  "_json_value": _json_value}
     exec(source, namespace)
@@ -439,7 +467,8 @@ def _json_report(records, suite, tol) -> str:
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     lines.append(f'  "generated_at": "{stamp}",')
     lines.append('  "records": [')
-    lines.append(",\n".join(map(_json_row, records)))
+    texts = {}
+    lines.append(",\n".join([_json_row(record, texts) for record in records]))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"

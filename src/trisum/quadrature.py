@@ -269,7 +269,8 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
     f must accept two equal-length float64 arrays, then args, and return
     an array of values (real or complex).  Stops once two successive
     refinement levels agree to tol relative to max(1, |integral|); raises
-    NoConvergence if level MAX_LEVEL (12) does not.  The levels of a stage
+    NoConvergence if level MAX_LEVEL (12) does not, naming the relative
+    step between its last two level sums.  The levels of a stage
     are summed together, so a value of f that is not finite at any node
     of a stage makes every level sum in it non-finite.
     """
@@ -302,7 +303,7 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
         total = 0.5 * prev + rows.dot(values(st, args)).item()
         if _settles(prev, total, tol):
             return total
-    raise _unsettled(tol)
+    raise _unsettled(tol, prev, total)
 
 
 def _stage0_value(sums: list, tol: float):
@@ -331,26 +332,36 @@ def _settles(prev: float, total: float, tol: float) -> bool:
     return (err <= tol or err <= tol * abs(total)) and math.isfinite(err)
 
 
-def _unsettled(tol: float) -> NoConvergence:
+def _unsettled(tol: float, prev: float, total: float) -> NoConvergence:
+    # the error when the last level sum, total, does not settle from the
+    # one before it, prev.  Their relative step tells a rounding floor
+    # (about 1e-14, sums that settled but wander in their last digits) from
+    # sums that never settle; sums that are not finite are named instead
+    err = abs(total - prev)
+    if math.isfinite(err):
+        how = f"differ by {err / abs(total) if total else math.inf:.2g} relative to the last"
+    else:
+        how = f"are {prev!r} and {total!r}"
     return NoConvergence(
-        f"tanh-sinh refinement did not reach tol = {tol} within level {MAX_LEVEL}"
+        f"tanh-sinh refinement did not reach tol = {tol} within level {MAX_LEVEL}: "
+        f"its last two level sums {how}"
     )
 
 
 def _tanh_sinh_columns(f: _OnStage, tol: float, zs: list, m: int) -> list:
-    """tanh_sinh(f, tol, (z, m)) for each z of zs, bit for bit, or None
-    where that call raises NoConvergence; tol already checked.  The z
+    """tanh_sinh(f, tol, (z, m)) for each z of zs, bit for bit, or the
+    NoConvergence that call raises, unraised; tol already checked.  The z
     share each stage's factor computation, and each z's level sums come
     from the gemv its scalar call makes (see the module docstring)."""
     st = _level_nodes(0)
     rows = st.kern[f.kernel]
     out = [None] * len(zs)
-    left = []       # (index, last level sum) of the z not yet settled
+    left = []       # (index, last two level sums) of the z not yet settled
     for i, g in enumerate(_factor_rows(f, st, zs, m)):
         sums = rows.dot(g).tolist()
         value = _stage0_value(sums, tol)
         if value is None:
-            left.append((i, sums[-1]))
+            left.append((i, sums[-2], sums[-1]))
         else:
             out[i] = value
     for level in range(_STAGE0_TOP + 1, MAX_LEVEL + 1):
@@ -359,12 +370,14 @@ def _tanh_sinh_columns(f: _OnStage, tol: float, zs: list, m: int) -> list:
         st = _level_nodes(level)
         rows = st.kern[f.kernel]
         todo, left = left, []
-        for (i, prev), g in zip(todo, _factor_rows(f, st, [zs[i] for i, _ in todo], m)):
+        for (i, _, prev), g in zip(todo, _factor_rows(f, st, [zs[i] for i, _, _ in todo], m)):
             total = 0.5 * prev + rows.dot(g).item()
             if _settles(prev, total, tol):
                 out[i] = total
             else:
-                left.append((i, total))
+                left.append((i, prev, total))
+    for i, prev, total in left:
+        out[i] = _unsettled(tol, prev, total)
     return out
 
 
@@ -533,10 +546,9 @@ def _integrals(entry: _Entry, zs: list, m: int, tol: float) -> list:
     else:
         with state:
             raws = _tanh_sinh_columns(f, tol, zs, m)
-    if None in raws:
-        z = zs[raws.index(None)]
-        exc = _unsettled(tol)
-        raise _near_pole(exc, z) if quiet is _pole_errstate else exc
+    for z, raw in zip(zs, raws):
+        if isinstance(raw, NoConvergence):
+            raise _near_pole(raw, z) if quiet is _pole_errstate else raw
     return [_signed(sign, raw, z, m) for z, raw in zip(zs, raws)]
 
 

@@ -31,10 +31,6 @@ class CubicRoots(NamedTuple):
     roots: tuple[complex, complex, complex]
     discriminant: float
 
-    @property
-    def real_root_count(self) -> int:
-        return sum(1 for r in self.roots if r.imag == 0.0)
-
 
 def _poly(x: complex, z: float) -> complex:
     return ((x - 2.0) * x + 1.0) * x - z

@@ -302,6 +302,8 @@ def test_integral_near_pole_fails_quietly(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: tanh-sinh refinement did not reach tol")
     assert "pole near [0, 1]" in err and "lies 1e-300 outside [0, 4/27]" in err
+    # the level sums are not finite there, so the message names them
+    assert "within level 12: its last two level sums are nan and nan; " in err
     assert "Warning" not in err
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -771,6 +772,28 @@ def test_sequence_raises_the_first_error_of_the_scalar_calls(family, zs, m, kwar
     want = _hexes(_one_by_one(family, zs, m, **kwargs))
     for form in (list, tuple):
         assert _hexes(lambda: series_via_quadrature(family, form(zs), m, **kwargs)) == want
+
+
+def test_no_convergence_names_the_last_relative_step():
+    # A2 at z = 1.1, m = 3000: the level sums (about 7.1e62) settle to a
+    # relative 1e-14 and then wander in their last digits, so tol = 1e-14
+    # is never met.  The message gives that step, and the sequence form
+    # raises the scalar call's text, with a group of 4 z and of 1
+    def message(call):
+        with pytest.raises(NoConvergence) as info:
+            call()
+        return str(info.value)
+
+    want = message(lambda: series_via_quadrature("A2", 1.1, 3000, tol=1e-14))
+    found = re.search(r"within level 12: its last two level sums differ by (\S+) "
+                      r"relative to the last; the integrand has a pole near", want)
+    assert found and 1e-15 < float(found.group(1)) < 1e-13, want
+    for zs in ([1.1], [2.0, 3.0, 1.1, -4.0]):
+        assert message(lambda: series_via_quadrature("A2", zs, 3000, tol=1e-14)) == want
+    # a kink defeats the refinement: the sums keep moving, far above rounding
+    kink = message(lambda: tanh_sinh(lambda x, xc: np.abs(x - 1.0 / 3.0), tol=1e-14))
+    found = re.search(r"differ by (\S+) relative to the last$", kink)
+    assert found and float(found.group(1)) > 1e-10, kink
 
 
 def test_str_and_0d_z_stay_scalar():

@@ -5,7 +5,8 @@ the harness's column table.  The reference below renders it the way the
 writer did before, one cell at a time, through an isinstance chain on each
 value, and json, csv and table output must match it byte for byte, on
 every suite and on synthetic records that reach the edges of each cell
-format.  The one intended difference from the old writer: json writes a
+format, and on one report that reaches the edges of the writer's per-report
+float memo.  The one intended difference from the old writer: json writes a
 float that is not finite as Infinity, -Infinity or NaN, so the report
 stays parseable.
 """
@@ -154,6 +155,39 @@ SYNTHETIC = [
     record(id="non-finite", closed=math.inf, series_oracle=-math.inf,
            quad_oracle=math.nan, abs_diff=math.inf, rel_diff=math.nan, passed=False),
 ]
+
+
+# One report for the json writer's float memo, which keys each report's
+# float texts by value: 0.0 and -0.0 (equal, and equal in hash, yet written
+# apart) in one column and across columns, a z that repeats, a value that
+# recurs in another column, rel_diff equal to abs_diff and apart from it,
+# tol inf and nan, and nan and inf values, one nan object in two cells.
+_NAN = math.nan
+MEMO_REPORT = [
+    record(id="z-pos-zero", z=0.0, closed=-0.0, abs_diff=0.0, rel_diff=0.0),
+    record(id="z-neg-zero", z=-0.0, closed=0.0, series_oracle=-0.0, rel_diff=-0.0),
+    record(id="z-pos-zero-again", z=0.0, quad_oracle=-0.0),
+    record(id="z-repeats-1", z=3.5, closed=3.5, abs_diff=1e-12, rel_diff=1e-12),
+    record(id="z-repeats-2", z=3.5, closed=2.5, abs_diff=1e-12, rel_diff=2.857142857142857e-13),
+    record(id="z-repeats-3", z=3.5, series_oracle=3.5, abs_diff=2e-12, rel_diff=1e-12),
+    record(id="tol-inf", tol=math.inf, abs_diff=math.inf, rel_diff=math.inf, passed=False),
+    record(id="tol-nan", tol=_NAN, abs_diff=_NAN, rel_diff=_NAN, passed=False),
+    record(id="non-finite-values", closed=-math.inf, series_oracle=math.inf,
+           quad_oracle=math.nan, abs_diff=math.inf, rel_diff=math.nan, tol=-math.inf),
+    record(id="after-non-finite", z=math.inf, closed=0.25, tol=1e-9),
+]
+
+
+def test_float_memo_report_bytes():
+    assert_same_bytes(MEMO_REPORT, suite="memo", tol=1e-9)
+    assert_same_bytes(MEMO_REPORT, suite="memo", tol=math.nan)
+    # the same records in the other order, so each value is met first
+    # in another row
+    assert_same_bytes(MEMO_REPORT[::-1], suite="memo", tol=math.inf)
+    lines = emit_report(MEMO_REPORT, "json").splitlines()
+    rows = [line for line in lines if line.startswith('    {"id": "z-')][:3]
+    assert '"z": 0, ' in rows[0] and '"z": -0, ' in rows[1] and '"z": 0, ' in rows[2]
+    assert '"closed": -0, ' in rows[0] and '"closed": 0, ' in rows[1]
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ class TestKnownFactorizations:
         assert res.roots[0] == pytest.approx(2.0 + 0j, abs=1e-15)
         assert res.roots[1] == pytest.approx(-1j, abs=1e-15)
         assert res.roots[2] == pytest.approx(1j, abs=1e-15)
-        assert res.real_root_count == 1
+        assert sum(r.imag == 0.0 for r in res.roots) == 1
 
     def test_z_minus_four(self):
         # x = -1 is a root; the pair is (3 +- i sqrt(7))/2
@@ -35,7 +35,7 @@ class TestKnownFactorizations:
 
     def test_three_real_branch(self):
         res = solve_cubic(0.1)
-        assert res.real_root_count == 3
+        assert sum(r.imag == 0.0 for r in res.roots) == 3
         assert res.discriminant > 0
         assert _residual(res) <= 1e-15
 
