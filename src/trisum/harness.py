@@ -28,15 +28,17 @@ next.  The closed-form, series and published passes visit the points by
 one rule: the points at one z together, in the order each z first
 appears in the report, m ascending, ties in report order.  So the closed
 forms at one z share closed_sum's pole basis.  The quadrature pass
-groups the points by (family, m), in the order each group first appears
-in the report, and makes one call per group, with the group's z in
-report order: series_via_quadrature's sequence form, which computes the
-z-factors of a group of 4 z or more together (beta-terms has one k per
-group, and one beta_term_integral call for it).  Records still come in
-report order.  A
-record's runtime_ms is the sum of its own layer calls, a quadrature
-call's time shared equally among its group; a specfun-identities
-record's is the time its identity grid took.
+groups the points by (family, m), the points without a family making
+one group, in the order each group first appears in the report, and
+makes one call per group, with the group's points in report order:
+series_via_quadrature's sequence form, which computes the z-factors of a
+group of 4 z or more together, and for beta-terms' 31 k one call of
+beta_term_integral's sequence form, which does the same for u^k.  The
+exact beta term is the correctly rounded quotient of its integer ratio,
+from the series helper base_term takes its Fraction from.  Records still
+come in report order.  A record's runtime_ms is the sum of its own layer
+calls, a quadrature call's time shared equally among its group; a
+specfun-identities record's is the time its identity grid took.
 
 A json report writes each record by one row function generated from the
 column table.  Within one report each distinct nonzero float of a
@@ -64,7 +66,7 @@ from typing import NamedTuple
 from .closedform import REGISTRY, closed_sum
 from .errors import DomainError, UnknownSuite, check_tol
 from .quadrature import beta_term_integral, series_via_quadrature, tanh_sinh
-from .series import FAMILIES, base_term, sum_series
+from .series import FAMILIES, _exact_ratio, sum_series
 from .specfun import catalan, clausen2, dilog, harmonic, odd_harmonic
 
 __all__ = ["VerificationRecord", "SUITES", "run_suite", "emit_report"]
@@ -173,11 +175,15 @@ def _published(point):
 
 
 def _beta_exact(point):
-    return float(-base_term("A", point[3]).exact)  # integral of x^k (1-x)^{2k} log x
+    # the integral of x^k (1-x)^{2k} log x, -base_term("A", k).exact, as the
+    # correctly rounded quotient of its integer ratio: no gcd normalisation
+    num, den = _exact_ratio("A", point[3])
+    return -num / den
 
 
 def _beta_quad(group):
-    return [beta_term_integral(point[3], tol=_QUAD_TOL) for point in group]
+    # one call for the group's k: beta_term_integral's sequence form
+    return beta_term_integral([point[3] for point in group], tol=_QUAD_TOL)
 
 
 def _layer_records(points, tol, closed=None, series=None, quad=None,
@@ -195,7 +201,8 @@ def _layer_records(points, tol, closed=None, series=None, quad=None,
     groups: dict = {}
     for i, point in enumerate(points):
         first_at.setdefault(point[2], len(first_at))
-        groups.setdefault((point[1], point[3]), []).append(i)
+        # points without a family (beta-terms' k) make one group
+        groups.setdefault(None if point[1] is None else (point[1], point[3]), []).append(i)
     visit = sorted(enumerate(points), key=lambda item: (first_at[item[1][2]], item[1][3]))
     clock = time.perf_counter
     spent = [0.0] * len(points)

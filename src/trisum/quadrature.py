@@ -55,14 +55,20 @@ call, with (z, m) as the integrand's extra arguments, so it builds no
 function of its own.
 
 series_via_quadrature also takes a sequence of z at one (family, m), and
-gives each z's scalar value bit for bit.  A z-factor broadcasts over a
-column of z, so from _SHARE_MIN z on each stage computes the factor of
-every z still unsettled as one array with a row per z, and each row's
-level sums come from the same matrix-vector product the scalar call
-makes; the stop rule then settles each z on its own, and the rest go on
-to the next stage together.  A gemm of the whole array would sum in
-another order and move the last bit.  Fewer z are integrated one at a
-time, as the scalar call integrates them.
+beta_term_integral a sequence of k; each gives every element's scalar
+value bit for bit.  From _SHARE_MIN elements on, each stage computes the
+factor of every element still unsettled as one array with a row per
+element, and each row's level sums come from the same matrix-vector
+product the scalar call makes; the stop rule then settles each element
+on its own, and the rest go on to the next stage together.  One stage
+loop, _tanh_sinh_columns, serves both, given the function that makes
+the rows: a z-factor broadcasts over a column of z, and u^k takes the
+powers u^(2^j) by repeated squaring and multiplies each row by those of
+its k's bits in ascending order, as _ipow does, so every row is bitwise
+the scalar factor (np.cumprod would round differently, and np.power
+with an array exponent calls libm pow per element).  A gemm of the whole
+array would sum in another order and move the last bit.  Fewer elements
+are integrated one at a time, as the scalar call integrates them.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
@@ -348,16 +354,18 @@ def _unsettled(tol: float, prev: float, total: float) -> NoConvergence:
     )
 
 
-def _tanh_sinh_columns(f: _OnStage, tol: float, zs: list, m: int) -> list:
-    """tanh_sinh(f, tol, (z, m)) for each z of zs, bit for bit, or the
-    NoConvergence that call raises, unraised; tol already checked.  The z
-    share each stage's factor computation, and each z's level sums come
-    from the gemv its scalar call makes (see the module docstring)."""
+def _tanh_sinh_columns(kernel: str, factor_rows, tol: float, params: list) -> list:
+    """tanh_sinh on kernel's folded rows of one integrand per parameter of
+    params, bit for bit, or the NoConvergence that call raises, unraised;
+    tol already checked.  factor_rows(st, ps) gives the factor of each
+    parameter of ps at st's nodes, one row each: the parameters share each
+    stage's factor computation, and each one's level sums come from the
+    gemv its scalar call makes (see the module docstring)."""
     st = _level_nodes(0)
-    rows = st.kern[f.kernel]
-    out = [None] * len(zs)
-    left = []       # (index, last two level sums) of the z not yet settled
-    for i, g in enumerate(_factor_rows(f, st, zs, m)):
+    rows = st.kern[kernel]
+    out = [None] * len(params)
+    left = []       # (index, last two level sums) of the parameters not yet settled
+    for i, g in enumerate(factor_rows(st, params)):
         sums = rows.dot(g).tolist()
         value = _stage0_value(sums, tol)
         if value is None:
@@ -368,9 +376,9 @@ def _tanh_sinh_columns(f: _OnStage, tol: float, zs: list, m: int) -> list:
         if not left:
             break
         st = _level_nodes(level)
-        rows = st.kern[f.kernel]
+        rows = st.kern[kernel]
         todo, left = left, []
-        for (i, _, prev), g in zip(todo, _factor_rows(f, st, [zs[i] for i, _, _ in todo], m)):
+        for (i, _, prev), g in zip(todo, factor_rows(st, [params[i] for i, _, _ in todo])):
             total = 0.5 * prev + rows.dot(g).item()
             if _settles(prev, total, tol):
                 out[i] = total
@@ -379,11 +387,6 @@ def _tanh_sinh_columns(f: _OnStage, tol: float, zs: list, m: int) -> list:
     for i, prev, total in left:
         out[i] = _unsettled(tol, prev, total)
     return out
-
-
-def _factor_rows(f: _OnStage, st: _Stage, zs: list, m: int) -> np.ndarray:
-    """f's z-factor at st's nodes for each z of zs: one row per z."""
-    return f.values(st, (_np.array(zs)[:, None], m))
 
 
 def _ipow(a: np.ndarray, n: int) -> np.ndarray:
@@ -541,11 +544,16 @@ def _integrals(entry: _Entry, zs: list, m: int, tol: float) -> list:
         state = quiet(z, m)
         if state is not None:
             break
+
+    def factor_rows(st, zs):
+        # the z-factor broadcast over a column of z: one row per z
+        return f.values(st, (_np.array(zs)[:, None], m))
+
     if state is None:
-        raws = _tanh_sinh_columns(f, tol, zs, m)
+        raws = _tanh_sinh_columns(f.kernel, factor_rows, tol, zs)
     else:
         with state:
-            raws = _tanh_sinh_columns(f, tol, zs, m)
+            raws = _tanh_sinh_columns(f.kernel, factor_rows, tol, zs)
     for z, raw in zip(zs, raws):
         if isinstance(raw, NoConvergence):
             raise _near_pole(raw, z) if quiet is _pole_errstate else raw
@@ -583,8 +591,34 @@ def _beta_term(st, args):
 _BETA_TERM = _OnStage(_beta_term, Kernel.LNX.value)
 
 
-def beta_term_integral(k: int, tol: float = 1e-12) -> float:
-    """Integral of x^k (1-x)^{2k} log x over (0, 1)."""
+def _beta_rows(st, ks: list) -> np.ndarray:
+    """u^k at st's nodes for each k of ks, one row each, every row bitwise
+    _beta_term's: u^(2^j) by repeated squaring, as _ipow squares, and each
+    row, from 1.0, multiplied by those powers in ascending bit order of its
+    k, as _ipow multiplies.  A product with 1.0 is exact, so a row takes
+    the first of its powers unchanged, and k = 0 keeps the row of ones."""
+    top = max(ks).bit_length()
+    has = _np.array([[k >> j & 1 for k in ks] for j in range(top)], dtype=bool)
+    out = _np.ones((len(ks), len(st.u)))
+    power = st.u
+    for j in range(top):
+        if j:
+            power = power * power
+        _np.multiply(out, power, out, where=has[j, :, None])   # the rows whose k has bit j
+    return out
+
+
+def beta_term_integral(k: int | Sequence[int], tol: float = 1e-12) -> float | list[float]:
+    """Integral of x^k (1-x)^{2k} log x over (0, 1).
+
+    k is a nonnegative int, or a list or tuple of them.  For a sequence the
+    result is a list whose element i is beta_term_integral(k[i], tol), bit
+    for bit, and the call raises what that list comprehension raises, at
+    its first failing k; so [] gives [].  From 4 k on, the k share each
+    stage's computation of u^k.
+    """
+    if k.__class__ is not int and isinstance(k, (list, tuple)):
+        return _beta_many(k, tol)
     check_index(k, "index")
     return tanh_sinh(_BETA_TERM, tol, (k,))
 
@@ -611,10 +645,12 @@ def series_via_quadrature(family: SeriesFamily | str, z: float | Sequence[float]
     return _integral(_ENTRIES[family], z, m, tol)
 
 
-# the fewest z whose z-factors are computed together: below it the
+# the fewest z, or k, whose factors are computed together: below it the
 # shared arrays cost more to set up than the numpy calls they save (on
 # A1-C4 at 3 z the shared call took 0.88-1.14 times the scalar calls'
-# time, at 4 z 0.73-0.87 times)
+# time, at 4 z 0.73-0.87 times).  The k rows pay later: 4-8 k took
+# 1.03-1.5 times the scalar calls' time, 16 k 0.74 and beta-terms' 31 k
+# 0.58 times
 _SHARE_MIN = 4
 
 
@@ -644,6 +680,31 @@ def _series_many(family: SeriesFamily | str, z: Sequence[float], m: int,
         values = [_integral(entry, zi, m, tol) for zi in zs]
     else:
         values = _integrals(entry, zs, m, tol)
+    if failure is not None:
+        raise failure
+    return values
+
+
+def _beta_many(ks: Sequence[int], tol: float) -> list[float]:
+    # the sequence form of beta_term_integral, as _series_many's for z
+    done = []
+    failure = None
+    for k in ks:
+        try:
+            check_index(k, "index")
+            if not done:     # tanh_sinh's check, after the first k's
+                check_tol(tol, _MIN_TOL, "tol")
+        except DomainError as exc:
+            failure = exc
+            break
+        done.append(k)
+    if len(done) < _SHARE_MIN:
+        values = [tanh_sinh(_BETA_TERM, tol, (k,)) for k in done]
+    else:
+        values = _tanh_sinh_columns(_BETA_TERM.kernel, _beta_rows, tol, done)
+        for raw in values:
+            if isinstance(raw, NoConvergence):
+                raise raw
     if failure is not None:
         raise failure
     return values

@@ -119,6 +119,23 @@ def _numerator_float(kind: str, k: int) -> float:
     return harmonic(2 * k) - harmonic(k)
 
 
+def _denominator(k: int) -> int:
+    # (3k+1) C(3k,k), the denominator both base term kinds share
+    return (3 * k + 1) * math.comb(3 * k, k)
+
+
+def _exact_ratio(kind: str, k: int) -> tuple[int, int]:
+    """The exact base term of kind "A" or "B" at k <= _EXACT_TERM_LIMIT as
+    an integer ratio (num, den), not normalised: (p/q - r/s) / ((3k+1)
+    C(3k,k)), where p/q is H_{3k+1} or H_{2k} and r/s is H_k.  base_term's
+    exact value is Fraction(num, den); int / int division is correctly
+    rounded at any size, so num / den is the double nearest it."""
+    top = 3 * k + 1 if kind == "A" else 2 * k
+    p, q = harmonic(top, exact=True).as_integer_ratio()
+    r, s = harmonic(k, exact=True).as_integer_ratio()
+    return p * s - r * q, q * s * _denominator(k)
+
+
 def base_term(kind: str, k: int) -> TermValue:
     """Base term (H_{3k+1} - H_k) or (H_{2k} - H_k) over (3k+1) C(3k,k).
 
@@ -128,18 +145,11 @@ def base_term(kind: str, k: int) -> TermValue:
     if kind not in ("A", "B"):
         raise DomainError(f"base term kind must be 'A' or 'B', got {kind!r}")
     check_index(k, "term index")
-    den = (3 * k + 1) * math.comb(3 * k, k)
     # int / int division is correctly rounded at any size, so this is the
     # double nearest num / den even when den is past the double range
     n, d = _numerator_float(kind, k).as_integer_ratio()
-    value = n / (d * den)
-    exact = None
-    if k <= _EXACT_TERM_LIMIT:
-        # (p/q - r/s) / den, normalised once
-        top = 3 * k + 1 if kind == "A" else 2 * k
-        p, q = harmonic(top, exact=True).as_integer_ratio()
-        r, s = harmonic(k, exact=True).as_integer_ratio()
-        exact = Fraction(p * s - r * q, q * s * den)
+    value = n / (d * _denominator(k))
+    exact = Fraction(*_exact_ratio(kind, k)) if k <= _EXACT_TERM_LIMIT else None
     return TermValue(k=k, value=value, exact=exact)
 
 

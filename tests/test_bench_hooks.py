@@ -111,3 +111,16 @@ def test_tracer_sees_one_quadrature_call_per_group():
     assert names.count("quadrature.sqv") == 20
     assert tracer.counts["quadrature.levels"] == 20
     assert tracer.counts["quadrature.nodes"] == 20 * 193
+
+
+def test_tracer_sees_one_beta_terms_stage_visit():
+    # beta-terms' 31 k make one quadrature group and one beta_term_integral
+    # call, whose k share stage 0 and all settle there
+    tracer = _spans.Tracer(trisum)
+    tracer.install()
+    try:
+        trisum.harness.run_suite("beta-terms")
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["quadrature.levels"] == 1
+    assert tracer.counts["quadrature.nodes"] == 193

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -96,6 +97,19 @@ def test_beta_records_match_exact_terms(all_suites):
         assert r.closed == float(-base_term("A", k).exact)
         assert r.closed < 0
         assert r.series_oracle is None
+
+
+def test_beta_exact_oracle_is_the_rounded_exact_term():
+    # the suite's exact value is the quotient of the unnormalised integer
+    # ratio; it must round as the normalised Fraction does, at every k the
+    # exact branch serves, and the Fraction must be that ratio's
+    from trisum.series import _EXACT_TERM_LIMIT, _exact_ratio
+    assert _EXACT_TERM_LIMIT == 170
+    for k in range(_EXACT_TERM_LIMIT + 1):
+        got = harness._beta_exact((f"beta-k{k}", None, None, k, None))
+        assert got.hex() == float(-base_term("A", k).exact).hex(), k
+        for kind in "AB":
+            assert base_term(kind, k).exact == Fraction(*_exact_ratio(kind, k)), (kind, k)
 
 
 def test_concluding_has_no_closed_column(all_suites):
@@ -283,9 +297,10 @@ def test_constants_solve_one_cubic_per_z(monkeypatch):
 def test_layers_visit_by_z_then_m(monkeypatch):
     # the point passes visit the points at one z together, in the order
     # each z first appears, m ascending, ties in report order; the
-    # quadrature pass makes one call per (family, m) group, in the order
-    # each group first appears, its points in report order, and shares
-    # the call's time equally among them; records stay in report order
+    # quadrature pass makes one call per (family, m) group, the points
+    # without a family making one group, in the order each group first
+    # appears, its points in report order, and shares the call's time
+    # equally among them; records stay in report order
     points = [(rid, family, z, m, 1.0) for rid, family, z, m in (
         ("a", "A1", 2.0, 3), ("b", "A1", -4.0, 0), ("c", "A1", 2.0, 1), ("d", None, None, 5),
         ("e", "B1", 2.0, 1), ("f", "A1", -4.0, 0), ("g", None, None, 2))]
@@ -305,10 +320,10 @@ def test_layers_visit_by_z_then_m(monkeypatch):
 
     records = harness._layer_records(points, 1e-9, closed=layer, series=layer, quad=quad)
     assert visits == list("ceabfgd") * 2
-    assert calls == ["a", "bf", "c", "d", "e", "g"]
+    assert calls == ["a", "bf", "c", "dg", "e"]
     assert [r.id for r in records] == list("abcdefg")
     assert [r.closed for r in records] == [3.0, 4.0, 1.0, 7.0, 2.0, 5.0, 6.0]
     assert [r.series_oracle for r in records] == [10.0, 11.0, 8.0, 14.0, 9.0, 12.0, 13.0]
-    assert [r.quad_oracle for r in records] == [10.0, 20.0, 30.0, 40.0, 50.0, 21.0, 60.0]
-    assert [r.runtime_ms for r in records] == [8000.0, 5000.0, 8000.0, 8000.0, 8000.0,
-                                               5000.0, 8000.0]
+    assert [r.quad_oracle for r in records] == [10.0, 20.0, 30.0, 40.0, 50.0, 21.0, 41.0]
+    assert [r.runtime_ms for r in records] == [8000.0, 5000.0, 8000.0, 5000.0, 8000.0,
+                                               5000.0, 5000.0]

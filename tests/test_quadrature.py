@@ -801,3 +801,58 @@ def test_str_and_0d_z_stay_scalar():
     assert series_via_quadrature("A1", "2", 1) == want
     assert series_via_quadrature("A1", np.float64(2.0), 1) == want
     assert series_via_quadrature("A1", np.array(2.0), 1) == want
+
+
+# -- the sequence form of beta_term_integral: many k ------------------------
+
+# 0-40, 100-1000 (u^k underflows to 0 at every node from about k = 400),
+# and duplicates.  Under the stop rule every k settles in stage 0, so the
+# k take the shared stage loop's later-stage path only where it serves the
+# z sequence, in the tests above
+_SEQ_K = [*range(41), 100, 200, 400, 1000, 7, 0, 1000, 30, 7]
+
+
+def _beta_one_by_one(ks, **kwargs):
+    return lambda: [beta_term_integral(k, **kwargs) for k in ks]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-14])
+def test_beta_sequence_matches_scalar_calls_bitwise(tol):
+    for some in (*(_SEQ_K[:n] for n in (0, 1, 2, 3, 4, 7, 31)), _SEQ_K, _SEQ_K[::-1] * 2):
+        want = _hexes(_beta_one_by_one(some, tol=tol))
+        for form in (list, tuple):
+            got = beta_term_integral(form(some), tol)
+            assert type(got) is list
+            assert [value.hex() for value in got] == want, (len(some), form)
+
+
+def test_beta_sequence_visits_stage_0_once(monkeypatch):
+    seen, got = _visits(monkeypatch, lambda: beta_term_integral(list(range(31))))
+    assert seen == [0]
+    assert [value.hex() for value in got] == _hexes(_beta_one_by_one(range(31)))
+
+
+@pytest.mark.parametrize("bad", [True, -1, 2.0, "3", None])
+@pytest.mark.parametrize("at", [0, 1, 3, 4, 6])
+def test_beta_sequence_raises_the_first_error_of_the_scalar_calls(bad, at):
+    ks = [3, 0, 30, 7, 1000, 12, 2]
+    ks.insert(at, bad)
+    want = _hexes(_beta_one_by_one(ks))
+    assert want.startswith("DomainError: index must be")
+    for form in (list, tuple):
+        assert _hexes(lambda: beta_term_integral(form(ks))) == want
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1, math.nan, "1e-12"])
+@pytest.mark.parametrize("at", [None, 0, 1, 5])
+def test_beta_sequence_raises_a_bad_tol_as_the_scalar_calls(tol, at):
+    # the tol check follows the first k's index check, so a bad first k is
+    # named instead; [] checks nothing
+    ks = [3, 0, 30, 7, 1000, 12]
+    if at is not None:
+        ks[at] = -1
+    want = _hexes(_beta_one_by_one(ks, tol=tol))
+    assert want.startswith("DomainError: index" if at == 0 else "DomainError: tol")
+    for form in (list, tuple):
+        assert _hexes(lambda: beta_term_integral(form(ks), tol=tol)) == want
+    assert beta_term_integral([], tol=tol) == []
