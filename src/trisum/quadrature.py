@@ -56,19 +56,19 @@ function of its own.
 
 series_via_quadrature also takes a sequence of z at one (family, m), and
 beta_term_integral a sequence of k; each gives every element's scalar
-value bit for bit.  From _SHARE_MIN elements on, each stage computes the
-factor of every element still unsettled as one array with a row per
-element, and each row's level sums come from the same matrix-vector
-product the scalar call makes; the stop rule then settles each element
-on its own, and the rest go on to the next stage together.  One stage
-loop, _tanh_sinh_columns, serves both, given the function that makes
-the rows: a z-factor broadcasts over a column of z, and u^k takes the
+value bit for bit.  Each stage computes the factor of every element
+still unsettled as one array with a row per element (any number of k,
+and from _SHARE_MIN z on), and each row's level sums come from the same
+matrix-vector product the scalar call makes; the stop rule then settles
+each element on its own, and the rest go on to the next stage
+together.  One stage loop, _tanh_sinh_columns, serves both, given the
+function that makes the rows: a z-factor broadcasts over a column of z, and u^k takes the
 powers u^(2^j) by repeated squaring and multiplies each row by those of
 its k's bits in ascending order, as _ipow does, so every row is bitwise
 the scalar factor (np.cumprod would round differently, and np.power
 with an array exponent calls libm pow per element).  A gemm of the whole
-array would sum in another order and move the last bit.  Fewer elements
-are integrated one at a time, as the scalar call integrates them.
+array would sum in another order and move the last bit.  Fewer z are
+integrated one at a time, as the scalar call integrates them.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
@@ -614,8 +614,8 @@ def beta_term_integral(k: int | Sequence[int], tol: float = 1e-12) -> float | li
     k is a nonnegative int, or a list or tuple of them.  For a sequence the
     result is a list whose element i is beta_term_integral(k[i], tol), bit
     for bit, and the call raises what that list comprehension raises, at
-    its first failing k; so [] gives [].  From 4 k on, the k share each
-    stage's computation of u^k.
+    its first failing k; so [] gives [].  The k share each stage's
+    computation of u^k.
     """
     if k.__class__ is not int and isinstance(k, (list, tuple)):
         return _beta_many(k, tol)
@@ -645,12 +645,10 @@ def series_via_quadrature(family: SeriesFamily | str, z: float | Sequence[float]
     return _integral(_ENTRIES[family], z, m, tol)
 
 
-# the fewest z, or k, whose factors are computed together: below it the
-# shared arrays cost more to set up than the numpy calls they save (on
-# A1-C4 at 3 z the shared call took 0.88-1.14 times the scalar calls'
-# time, at 4 z 0.73-0.87 times).  The k rows pay later: 4-8 k took
-# 1.03-1.5 times the scalar calls' time, 16 k 0.74 and beta-terms' 31 k
-# 0.58 times
+# the fewest z whose factors are computed together: below it the shared
+# arrays cost more to set up than the numpy calls they save (on A1-C4 at
+# 3 z the shared call took 0.88-1.14 times the scalar calls' time, at 4 z
+# 0.73-0.87 times)
 _SHARE_MIN = 4
 
 
@@ -698,13 +696,10 @@ def _beta_many(ks: Sequence[int], tol: float) -> list[float]:
             failure = exc
             break
         done.append(k)
-    if len(done) < _SHARE_MIN:
-        values = [tanh_sinh(_BETA_TERM, tol, (k,)) for k in done]
-    else:
-        values = _tanh_sinh_columns(_BETA_TERM.kernel, _beta_rows, tol, done)
-        for raw in values:
-            if isinstance(raw, NoConvergence):
-                raise raw
+    values = _tanh_sinh_columns(_BETA_TERM.kernel, _beta_rows, tol, done) if done else []
+    for raw in values:
+        if isinstance(raw, NoConvergence):
+            raise raw
     if failure is not None:
         raise failure
     return values

@@ -826,10 +826,12 @@ def test_beta_sequence_matches_scalar_calls_bitwise(tol):
             assert [value.hex() for value in got] == want, (len(some), form)
 
 
-def test_beta_sequence_visits_stage_0_once(monkeypatch):
-    seen, got = _visits(monkeypatch, lambda: beta_term_integral(list(range(31))))
+@pytest.mark.parametrize("n", [1, 3, 31])
+def test_beta_sequence_visits_stage_0_once(monkeypatch, n):
+    # every k list, however short, shares one stage visit
+    seen, got = _visits(monkeypatch, lambda: beta_term_integral(list(range(n))))
     assert seen == [0]
-    assert [value.hex() for value in got] == _hexes(_beta_one_by_one(range(31)))
+    assert [value.hex() for value in got] == _hexes(_beta_one_by_one(range(n)))
 
 
 @pytest.mark.parametrize("bad", [True, -1, 2.0, "3", None])
