@@ -31,8 +31,9 @@ forms at one z share closed_sum's pole basis.  The quadrature pass
 groups the points by (family, m), the points without a family making
 one group, in the order each group first appears in the report, and
 makes one call per group, with the group's points in report order:
-series_via_quadrature's sequence form, which computes the z-factors of a
-group of 4 z or more together, and for beta-terms' 31 k one call of
+series_via_quadrature's sequence form, whose z share each stage visit
+(a group of any size visits stage 0 once) and, from 4 z on, compute
+their z-factors together, and for beta-terms' 31 k one call of
 beta_term_integral's sequence form, which does the same for u^k.  The
 exact beta term is the correctly rounded quotient of its integer ratio,
 from the series helper base_term takes its Fraction from.  Records still

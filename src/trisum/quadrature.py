@@ -37,38 +37,43 @@ repeated multiplication, since numpy's power calls libm pow per
 element for most integer exponents.  The factor is computed in place in
 the arrays it allocates, with the same operations in the same order as
 the factor written out on (x, 1-x), so it is bitwise that array.  A
-callable f passed to tanh_sinh is evaluated whole, on the plain rows.
+callable f passed to tanh_sinh is evaluated whole, on the plain rows,
+and must give one value per node.
 
-One table, built at import, holds an entry per catalog integral, keyed
-by (kernel, variant), and one per series family, keyed by its name
-(which its SeriesFamily member equals).  An entry holds the integrand
-(its z-factor and the name of its folded rows), the errstate rule (which
-np.errstate, if any, silences the warnings the integral raises without
-fault at a given z and m), and, for a family, the sign rule that makes
-its value from the integral: (-1)^m for A1-B2, -1 for C1/C3 and -z for
-C2/C4.  integrate() and series_via_quadrature() share the code that
-applies an entry, so each rule and the NoConvergence message exist
+Every integral goes through one driver, _integrals, and its stage loop,
+_tanh_sinh_columns: a scalar call is the one-parameter case of the
+sequence form.  The driver reads an entry of one table, built at
+import.  The table holds an entry per catalog integral, keyed by
+(kernel, variant), one per series family, keyed by its name (which its
+SeriesFamily member equals), one for beta_term_integral and one for a
+plain callable.  An entry holds the integrand: its factor at one
+parameter (z, k, or the callable itself), its shared-rows function if
+it has one, and the name of the rows the factor multiplies.  It also
+holds the errstate rule (which np.errstate, if any, silences the
+warnings the integral raises without fault at a given z and m) and,
+for a family, the sign rule that makes its value from the integral:
+(-1)^m for A1-B2, -1 for C1/C3 and -z for C2/C4.  So the stop rule,
+the errstate and sign rules and the NoConvergence message each exist
 once.  A family's call resolves its name once, by series.family_entry,
-checks (z, m) once, by series.check_point (its only domain check),
-reads the entry of the member it resolved to, and makes one tanh_sinh
-call, with (z, m) as the integrand's extra arguments, so it builds no
-function of its own.
+checks (z, m) once, by series.check_point (its only domain check), and
+hands the entry of the member it resolved to, z and m to the driver,
+so it builds no function of its own.
 
 series_via_quadrature also takes a sequence of z at one (family, m), and
 beta_term_integral a sequence of k; each gives every element's scalar
-value bit for bit.  Each stage computes the factor of every element
-still unsettled as one array with a row per element (any number of k,
-and from _SHARE_MIN z on), and each row's level sums come from the same
+value bit for bit.  The elements go through the stages together, so a
+group visits each stage once.  From _SHARE_MIN unsettled elements in a
+stage on, the stage computes their factors as one array with a row per
+element, by the entry's shared-rows function; fewer take the factor one
+element at a time.  Each row's level sums come from the same
 matrix-vector product the scalar call makes; the stop rule then settles
 each element on its own, and the rest go on to the next stage
-together.  One stage loop, _tanh_sinh_columns, serves both, given the
-function that makes the rows: a z-factor broadcasts over a column of z, and u^k takes the
+together.  A z-factor broadcasts over a column of z, and u^k takes the
 powers u^(2^j) by repeated squaring and multiplies each row by those of
 its k's bits in ascending order, as _ipow does, so every row is bitwise
 the scalar factor (np.cumprod would round differently, and np.power
 with an array exponent calls libm pow per element).  A gemm of the whole
-array would sum in another order and move the last bit.  Fewer z are
-integrated one at a time, as the scalar call integrates them.
+array would sum in another order and move the last bit.
 
 numpy, the package's only runtime dependency, serves the quadrature
 layer alone.  It is imported inside the functions that use it, so it
@@ -256,60 +261,19 @@ def _level_nodes(level: int) -> _Stage:
     return got
 
 
-class _OnStage:
-    """An integrand that reads a stage's cached arrays: the stage's
-    kernel named `kernel` times a factor g, where values(stage, args)
-    returns g at the stage's nodes; tanh_sinh takes that kernel's folded
-    rows for it."""
-
-    __slots__ = ("values", "kernel")
-
-    def __init__(self, values, kernel: str):
-        self.values = values
-        self.kernel = kernel
-
-
 def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
     """Integrate f(x, 1-x, *args) over (0, 1).
 
     f must accept two equal-length float64 arrays, then args, and return
-    an array of values (real or complex).  Stops once two successive
+    an array of values (real or complex) of their shape, one per node;
+    any other shape raises DomainError.  Stops once two successive
     refinement levels agree to tol relative to max(1, |integral|); raises
     NoConvergence if level MAX_LEVEL (12) does not, naming the relative
     step between its last two level sums.  The levels of a stage
     are summed together, so a value of f that is not finite at any node
     of a stage makes every level sum in it non-finite.
     """
-    check_tol(tol, _MIN_TOL, "tol")
-
-    if isinstance(f, _OnStage):
-        values, kernel = f.values, f.kernel
-    else:
-        import numpy as np
-
-        def values(st, args):
-            return np.asarray(f(st.x, st.xc, *args))
-
-        kernel = None
-
-    # stage 0: the whole trapezoid sums T_0..T_4 of levels 0-4, from one
-    # evaluation and one product, then the stop tests of levels 2-4
-    st = _level_nodes(0)
-    rows = st.sums if kernel is None else st.kern[kernel]
-    sums = rows.dot(values(st, args)).tolist()
-    value = _stage0_value(sums, tol)
-    if value is not None:
-        return value
-    # each later level's new nodes halve the step of the levels before it
-    total = sums[-1]
-    for level in range(_STAGE0_TOP + 1, MAX_LEVEL + 1):
-        st = _level_nodes(level)
-        rows = st.sums if kernel is None else st.kern[kernel]
-        prev = total
-        total = 0.5 * prev + rows.dot(values(st, args)).item()
-        if _settles(prev, total, tol):
-            return total
-    raise _unsettled(tol, prev, total)
+    return _integrals(_ENTRIES["callable"], [f], args, tol)[0]
 
 
 def _stage0_value(sums: list, tol: float):
@@ -318,13 +282,13 @@ def _stage0_value(sums: list, tol: float):
     None; the rule is written out here, as this runs once a call."""
     _, t1, t2, t3, t4 = sums
     err = abs(t2 - t1)
-    if (err <= tol or err <= tol * abs(t2)) and math.isfinite(err):
+    if err <= tol or err <= tol * abs(t2) and math.isfinite(err):
         return t2
     err = abs(t3 - t2)
-    if (err <= tol or err <= tol * abs(t3)) and math.isfinite(err):
+    if err <= tol or err <= tol * abs(t3) and math.isfinite(err):
         return t3
     err = abs(t4 - t3)
-    if (err <= tol or err <= tol * abs(t4)) and math.isfinite(err):
+    if err <= tol or err <= tol * abs(t4) and math.isfinite(err):
         return t4
     return None
 
@@ -333,9 +297,9 @@ def _settles(prev: float, total: float, tol: float) -> bool:
     """The stop rule: level sum total is within tol * max(1, |total|) of
     the one before it, prev.  It is written as err <= tol or err <= tol *
     |total|, which decides alike, and a sum that is not finite never
-    settles."""
+    settles; an err <= tol, with tol finite, is finite too."""
     err = abs(total - prev)
-    return (err <= tol or err <= tol * abs(total)) and math.isfinite(err)
+    return err <= tol or err <= tol * abs(total) and math.isfinite(err)
 
 
 def _unsettled(tol: float, prev: float, total: float) -> NoConvergence:
@@ -354,39 +318,51 @@ def _unsettled(tol: float, prev: float, total: float) -> NoConvergence:
     )
 
 
-def _tanh_sinh_columns(kernel: str, factor_rows, tol: float, params: list) -> list:
-    """tanh_sinh on kernel's folded rows of one integrand per parameter of
-    params, bit for bit, or the NoConvergence that call raises, unraised;
-    tol already checked.  factor_rows(st, ps) gives the factor of each
-    parameter of ps at st's nodes, one row each: the parameters share each
-    stage's factor computation, and each one's level sums come from the
-    gemv its scalar call makes (see the module docstring)."""
+def _tanh_sinh_columns(entry: _Entry, params: list, extra, tol: float) -> list:
+    """The stage loop: the entry's integral at each parameter of params,
+    with extra, signed by its sign rule; tol already checked.  The
+    parameters go through the stages together, each one's level sums from
+    a gemv of the entry's rows with its factor, and each settles on its
+    own by the stop rule.  From _SHARE_MIN parameters in a stage on, an
+    entry with a shared-rows function computes their factors as one array
+    (see the module docstring).  Raises the NoConvergence of the first
+    parameter that does not settle, after the others have."""
+    factor, shared, kernel, quiet, sign = entry
+    # stage 0: the whole trapezoid sums T_0..T_4 of levels 0-4, from one
+    # evaluation and one product each, then the stop tests of levels 2-4
     st = _level_nodes(0)
-    rows = st.kern[kernel]
-    out = [None] * len(params)
+    rows = st.sums if kernel is None else st.kern[kernel]
+    gs = shared(st, params, extra) if shared and len(params) >= _SHARE_MIN else None
+    out = []
     left = []       # (index, last two level sums) of the parameters not yet settled
-    for i, g in enumerate(factor_rows(st, params)):
-        sums = rows.dot(g).tolist()
+    for p in params:
+        sums = rows.dot(factor(st, p, extra) if gs is None else gs[len(out)]).tolist()
         value = _stage0_value(sums, tol)
         if value is None:
-            left.append((i, sums[-2], sums[-1]))
-        else:
-            out[i] = value
+            left.append((len(out), sums[-2], sums[-1]))
+        elif sign:
+            value = _signed(sign, value, p, extra)
+        out.append(value)
+    if not left:
+        return out
+    # each later level's new nodes halve the step of the levels before it
     for level in range(_STAGE0_TOP + 1, MAX_LEVEL + 1):
-        if not left:
-            break
         st = _level_nodes(level)
-        rows = st.kern[kernel]
+        rows = st.sums if kernel is None else st.kern[kernel]
         todo, left = left, []
-        for (i, _, prev), g in zip(todo, factor_rows(st, [params[i] for i, _, _ in todo])):
-            total = 0.5 * prev + rows.dot(g).item()
-            if _settles(prev, total, tol):
-                out[i] = total
-            else:
+        ps = [params[i] for i, _, _ in todo]
+        gs = shared(st, ps, extra) if shared and len(ps) >= _SHARE_MIN else None
+        for j, (i, _, prev) in enumerate(todo):
+            total = 0.5 * prev + rows.dot(factor(st, ps[j], extra) if gs is None else gs[j]).item()
+            if not _settles(prev, total, tol):
                 left.append((i, prev, total))
-    for i, prev, total in left:
-        out[i] = _unsettled(tol, prev, total)
-    return out
+            else:
+                out[i] = _signed(sign, total, ps[j], extra) if sign else total
+        if not left:
+            return out
+    i, prev, total = left[0]
+    exc = _unsettled(tol, prev, total)
+    raise _near_pole(exc, params[i]) if quiet is _pole_errstate else exc
 
 
 def _ipow(a: np.ndarray, n: int) -> np.ndarray:
@@ -403,15 +379,15 @@ def _ipow(a: np.ndarray, n: int) -> np.ndarray:
         a = a * a
 
 
-# The z-factors, as values(stage, (z, m)).  Each computes into arrays it
-# made itself, in place, and never writes to the stage's.  With r =
+# The z-factors, as factor(stage, z, m).  Each computes into arrays it
+# made itself, in place, and never writes to the stage's; z may also be
+# a column of z, over which the factor broadcasts, a row per z.  With r =
 # 1/(u - z), the numerator x^m (1-x)^{2m} of thm1 is u^m, so its factor
 # is r (u r)^m; thm2's is r^{m+1}.  These are powers of numbers of size at
 # most 1/(distance of z from [0, 4/27]), which underflow quietly at huge
 # |z| where powers of u - z would overflow.
 
-def _thm1_factor(st, args):
-    z, m = args
+def _thm1_factor(st, z, m):
     r = st.u - z
     _np.reciprocal(r, r)     # out given positionally: numpy parses it faster
     if m:
@@ -419,15 +395,14 @@ def _thm1_factor(st, args):
     return r
 
 
-def _thm2_factor(st, args):
-    z, m = args
+def _thm2_factor(st, z, m):
     r = st.u - z
     _np.reciprocal(r, r)
     return _ipow(r, m + 1) if m else r
 
 
-def _alternating_factor(st, args):
-    w = st.u * args[0]
+def _alternating_factor(st, z, m):
+    w = st.u * z
     w *= w
     w += 1.0
     _np.reciprocal(w, w)     # 1/(1 + (z u)^2)
@@ -445,7 +420,7 @@ def _pole_errstate(z: float, m: int):
     it raises none."""
     # thm1/thm2 raise r = 1/(u - z), of size at most 1/pole_distance, to the
     # power m + 1.  Once pole_distance ** (m + 1) < e^-700 (about 1e-304)
-    # that power can overflow at the nodes nearest the pole, and tanh_sinh
+    # that power can overflow at the nodes nearest the pole, and the stop rule
     # refuses the inf and nan that follow.  A distance of 1 or more never
     # gets there, so the log is taken only below it.
     d = _pole_distance(z)
@@ -468,130 +443,42 @@ def _alternating_errstate(z: float, m: int):
 
 
 class _Entry(NamedTuple):
-    """How one catalog integral, or one family's value, is computed.
+    """How one integral, or one family's value, is computed: every call
+    of the driver, _integrals, reads one.
 
-    f       the catalog integrand: its z-factor, on the stage rows folded
-            with its kernel (f.kernel names them)
-    quiet   the errstate rule: quiet(z, m) is the np.errstate that
-            silences the warnings the integral raises without fault at
-            (z, m), or None
+    factor  the integrand's factor at one parameter p, with extra:
+            factor(stage, p, extra) is its array at the stage's nodes
+    shared  the shared-rows function, or None: shared(stage, ps, extra)
+            is the factor of each parameter of ps, one row each, each row
+            bitwise factor's
+    kernel  the name of the stage's folded rows the factor multiplies, or
+            None for the plain rows
+    quiet   the errstate rule, or None for none: quiet(p, extra) is the
+            np.errstate that silences the warnings the integral raises
+            without fault at p, or None
     sign    the sign rule that makes the family's value from the
             integral: "(-1)^m", "-1" or "-z"; "" for a bare integral
     """
 
-    f: _OnStage
-    quiet: Callable[[float, int], object]
+    factor: Callable
+    shared: Callable | None
+    kernel: str | None
+    quiet: Callable[[float, int], object] | None
     sign: str
 
 
-def _table() -> dict:
-    """The entry of each family, keyed by its name (which its member
-    equals too), and of each bare integral, keyed by (kernel, variant):
-    the eight catalog integrals are the eight families' integral
-    representations, the same entry with no sign rule."""
-    table = {}
-    for family, spec in FAMILIES.items():
-        kernel = _KIND_KERNEL[spec.kind]
-        # the sign rule of the family's integral representation: (-1)^m
-        # for A/B, -1 for C1/C3 and -z for C2/C4
-        if spec.outer:
-            variant = Variant.THM2 if spec.shifted else Variant.THM1
-            factor = _thm2_factor if spec.shifted else _thm1_factor
-            entry = _Entry(_OnStage(factor, kernel.value), _pole_errstate, "(-1)^m")
-        else:
-            variant = Variant(family.value.lower())
-            # c2 and c4 weigh by u = x(1-x)^2, which rides with the kernel
-            rows = kernel.value + "*u" if spec.shifted else kernel.value
-            entry = _Entry(_OnStage(_alternating_factor, rows), _alternating_errstate,
-                           "-z" if spec.shifted else "-1")
-        table[family.value] = entry
-        table[kernel, variant] = entry._replace(sign="")
-    return table
+def _z_rows(factor):
+    # a z-factor's shared-rows function: the factor broadcast over a
+    # column of z, one row per z
+    return lambda st, zs, m: factor(st, _np.array(zs)[:, None], m)
 
 
-_ENTRIES = _table()
-
-
-def _integral(entry: _Entry, z: float, m: int, tol: float) -> float:
-    # the entry's integral at (z, m), under its errstate rule and signed
-    # by its sign rule; inputs already checked, as IntegrandSpec or
-    # check_point checks them
-    f, quiet, sign = entry
-    state = quiet(z, m)
-    try:
-        if state is None:    # skips the cost of entering an errstate
-            raw = tanh_sinh(f, tol, (z, m))
-        else:
-            with state:
-                raw = tanh_sinh(f, tol, (z, m))
-    except NoConvergence as exc:
-        if quiet is not _pole_errstate:
-            raise
-        raise _near_pole(exc, z) from None
-    return _signed(sign, raw, z, m)
-
-
-def _integrals(entry: _Entry, zs: list, m: int, tol: float) -> list:
-    # _integral(entry, z, m, tol) for each z of zs, bit for bit, tol
-    # checked; raises the NoConvergence of the first z that has one.  The
-    # errstate entered is any z's that is not None: a rule silences only
-    # warnings raised without fault, and at a z whose rule is None the
-    # integral raises no warning, so the group warns as its z do one at a
-    # time
-    f, quiet, sign = entry
-    state = None
-    for z in zs:
-        state = quiet(z, m)
-        if state is not None:
-            break
-
-    def factor_rows(st, zs):
-        # the z-factor broadcast over a column of z: one row per z
-        return f.values(st, (_np.array(zs)[:, None], m))
-
-    if state is None:
-        raws = _tanh_sinh_columns(f.kernel, factor_rows, tol, zs)
-    else:
-        with state:
-            raws = _tanh_sinh_columns(f.kernel, factor_rows, tol, zs)
-    for z, raw in zip(zs, raws):
-        if isinstance(raw, NoConvergence):
-            raise _near_pole(raw, z) if quiet is _pole_errstate else raw
-    return [_signed(sign, raw, z, m) for z, raw in zip(zs, raws)]
-
-
-def _near_pole(exc: NoConvergence, z: float) -> NoConvergence:
-    return NoConvergence(
-        f"{exc}; the integrand has a pole near [0, 1]: z = {z!r} lies "
-        f"{_pole_distance(z):.3g} outside [0, 4/27], the range of x(1-x)^2 there"
-    )
-
-
-def _signed(sign: str, raw: float, z: float, m: int) -> float:
-    # the family's value from its integral, by the entry's sign rule
-    if sign == "(-1)^m":
-        return raw if m % 2 == 0 else -raw
-    if sign == "-1":
-        return -raw
-    return -z * raw if sign == "-z" else raw
-
-
-def integrate(spec: IntegrandSpec, tol: float = 1e-12) -> float:
-    """Value of the catalog integral over (0, 1), as printed (no sign
-    or prefactor normalization)."""
-    return _integral(_ENTRIES[spec.kernel, spec.variant], spec.z, spec.m, tol)
-
-
-def _beta_term(st, args):
+def _beta_term(st, k, _):
     # the factor of x^k (1-x)^{2k} log x on the lnx rows: u^k
-    k = args[0]
     return _ipow(st.u, k) if k else _np.ones_like(st.u)
 
 
-_BETA_TERM = _OnStage(_beta_term, Kernel.LNX.value)
-
-
-def _beta_rows(st, ks: list) -> np.ndarray:
+def _beta_rows(st, ks: list, _) -> np.ndarray:
     """u^k at st's nodes for each k of ks, one row each, every row bitwise
     _beta_term's: u^(2^j) by repeated squaring, as _ipow squares, and each
     row, from 1.0, multiplied by those powers in ascending bit order of its
@@ -608,19 +495,114 @@ def _beta_rows(st, ks: list) -> np.ndarray:
     return out
 
 
+def _callable_values(st, f, args):
+    # a plain callable's values at st's nodes, one per node
+    values = _np.asarray(f(st.x, st.xc, *args))
+    if values.shape != st.x.shape:
+        raise DomainError(
+            f"the integrand must return one value per node, an array of shape "
+            f"{st.x.shape} here, got shape {values.shape}"
+        )
+    return values
+
+
+def _table() -> dict:
+    """The entry of each family, keyed by its name (which its member
+    equals too), and of each bare integral, keyed by (kernel, variant):
+    the eight catalog integrals are the eight families' integral
+    representations, the same entry with no sign rule.  "beta" keys the
+    entry of beta_term_integral, with k as its parameter, and "callable"
+    that of a plain callable f, with f as its parameter and its extra
+    arguments as extra."""
+    table = {"beta": _Entry(_beta_term, _beta_rows, Kernel.LNX.value, None, ""),
+             "callable": _Entry(_callable_values, None, None, None, "")}
+    for family, spec in FAMILIES.items():
+        kernel = _KIND_KERNEL[spec.kind]
+        # the sign rule of the family's integral representation: (-1)^m
+        # for A/B, -1 for C1/C3 and -z for C2/C4
+        if spec.outer:
+            variant = Variant.THM2 if spec.shifted else Variant.THM1
+            factor = _thm2_factor if spec.shifted else _thm1_factor
+            entry = _Entry(factor, _z_rows(factor), kernel.value, _pole_errstate, "(-1)^m")
+        else:
+            variant = Variant(family.value.lower())
+            # c2 and c4 weigh by u = x(1-x)^2, which rides with the kernel
+            rows = kernel.value + "*u" if spec.shifted else kernel.value
+            entry = _Entry(_alternating_factor, _z_rows(_alternating_factor), rows,
+                           _alternating_errstate, "-z" if spec.shifted else "-1")
+        table[family.value] = entry
+        table[kernel, variant] = entry._replace(sign="")
+    return table
+
+
+_ENTRIES = _table()
+
+# the fewest parameters in a stage whose factors are computed together,
+# by the entry's shared-rows function: below it the shared arrays cost
+# about as much to set up as the numpy calls they save.  On A1-C4 a group
+# of 2-3 z took 0.80-1.03 times as long with shared rows as with the
+# factor per z, and 4 z 0.71-0.76 times; u^k rows pay back later, 1.0-1.35
+# times at 4-8 k and 0.57-0.62 at 16 and 31 k (in-process timings on a
+# 2-core x86-64 host)
+_SHARE_MIN = 4
+
+
+def _integrals(entry: _Entry, params: list, extra, tol: float) -> list:
+    """The driver: the entry's integral at each parameter of params, with
+    extra, under its errstate rule and signed by its sign rule, each bit
+    for bit what the call with that parameter alone gives.  The
+    parameters are checked already, tol here.  The errstate entered is
+    any parameter's that is not None: a rule silences only warnings
+    raised without fault, and at a parameter whose rule is None the
+    integral raises no warning, so a group warns as its parameters do one
+    at a time."""
+    check_tol(tol, _MIN_TOL, "tol")
+    quiet = entry.quiet
+    if quiet is not None:
+        for p in params:
+            state = quiet(p, extra)
+            if state is not None:
+                with state:
+                    return _tanh_sinh_columns(entry, params, extra, tol)
+    # no errstate: skips the cost of entering one
+    return _tanh_sinh_columns(entry, params, extra, tol)
+
+
+def _near_pole(exc: NoConvergence, z: float) -> NoConvergence:
+    return NoConvergence(
+        f"{exc}; the integrand has a pole near [0, 1]: z = {z!r} lies "
+        f"{_pole_distance(z):.3g} outside [0, 4/27], the range of x(1-x)^2 there"
+    )
+
+
+def _signed(sign: str, raw: float, z: float, m: int) -> float:
+    # the family's value from its integral, by the entry's sign rule
+    if sign == "(-1)^m":
+        return raw if m % 2 == 0 else -raw
+    if sign == "-1":
+        return -raw
+    return -z * raw      # "-z"
+
+
+def integrate(spec: IntegrandSpec, tol: float = 1e-12) -> float:
+    """Value of the catalog integral over (0, 1), as printed (no sign
+    or prefactor normalization)."""
+    return _integrals(_ENTRIES[spec.kernel, spec.variant], [spec.z], spec.m, tol)[0]
+
+
 def beta_term_integral(k: int | Sequence[int], tol: float = 1e-12) -> float | list[float]:
     """Integral of x^k (1-x)^{2k} log x over (0, 1).
 
     k is a nonnegative int, or a list or tuple of them.  For a sequence the
     result is a list whose element i is beta_term_integral(k[i], tol), bit
     for bit, and the call raises what that list comprehension raises, at
-    its first failing k; so [] gives [].  The k share each stage's
-    computation of u^k.
+    its first failing k; so [] gives [].  From 4 k on, the k share each
+    stage's computation of u^k.
     """
     if k.__class__ is not int and isinstance(k, (list, tuple)):
-        return _beta_many(k, tol)
+        return _many(_ENTRIES["beta"], k, _checked_index, None, tol)
     check_index(k, "index")
-    return tanh_sinh(_BETA_TERM, tol, (k,))
+    return _integrals(_ENTRIES["beta"], [k], None, tol)[0]
 
 
 def series_via_quadrature(family: SeriesFamily | str, z: float | Sequence[float],
@@ -638,68 +620,43 @@ def series_via_quadrature(family: SeriesFamily | str, z: float | Sequence[float]
     """
     if z.__class__ is not float and (isinstance(z, (list, tuple))
                                      or getattr(z, "ndim", 0) == 1):
-        return _series_many(family, z, m, tol)
+        if not len(z):
+            return []
+        family, spec = family_entry(family)
+
+        def checked(zi):
+            # zi converted and checked as the scalar call checks it
+            zi = float(zi)
+            check_point(family, spec, zi, m)
+            return zi
+
+        return _many(_ENTRIES[family], z, checked, m, tol)
     family, spec = family_entry(family)
     z = float(z)
     check_point(family, spec, z, m)
-    return _integral(_ENTRIES[family], z, m, tol)
+    return _integrals(_ENTRIES[family], [z], m, tol)[0]
 
 
-# the fewest z whose factors are computed together: below it the shared
-# arrays cost more to set up than the numpy calls they save (on A1-C4 at
-# 3 z the shared call took 0.88-1.14 times the scalar calls' time, at 4 z
-# 0.73-0.87 times)
-_SHARE_MIN = 4
+def _checked_index(k):
+    check_index(k, "index")
+    return k
 
 
-def _series_many(family: SeriesFamily | str, z: Sequence[float], m: int,
-                 tol: float) -> list[float]:
-    # the sequence form: every z converted and checked as the scalar call
-    # checks it, up to the first that fails; the integrals of the z before
-    # that one, whose NoConvergence comes first; then its failure
-    if not len(z):
-        return []
-    family, spec = family_entry(family)
-    zs = []
+def _many(entry: _Entry, items: Sequence, checked, extra, tol: float) -> list:
+    # the sequence form: checked(item) gives each item's parameter, checked
+    # as the scalar call checks it, up to the first item that fails; then
+    # come the integrals of the items before that one, whose tol check and
+    # NoConvergence come first, then its failure
+    params = []
     failure = None
-    for zi in z:
+    for item in items:
         try:
-            zi = float(zi)
-            check_point(family, spec, zi, m)
-            if not zs:       # tanh_sinh's check, after the first point's
-                check_tol(tol, _MIN_TOL, "tol")
+            params.append(checked(item))
         except (TypeError, ValueError, ArithmeticError) as exc:
             # what float() and the checks raise
             failure = exc
             break
-        zs.append(zi)
-    entry = _ENTRIES[family]
-    if len(zs) < _SHARE_MIN:
-        values = [_integral(entry, zi, m, tol) for zi in zs]
-    else:
-        values = _integrals(entry, zs, m, tol)
-    if failure is not None:
-        raise failure
-    return values
-
-
-def _beta_many(ks: Sequence[int], tol: float) -> list[float]:
-    # the sequence form of beta_term_integral, as _series_many's for z
-    done = []
-    failure = None
-    for k in ks:
-        try:
-            check_index(k, "index")
-            if not done:     # tanh_sinh's check, after the first k's
-                check_tol(tol, _MIN_TOL, "tol")
-        except DomainError as exc:
-            failure = exc
-            break
-        done.append(k)
-    values = _tanh_sinh_columns(_BETA_TERM.kernel, _beta_rows, tol, done) if done else []
-    for raw in values:
-        if isinstance(raw, NoConvergence):
-            raise raw
+    values = _integrals(entry, params, extra, tol) if params else []
     if failure is not None:
         raise failure
     return values

@@ -29,7 +29,7 @@ A1_Z2_M0_REF = 0.52395769463509576811
 
 
 def _visits(monkeypatch, compute):
-    """The stages tanh_sinh visits while compute() runs, and its value."""
+    """The stages the quadrature visits while compute() runs, and its value."""
     import trisum.quadrature as quadrature
     seen = []
     nodes = quadrature._level_nodes
@@ -71,6 +71,30 @@ class TestTanhSinh:
         assert isinstance(got, complex)
         want = complex(-math.pi ** 2 / 48, -0.91596559417721901505)
         assert abs(got - want) <= 1e-13
+
+    @pytest.mark.parametrize("f,shape", [
+        (lambda x, xc: 1.0, "()"),
+        (lambda x, xc: np.ones(3), "(3,)"),
+        (lambda x, xc: np.ones(len(x) + 1), "(194,)"),
+        (lambda x, xc: np.ones((len(x), 1)), "(193, 1)"),
+    ], ids=["scalar", "short", "long", "column"])
+    def test_wrong_shape_raises_domain_error(self, f, shape):
+        # a callable must return one value per node; any other shape is a
+        # DomainError that names the shape it must have, not numpy's error
+        with pytest.raises(DomainError) as info:
+            tanh_sinh(f)
+        assert str(info.value) == (
+            "the integrand must return one value per node, an array of shape (193,) "
+            f"here, got shape {shape}")
+
+    def test_right_shape_complex_integrand_as_a_list(self):
+        # one complex value per node, given as a list or an array, gives the
+        # same value, here past stage 0
+        def f(x, xc):
+            return 1.0 / (x - (0.5 + 0.1j))
+        got = tanh_sinh(lambda x, xc: list(f(x, xc)))
+        assert isinstance(got, complex)
+        assert got == tanh_sinh(f)
 
     def test_no_convergence(self):
         # an interior kink defeats the trapezoid refinement at this tol
@@ -384,15 +408,17 @@ _CATALOG = (
 
 @pytest.mark.parametrize("kernel,variant,z,m", _CATALOG)
 def test_catalog_integrand_reads_cache_bitwise(kernel, variant, z, m):
-    # the integrand reads the stage's u and folded rows: its factor must be
-    # the very array the formula on (x, 1-x) gives, on the rows of its own
-    # kernel, and its integral within rounding of the written-out one's
-    f = _ENTRIES[Kernel(kernel), Variant(variant)].f
-    assert f.kernel == _kernel_name(kernel, variant)
+    # the integrand reads the stage's u and folded rows: its factor, and its
+    # shared-rows function's row, must be the very array the formula on
+    # (x, 1-x) gives, on the rows of its own kernel, and its integral
+    # within rounding of the written-out one's
+    entry = _ENTRIES[Kernel(kernel), Variant(variant)]
+    assert entry.kernel == _kernel_name(kernel, variant)
     for level in (0, 5):
         st = _level_nodes(level)
-        got = f.values(st, (z, m))
-        assert got.tobytes() == _z_factor(variant, z, m)(st.x, st.xc).tobytes(), level
+        want = _z_factor(variant, z, m)(st.x, st.xc).tobytes()
+        assert entry.factor(st, z, m).tobytes() == want, level
+        assert entry.shared(st, [z], m)[0].tobytes() == want, level
     got = integrate(IntegrandSpec(kernel, z, m, variant))
     written = _written_out(kernel, z, m, variant)
     want = tanh_sinh(written)
@@ -558,17 +584,31 @@ class TestBetaTermIntegral:
 _PARITY = json.loads((Path(__file__).parent / "data" / "oracle_parity.json").read_text())
 
 
-def _numerics_digest(stages=(0, 5)) -> str:
+def _numerics_digest() -> str:
     """A digest of what the quadrature values rest on besides the code:
-    the stage arrays numpy's exp, log, sinh and cosh give, and the
-    summation order of its matrix-vector product, probed on each row
-    block.  The grid visits stages 0 and 5."""
+    numpy's sinh, cosh, exp and log on the t of levels 0-5 and on the
+    arguments the node formulas give them (the grid visits stages 0 and
+    5), and the summation order of its matrix-vector product, probed on
+    fixed arrays of stage 0's and stage 5's row shapes.  It reads none of
+    the package's arrays, so a code change that moves them fails the grid
+    instead of skipping it."""
     h = hashlib.sha256()
-    for first in stages:
-        st = _level_nodes(first)
-        for a in (st.u, st.sums, *(st.kern[k] for k in sorted(st.kern))):
+    for level in range(6):
+        if level == 0:
+            t = np.arange(-6.0, 7.0)
+        else:
+            odd = np.arange(1.0, 6 * 2 ** level + 1, 2.0)
+            t = np.concatenate([-odd[::-1], odd]) * 2.0 ** -level
+        s = 0.5 * math.pi * np.sinh(t)
+        for a in (s, np.cosh(t), np.exp(-2.0 * s), np.exp(2.0 * s), np.cosh(s),
+                  np.log(1.0 / (1.0 + np.exp(-2.0 * s))), np.log(1.0 / (1.0 + np.exp(2.0 * s)))):
             h.update(a.tobytes())
-            h.update(a.dot(st.w[:a.shape[-1]]).tobytes())
+    for rows, n in ((5, 193), (1, 192)):
+        i = np.arange(n, dtype=np.float64)
+        vector = np.where(i % 2 == 0, 1.0, -1.0) / (i + 1.0)
+        matrix = 1.0 / (np.arange(rows * n, dtype=np.float64).reshape(rows, n) % 89.0 + 0.5)
+        h.update(matrix.dot(vector).tobytes())
+        h.update(matrix.dot(vector * 1e-3 + 1.0).tobytes())
     return h.hexdigest()
 
 
@@ -669,24 +709,30 @@ def test_table_entries():
         entry = _ENTRIES[family]
         assert _ENTRIES[SeriesFamily(family)] is entry
         bare = _ENTRIES[Kernel(kernel), Variant(variant)]
-        assert (entry.f, entry.quiet) == (bare.f, bare.quiet)
+        assert entry._replace(sign="") == bare
+        assert entry.kernel == _kernel_name(kernel, variant)
         assert (entry.sign, bare.sign) == (signs[family], "")
 
 
 def test_c_family_no_convergence_passes_through(monkeypatch):
     # only thm1/thm2 have a pole near [0, 1] to name; a C family's
-    # NoConvergence leaves _integral as tanh_sinh raised it.  No C-family
-    # input is known to fail, so tanh_sinh is stubbed
+    # NoConvergence leaves the driver as its stop rule made it.  No C-family
+    # input is known to fail, so the driver's stop rule is stubbed to
+    # settle nothing
     import trisum.quadrature as quadrature
 
-    def fail(f, tol, args):
-        raise NoConvergence("did not converge")
-
-    monkeypatch.setattr(quadrature, "tanh_sinh", fail)
+    monkeypatch.setattr(quadrature, "_stage0_value", lambda sums, tol: None)
+    monkeypatch.setattr(quadrature, "_settles", lambda prev, total, tol: False)
+    monkeypatch.setattr(quadrature, "_unsettled",
+                        lambda tol, prev, total: NoConvergence("did not converge"))
     for family in ("C1", "C2", "C3", "C4"):
-        with pytest.raises(NoConvergence) as info:
-            series_via_quadrature(family, 0.5)
-        assert str(info.value) == "did not converge"
+        for z in (0.5, [0.5], [0.5, 0.25, -0.5, 0.75]):
+            with pytest.raises(NoConvergence) as info:
+                series_via_quadrature(family, z)
+            assert str(info.value) == "did not converge"
+    with pytest.raises(NoConvergence) as info:
+        series_via_quadrature("A1", 2.0)
+    assert str(info.value).startswith("did not converge; the integrand has a pole near")
 
 
 # -- the sequence form: many z at one (family, m) ---------------------------
@@ -724,6 +770,17 @@ def test_sequence_matches_scalar_calls_bitwise(family, tol):
                 got = series_via_quadrature(family, form(some), m, tol)
                 assert type(got) is list
                 assert [value.hex() for value in got] == want, (m, len(some), form)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", [f.value for f in SeriesFamily])
+def test_sequence_visits_stage_0_once(monkeypatch, family, n):
+    # a group of fewer than _SHARE_MIN z computes its factors one by one,
+    # but its z share one stage visit, as every group does
+    zs = (_SEQ_Z_OUTER if family[0] in "AB" else _SEQ_Z_INNER)[:n]
+    seen, got = _visits(monkeypatch, lambda: series_via_quadrature(family, zs))
+    assert seen == [0]
+    assert [value.hex() for value in got] == _hexes(_one_by_one(family, zs))
 
 
 @pytest.mark.parametrize("family,m,tol", [
