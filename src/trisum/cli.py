@@ -135,6 +135,8 @@ def _normalize(args: argparse.Namespace) -> None:
         if w == 0.0 or not math.isfinite(w):
             raise DomainError(f"--w must be finite and nonzero, got {w!r}")
         args.z = 1.0 / w
+        if not math.isfinite(args.z):
+            raise DomainError(f"--w must have a finite reciprocal z = 1/w, got {w!r}")
 
 
 def _write(text: str, out: str | None) -> None:

@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, UnknownConstant, check_index
 from .roots import CubicRoots, solve_cubic
-from .series import SeriesFamily, check_point, family_entry
+from .series import SeriesFamily, check_point, family_entry, from_integral
 from .specfun import catalan, dilog
 
 __all__ = [
@@ -293,10 +293,11 @@ def _pole_basis(z: float) -> PoleBasis:
 class ClosedFormBreakdown(NamedTuple):
     """Closed-form value of one series with its per-root contributions.
 
-    total is the real value; contributions[i] is the (complex) inner
-    sum at roots.roots[i] before the overall (-1)^m sign.  The
-    conjugate root pair contributes exactly conjugate values, so the
-    grand sum is real up to rounding; imag_residual records what was
+    contributions[i] is the (complex) inner sum at roots.roots[i].  The
+    conjugate root pair contributes exactly conjugate values, so their
+    grand sum, 0j + c0 + c1 + c2 in root order, is real up to rounding.
+    total is series.from_integral of its real part, the family's sign
+    rule, (-1)^m times it; imag_residual is the |imaginary part|
     discarded.  A named tuple: _asdict() and _replace() give a dict and
     a changed copy, and equality is tuple equality.
     """
@@ -396,9 +397,8 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
         # each component, so the sum is finite only when every
         # contribution is
         raise _refusal(family, z, m)
-    if m % 2:
-        grand = -grand
-    return ClosedFormBreakdown(family, z, m, grand.real, basis.roots, contribs, abs(grand.imag))
+    return ClosedFormBreakdown(family, z, m, from_integral(spec, grand.real, z, m), basis.roots,
+                               contribs, abs(grand.imag))
 
 
 # -- reference constants ----------------------------------------------------

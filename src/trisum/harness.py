@@ -72,14 +72,6 @@ from .specfun import catalan, clausen2, dilog, harmonic, odd_harmonic
 
 __all__ = ["VerificationRecord", "SUITES", "run_suite", "emit_report"]
 
-_DEFAULT_TOL = {
-    "paper-constants": 1e-10,
-    "theorem-grid": 1e-9,
-    "concluding": 1e-9,
-    "specfun-identities": 1e-13,
-    "beta-terms": 1e-11,
-}
-
 _GRID_Z = (2.0, 3.0, -4.0, -8.0, 5.0, -2.0)
 _GRID_M = (0, 1, 2, 3, 4)
 _GRID_FAMILIES = tuple(f.value for f, spec in FAMILIES.items() if spec.outer)
@@ -348,25 +340,27 @@ def _suite_beta(tol: float) -> list[VerificationRecord]:
     return _layer_records(points, tol, closed=_beta_exact, quad=_beta_quad)
 
 
-_RUNNERS = {
-    "paper-constants": _suite_constants,
-    "theorem-grid": _suite_grid,
-    "concluding": _suite_concluding,
-    "specfun-identities": _suite_identities,
-    "beta-terms": _suite_beta,
+# suite -> (runner, default tol)
+_SUITES = {
+    "paper-constants": (_suite_constants, 1e-10),
+    "theorem-grid": (_suite_grid, 1e-9),
+    "concluding": (_suite_concluding, 1e-9),
+    "specfun-identities": (_suite_identities, 1e-13),
+    "beta-terms": (_suite_beta, 1e-11),
 }
-SUITES = tuple(_RUNNERS)
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, tol: float | None = None) -> list[VerificationRecord]:
     """Run one verification suite; tol = None uses the suite default."""
-    runner = _RUNNERS.get(name)
-    if runner is None:
+    suite = _SUITES.get(name)
+    if suite is None:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(SUITES)}"
         )
+    runner, default_tol = suite
     if tol is None:
-        tol = _DEFAULT_TOL[name]
+        tol = default_tol
     check_tol(tol, 1e-13, "suite tolerance")
     return runner(tol)
 

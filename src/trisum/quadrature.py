@@ -43,21 +43,22 @@ and must give one value per node.
 Every integral goes through one driver, _integrals, and its stage loop,
 _tanh_sinh_columns: a scalar call is the one-parameter case of the
 sequence form.  The driver reads an entry of one table, built at
-import.  The table holds an entry per catalog integral, keyed by
-(kernel, variant), one per series family, keyed by its name (which its
-SeriesFamily member equals), one for beta_term_integral and one for a
-plain callable.  An entry holds the integrand: its factor at one
-parameter (z, k, or the callable itself), its shared-rows function if
-it has one, and the name of the rows the factor multiplies.  It also
-holds the errstate rule (which np.errstate, if any, silences the
-warnings the integral raises without fault at a given z and m) and,
-for a family, the sign rule that makes its value from the integral:
-(-1)^m for A1-B2, -1 for C1/C3 and -z for C2/C4.  So the stop rule,
-the errstate and sign rules and the NoConvergence message each exist
-once.  A family's call resolves its name once, by series.family_entry,
-checks (z, m) once, by series.check_point (its only domain check), and
-hands the entry of the member it resolved to, z and m to the driver,
-so it builds no function of its own.
+import.  The table holds one entry per catalog integral, keyed by
+(kernel, variant) and by the name of the series family whose integral
+representation it is (which its SeriesFamily member equals), one for
+beta_term_integral and one for a plain callable.  An entry holds the
+integrand: its factor at one parameter (z, k, or the callable itself),
+its shared-rows function if it has one, and the name of the rows the
+factor multiplies.  It also holds the errstate rule (which np.errstate,
+if any, silences the warnings the integral raises without fault at a
+given z and m).  So the stop rule, the errstate rule and the
+NoConvergence message each exist once.  The driver computes bare
+integrals.  A family's call resolves its name once, by
+series.family_entry, checks (z, m) once, by series.check_point (its
+only domain check), hands the entry of the member it resolved to, z and
+m to the driver, and makes the family's value from the integral by
+series.from_integral, the sign rule closed_sum applies too: (-1)^m for
+A1-B2, -1 for C1/C3 and -z for C2/C4.
 
 series_via_quadrature also takes a sequence of z at one (family, m), and
 beta_term_integral a sequence of k; each gives every element's scalar
@@ -92,7 +93,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, NoConvergence, check_index, check_tol
-from .series import FAMILIES, SeriesFamily, check_m_z, check_point, family_entry
+from .series import FAMILIES, SeriesFamily, check_m_z, check_point, family_entry, from_integral
 
 if TYPE_CHECKING:
     import numpy as np
@@ -168,7 +169,7 @@ class IntegrandSpec(_IntegrandFields):
                 raise DomainError(f"variant {variant.value} takes no order m")
         else:
             # the denominator x(1-x)^2 - z must not vanish on [0, 1]
-            if 0.0 <= z <= 4.0 / 27.0:
+            if _pole_distance(z) <= 0.0:
                 raise DomainError(
                     f"z = {z!r} puts a pole of the integrand inside [0, 1]"
                 )
@@ -276,23 +277,6 @@ def tanh_sinh(f, tol: float = 1e-12, args: tuple = ()):
     return _integrals(_ENTRIES["callable"], [f], args, tol)[0]
 
 
-def _stage0_value(sums: list, tol: float):
-    """The first of T_2, T_3, T_4 in stage 0's level sums T_0..T_4 that
-    settles from the level before it, by the stop rule of _settles, or
-    None; the rule is written out here, as this runs once a call."""
-    _, t1, t2, t3, t4 = sums
-    err = abs(t2 - t1)
-    if err <= tol or err <= tol * abs(t2) and math.isfinite(err):
-        return t2
-    err = abs(t3 - t2)
-    if err <= tol or err <= tol * abs(t3) and math.isfinite(err):
-        return t3
-    err = abs(t4 - t3)
-    if err <= tol or err <= tol * abs(t4) and math.isfinite(err):
-        return t4
-    return None
-
-
 def _settles(prev: float, total: float, tol: float) -> bool:
     """The stop rule: level sum total is within tol * max(1, |total|) of
     the one before it, prev.  It is written as err <= tol or err <= tol *
@@ -319,15 +303,15 @@ def _unsettled(tol: float, prev: float, total: float) -> NoConvergence:
 
 
 def _tanh_sinh_columns(entry: _Entry, params: list, extra, tol: float) -> list:
-    """The stage loop: the entry's integral at each parameter of params,
-    with extra, signed by its sign rule; tol already checked.  The
-    parameters go through the stages together, each one's level sums from
-    a gemv of the entry's rows with its factor, and each settles on its
-    own by the stop rule.  From _SHARE_MIN parameters in a stage on, an
-    entry with a shared-rows function computes their factors as one array
-    (see the module docstring).  Raises the NoConvergence of the first
-    parameter that does not settle, after the others have."""
-    factor, shared, kernel, quiet, sign = entry
+    """The stage loop: the entry's bare integral at each parameter of
+    params, with extra; tol already checked.  The parameters go through
+    the stages together, each one's level sums from a gemv of the entry's
+    rows with its factor, and each settles on its own by the stop rule.
+    From _SHARE_MIN parameters in a stage on, an entry with a shared-rows
+    function computes their factors as one array (see the module
+    docstring).  Raises the NoConvergence of the first parameter that
+    does not settle, after the others have."""
+    factor, shared, kernel, quiet = entry
     # stage 0: the whole trapezoid sums T_0..T_4 of levels 0-4, from one
     # evaluation and one product each, then the stop tests of levels 2-4
     st = _level_nodes(0)
@@ -336,13 +320,16 @@ def _tanh_sinh_columns(entry: _Entry, params: list, extra, tol: float) -> list:
     out = []
     left = []       # (index, last two level sums) of the parameters not yet settled
     for p in params:
-        sums = rows.dot(factor(st, p, extra) if gs is None else gs[len(out)]).tolist()
-        value = _stage0_value(sums, tol)
-        if value is None:
-            left.append((len(out), sums[-2], sums[-1]))
-        elif sign:
-            value = _signed(sign, value, p, extra)
-        out.append(value)
+        _, t1, t2, t3, t4 = rows.dot(factor(st, p, extra) if gs is None else gs[len(out)]).tolist()
+        if _settles(t1, t2, tol):
+            out.append(t2)
+        elif _settles(t2, t3, tol):
+            out.append(t3)
+        elif _settles(t3, t4, tol):
+            out.append(t4)
+        else:
+            left.append((len(out), t3, t4))
+            out.append(None)
     if not left:
         return out
     # each later level's new nodes halve the step of the levels before it
@@ -357,7 +344,7 @@ def _tanh_sinh_columns(entry: _Entry, params: list, extra, tol: float) -> list:
             if not _settles(prev, total, tol):
                 left.append((i, prev, total))
             else:
-                out[i] = _signed(sign, total, ps[j], extra) if sign else total
+                out[i] = total
         if not left:
             return out
     i, prev, total = left[0]
@@ -443,8 +430,8 @@ def _alternating_errstate(z: float, m: int):
 
 
 class _Entry(NamedTuple):
-    """How one integral, or one family's value, is computed: every call
-    of the driver, _integrals, reads one.
+    """How one integral is computed: every call of the driver,
+    _integrals, reads one.
 
     factor  the integrand's factor at one parameter p, with extra:
             factor(stage, p, extra) is its array at the stage's nodes
@@ -456,15 +443,12 @@ class _Entry(NamedTuple):
     quiet   the errstate rule, or None for none: quiet(p, extra) is the
             np.errstate that silences the warnings the integral raises
             without fault at p, or None
-    sign    the sign rule that makes the family's value from the
-            integral: "(-1)^m", "-1" or "-z"; "" for a bare integral
     """
 
     factor: Callable
     shared: Callable | None
     kernel: str | None
     quiet: Callable[[float, int], object] | None
-    sign: str
 
 
 def _z_rows(factor):
@@ -507,31 +491,28 @@ def _callable_values(st, f, args):
 
 
 def _table() -> dict:
-    """The entry of each family, keyed by its name (which its member
-    equals too), and of each bare integral, keyed by (kernel, variant):
-    the eight catalog integrals are the eight families' integral
-    representations, the same entry with no sign rule.  "beta" keys the
-    entry of beta_term_integral, with k as its parameter, and "callable"
-    that of a plain callable f, with f as its parameter and its extra
-    arguments as extra."""
-    table = {"beta": _Entry(_beta_term, _beta_rows, Kernel.LNX.value, None, ""),
-             "callable": _Entry(_callable_values, None, None, None, "")}
+    """The entry of each catalog integral, keyed by (kernel, variant) and
+    by the name of the family whose integral representation it is (which
+    its member equals too): the eight catalog integrals are the eight
+    families' representations, each one object under both keys.  "beta"
+    keys the entry of beta_term_integral, with k as its parameter, and
+    "callable" that of a plain callable f, with f as its parameter and
+    its extra arguments as extra."""
+    table = {"beta": _Entry(_beta_term, _beta_rows, Kernel.LNX.value, None),
+             "callable": _Entry(_callable_values, None, None, None)}
     for family, spec in FAMILIES.items():
         kernel = _KIND_KERNEL[spec.kind]
-        # the sign rule of the family's integral representation: (-1)^m
-        # for A/B, -1 for C1/C3 and -z for C2/C4
         if spec.outer:
             variant = Variant.THM2 if spec.shifted else Variant.THM1
             factor = _thm2_factor if spec.shifted else _thm1_factor
-            entry = _Entry(factor, _z_rows(factor), kernel.value, _pole_errstate, "(-1)^m")
+            entry = _Entry(factor, _z_rows(factor), kernel.value, _pole_errstate)
         else:
             variant = Variant(family.value.lower())
             # c2 and c4 weigh by u = x(1-x)^2, which rides with the kernel
             rows = kernel.value + "*u" if spec.shifted else kernel.value
             entry = _Entry(_alternating_factor, _z_rows(_alternating_factor), rows,
-                           _alternating_errstate, "-z" if spec.shifted else "-1")
-        table[family.value] = entry
-        table[kernel, variant] = entry._replace(sign="")
+                           _alternating_errstate)
+        table[family.value] = table[kernel, variant] = entry
     return table
 
 
@@ -548,14 +529,13 @@ _SHARE_MIN = 4
 
 
 def _integrals(entry: _Entry, params: list, extra, tol: float) -> list:
-    """The driver: the entry's integral at each parameter of params, with
-    extra, under its errstate rule and signed by its sign rule, each bit
-    for bit what the call with that parameter alone gives.  The
-    parameters are checked already, tol here.  The errstate entered is
-    any parameter's that is not None: a rule silences only warnings
-    raised without fault, and at a parameter whose rule is None the
-    integral raises no warning, so a group warns as its parameters do one
-    at a time."""
+    """The driver: the entry's bare integral at each parameter of params,
+    with extra, under its errstate rule, each bit for bit what the call
+    with that parameter alone gives.  The parameters are checked already,
+    tol here.  The errstate entered is any parameter's that is not None:
+    a rule silences only warnings raised without fault, and at a
+    parameter whose rule is None the integral raises no warning, so a
+    group warns as its parameters do one at a time."""
     check_tol(tol, _MIN_TOL, "tol")
     quiet = entry.quiet
     if quiet is not None:
@@ -575,15 +555,6 @@ def _near_pole(exc: NoConvergence, z: float) -> NoConvergence:
     )
 
 
-def _signed(sign: str, raw: float, z: float, m: int) -> float:
-    # the family's value from its integral, by the entry's sign rule
-    if sign == "(-1)^m":
-        return raw if m % 2 == 0 else -raw
-    if sign == "-1":
-        return -raw
-    return -z * raw      # "-z"
-
-
 def integrate(spec: IntegrandSpec, tol: float = 1e-12) -> float:
     """Value of the catalog integral over (0, 1), as printed (no sign
     or prefactor normalization)."""
@@ -600,7 +571,7 @@ def beta_term_integral(k: int | Sequence[int], tol: float = 1e-12) -> float | li
     stage's computation of u^k.
     """
     if k.__class__ is not int and isinstance(k, (list, tuple)):
-        return _many(_ENTRIES["beta"], k, _checked_index, None, tol)
+        return _many(_ENTRIES["beta"], k, _checked_index, None, tol)[1]
     check_index(k, "index")
     return _integrals(_ENTRIES["beta"], [k], None, tol)[0]
 
@@ -630,11 +601,12 @@ def series_via_quadrature(family: SeriesFamily | str, z: float | Sequence[float]
             check_point(family, spec, zi, m)
             return zi
 
-        return _many(_ENTRIES[family], z, checked, m, tol)
+        zs, raws = _many(_ENTRIES[family], z, checked, m, tol)
+        return [from_integral(spec, raw, zi, m) for zi, raw in zip(zs, raws)]
     family, spec = family_entry(family)
     z = float(z)
     check_point(family, spec, z, m)
-    return _integrals(_ENTRIES[family], [z], m, tol)[0]
+    return from_integral(spec, _integrals(_ENTRIES[family], [z], m, tol)[0], z, m)
 
 
 def _checked_index(k):
@@ -642,11 +614,12 @@ def _checked_index(k):
     return k
 
 
-def _many(entry: _Entry, items: Sequence, checked, extra, tol: float) -> list:
+def _many(entry: _Entry, items: Sequence, checked, extra, tol: float) -> tuple[list, list]:
     # the sequence form: checked(item) gives each item's parameter, checked
     # as the scalar call checks it, up to the first item that fails; then
     # come the integrals of the items before that one, whose tol check and
-    # NoConvergence come first, then its failure
+    # NoConvergence come first, then its failure.  Returns the parameters
+    # and their integrals
     params = []
     failure = None
     for item in items:
@@ -659,4 +632,4 @@ def _many(entry: _Entry, items: Sequence, checked, extra, tol: float) -> list:
     values = _integrals(entry, params, extra, tol) if params else []
     if failure is not None:
         raise failure
-    return values
+    return params, values

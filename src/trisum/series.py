@@ -51,6 +51,7 @@ __all__ = [
     "SeriesFamily",
     "FamilySpec",
     "FAMILIES",
+    "from_integral",
     "family_entry",
     "check_point",
     "TermValue",
@@ -103,6 +104,16 @@ FAMILIES = MappingProxyType({
     SeriesFamily.C3: FamilySpec("B", outer=False, shifted=False),
     SeriesFamily.C4: FamilySpec("B", outer=False, shifted=True),
 })
+
+
+def from_integral(spec: FamilySpec, raw: float, z: float, m: int) -> float:
+    """The value at (z, m) of the family with spec, from raw, the value of
+    its integral representation there (or of its closed form's sum over
+    the roots): (-1)^m raw for A1-B2, -raw for C1/C3 and -z raw for C2/C4.
+    """
+    if spec.outer:
+        return -raw if m % 2 else raw
+    return -z * raw if spec.shifted else -raw
 
 
 class TermValue(NamedTuple):

@@ -154,6 +154,18 @@ def test_eval_w_zero_exits_2(capsys):
     assert "nonzero" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--family", "A1"],
+    ["integral", "--kernel", "lnx", "--variant", "thm1"],
+])
+@pytest.mark.parametrize("w", ["1e-320", "-5e-324", "5e-309"])
+def test_w_whose_reciprocal_overflows_exits_2(capsys, command, w):
+    # the error names --w, the option given, not the z it stands for
+    code, out, err = run(capsys, *command, "--w", w)
+    assert (code, out) == (2, "")
+    assert err == f"error: --w must have a finite reciprocal z = 1/w, got {float(w)!r}\n"
+
+
 def test_eval_z_and_w_conflict(capsys):
     code, _, err = run(capsys, "eval", "--family", "A1", "--z", "2", "--w", "0.5")
     assert code == 2

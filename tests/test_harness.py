@@ -211,7 +211,7 @@ def test_identity_deviations_are_small(all_suites):
 # ids, flags and order must not depend on which way round it is done.
 
 def _record_major(name):
-    tol = harness._DEFAULT_TOL[name]
+    tol = harness._SUITES[name][1]
     series_tol, quad_tol = harness._SERIES_TOL, harness._QUAD_TOL
     out = []
     if name == "paper-constants":

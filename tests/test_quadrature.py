@@ -23,7 +23,8 @@ from trisum.quadrature import (
 from trisum.quadrature import (
     _ENTRIES, _ipow, _level_nodes, _pole_distance,
 )
-from trisum.series import SeriesFamily, sum_series
+from trisum.closedform import closed_sum
+from trisum.series import FAMILIES, SeriesFamily, from_integral, sum_series
 
 A1_Z2_M0_REF = 0.52395769463509576811
 
@@ -701,17 +702,36 @@ def test_bad_input_raises_as_recorded(args, kwargs, want):
 
 
 def test_table_entries():
-    # each family's name and member find one entry: its integral's
-    # integrand and errstate rule, with the family's sign rule
-    signs = {"A1": "(-1)^m", "A2": "(-1)^m", "B1": "(-1)^m", "B2": "(-1)^m",
-             "C1": "-1", "C2": "-z", "C3": "-1", "C4": "-z"}
+    # each family's name and member find one entry, its integral's: the
+    # entry its (kernel, variant) finds, with that integral's rows
     for family, (kernel, variant) in _FAMILY_INTEGRAL.items():
         entry = _ENTRIES[family]
         assert _ENTRIES[SeriesFamily(family)] is entry
-        bare = _ENTRIES[Kernel(kernel), Variant(variant)]
-        assert entry._replace(sign="") == bare
+        assert _ENTRIES[Kernel(kernel), Variant(variant)] is entry
         assert entry.kernel == _kernel_name(kernel, variant)
-        assert (entry.sign, bare.sign) == (signs[family], "")
+    # one entry per catalog integral, and beta's and the callable's
+    assert len({id(entry) for entry in _ENTRIES.values()}) == len(_FAMILY_INTEGRAL) + 2
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_INTEGRAL))
+def test_family_value_from_integral(family):
+    # a family's value, by quadrature and, for A1-B2, by its closed form,
+    # is series.from_integral of the bare integral, bit for bit: the
+    # catalog integral for quadrature, and for the closed form the sum of
+    # its breakdown's contributions as ClosedFormBreakdown states it
+    spec = FAMILIES[SeriesFamily(family)]
+    kernel, variant = _FAMILY_INTEGRAL[family]
+    points = ([(z, m) for z in (-3.0, -1.0, 1.5, 40.0) for m in (0, 1, 2, 5)] if spec.outer
+              else [(z, 0) for z in (-1.0, -0.5, 0.0, 0.3, 1.0)])
+    for z, m in points:
+        raw = integrate(IntegrandSpec(kernel, z, m, variant))
+        want = from_integral(spec, raw, z, m)
+        assert series_via_quadrature(family, z, m).hex() == want.hex()
+        if spec.outer:
+            got = closed_sum(family, z, m)
+            c0, c1, c2 = got.contributions
+            want = from_integral(spec, (0j + c0 + c1 + c2).real, z, m)
+            assert got.total.hex() == want.hex()
 
 
 def test_c_family_no_convergence_passes_through(monkeypatch):
@@ -721,7 +741,6 @@ def test_c_family_no_convergence_passes_through(monkeypatch):
     # settle nothing
     import trisum.quadrature as quadrature
 
-    monkeypatch.setattr(quadrature, "_stage0_value", lambda sums, tol: None)
     monkeypatch.setattr(quadrature, "_settles", lambda prev, total, tol: False)
     monkeypatch.setattr(quadrature, "_unsettled",
                         lambda tol, prev, total: NoConvergence("did not converge"))
