@@ -274,13 +274,16 @@ class PoleBasis:
         if len(have) > m:
             return have
         lam = self.roots.roots[which - 1]
+        got = have.copy()
         if name == "C":
-            more = [C_of(r, lam) for r in range(len(have), m + 1)]
+            for r in range(len(got), m + 1):
+                got.append(C_of(r, lam))
         else:
             # C_mirror's sum, from the kept C_r(lam)
             direct = self.values("C", which, m)
-            more = [_mirror(r, lam, direct[r]) for r in range(len(have), m + 1)]
-        got = self._values[name, which] = have + more
+            for r in range(len(got), m + 1):
+                got.append(_mirror(r, lam, direct[r]))
+        self._values[name, which] = got
         return got
 
 
@@ -397,8 +400,10 @@ def closed_sum(family: SeriesFamily | str, z: float, m: int = 0) -> ClosedFormBr
         # each component, so the sum is finite only when every
         # contribution is
         raise _refusal(family, z, m)
-    return ClosedFormBreakdown(family, z, m, from_integral(spec, grand.real, z, m), basis.roots,
-                               contribs, abs(grand.imag))
+    # the named tuple from its fields' tuple, without its __new__'s argument handling
+    return tuple.__new__(ClosedFormBreakdown, (
+        family, z, m, from_integral(spec, grand.real, z, m), basis.roots, contribs,
+        abs(grand.imag)))
 
 
 # -- reference constants ----------------------------------------------------

@@ -56,7 +56,6 @@ import cmath
 import io
 import json
 import math
-import random
 import time
 from itertools import combinations, starmap
 from json.encoder import encode_basestring_ascii
@@ -111,16 +110,26 @@ def _record(rid, family, z, m, closed, series, quad, tol, runtime_ms,
     # A nan value makes the deviation nan: max() would keep an earlier
     # finite pair over a later nan one.  Otherwise it is the largest
     # |a - b| over the pairs of values in order (a before b), as max() over
-    # them one at a time takes it, and 0.0 for fewer than two values.
-    if (closed is not None and series is not None and quad is not None
-            and not extra and deviation is None):
-        # the three layers alone, the theorem-grid case: the chain's three
-        # pairs written out, in its order
-        if isnan(closed) or isnan(series) or isnan(quad):
-            abs_diff = math.nan
-        else:
-            abs_diff = max(abs(closed - series), abs(closed - quad), abs(series - quad))
-    else:
+    # them one at a time takes it, and 0.0 for fewer than two values.  The
+    # shapes the suites make have the chain's pairs written out, in its
+    # order; any other shape takes the chain itself
+    abs_diff = None
+    if deviation is None and quad is not None:
+        if closed is not None and series is not None:
+            if not extra:      # theorem-grid's three layers
+                abs_diff = (math.nan if isnan(closed) or isnan(series) or isnan(quad) else
+                            max(abs(closed - series), abs(closed - quad), abs(series - quad)))
+            elif len(extra) == 1 and extra[0] is not None:    # and paper-constants' published
+                (x,) = extra
+                abs_diff = (math.nan if isnan(closed) or isnan(series) or isnan(quad)
+                            or isnan(x) else
+                            max(abs(closed - series), abs(closed - quad), abs(closed - x),
+                                abs(series - quad), abs(series - x), abs(quad - x)))
+        elif not extra and (closed is not None or series is not None):
+            # one layer and quadrature: beta-terms' closed, concluding's series
+            a = series if closed is None else closed
+            abs_diff = math.nan if isnan(a) or isnan(quad) else abs(a - quad)
+    if abs_diff is None:
         values = [v for v in (closed, series, quad, *extra) if v is not None]
         if any(map(isnan, values)):
             abs_diff = math.nan
@@ -132,10 +141,9 @@ def _record(rid, family, z, m, closed, series, quad, tol, runtime_ms,
     scale = max(1.0, abs(ref)) if ref is not None else 1.0
     rel_diff = abs_diff / scale
     passed = rel_diff <= tol     # false for a nan deviation
-    return VerificationRecord(
-        rid, family, z, m, closed, series, quad, abs_diff, rel_diff, tol, passed,
-        runtime_ms,
-    )
+    # the named tuple from its fields' tuple, without its __new__'s argument handling
+    return tuple.__new__(VerificationRecord, (
+        rid, family, z, m, closed, series, quad, abs_diff, rel_diff, tol, passed, runtime_ms))
 
 
 # The layers of the suites that compare them.  Each looks its layer up
@@ -232,14 +240,16 @@ def _suite_constants(tol: float) -> list[VerificationRecord]:
 
 
 def _suite_grid(tol: float) -> list[VerificationRecord]:
-    points = [(f"{f}-{_z_tag(z)}-m{m}", f, z, m, 1.0)
-              for f in _GRID_FAMILIES for z in _GRID_Z for m in _GRID_M]
+    tags = [_z_tag(z) for z in _GRID_Z]
+    points = [(f"{f}-{tag}-m{m}", f, z, m, 1.0)
+              for f in _GRID_FAMILIES for z, tag in zip(_GRID_Z, tags) for m in _GRID_M]
     return _layer_records(points, tol, _closed, _series, _quad)
 
 
 def _suite_concluding(tol: float) -> list[VerificationRecord]:
-    points = [(f"{f}-{_z_tag(z)}", f, z, 0, 1.0)
-              for f in _CONCLUDING_FAMILIES for z in _CONCLUDING_Z]
+    tags = [_z_tag(z) for z in _CONCLUDING_Z]
+    points = [(f"{f}-{tag}", f, z, 0, 1.0)
+              for f in _CONCLUDING_FAMILIES for z, tag in zip(_CONCLUDING_Z, tags)]
     return _layer_records(points, tol, series=_series, quad=_quad)
 
 
@@ -249,6 +259,8 @@ def _identity_record(rid: str, tol: float, deviation: float, started: float):
 
 
 def _suite_identities(tol: float) -> list[VerificationRecord]:
+    import random   # here alone, so importing trisum never loads it
+
     out = []
     pi = math.pi
 
@@ -422,7 +434,8 @@ _JSON_CELL = {
     bool: "'true' if {v} is True else 'false' if {v} is False else _json_value({v}, {spec!r})",
 }
 _MEMO_SPEC = ".17g"
-_MEMO_CELL = ("(texts[{v}] if {v} in texts else texts.setdefault({v}, {fresh})) "
+_MEMO_CELL = ("(texts[{v}] if {v} in texts else texts.setdefault({v}, '%{spec}' % {v} "
+              "if _isfinite({v}) else _json_value({v}, {spec!r}))) "
               "if {v}.__class__ is float and {v} else _json_value({v}, {spec!r})")
 
 
@@ -430,21 +443,23 @@ def _compile_json_row():
     """_json_row(record, texts): one record as its json report line, texts
     being the report's float memo (an empty dict for a new report).
 
-    The function is generated from _COLUMNS as one %-template and one
+    The function is generated from _COLUMNS as one f-string with one
     expression per cell, so a row costs one Python call instead of one per
-    cell; its text is the per-cell "name": _json_value(value, spec) join.
+    cell, and its text is joined in one step; it is the per-cell
+    "name": _json_value(value, spec) join.
     """
     names = [f"v{i}" for i in range(len(_COLUMNS))]
-    template = "    {" + ", ".join(f'"{name}": %s' for name, _, _ in _COLUMNS) + "}"
     cells = []
-    for v, (_, kind, spec) in zip(names, _COLUMNS):
-        cell = _JSON_CELL[kind].format(v=v, spec=spec)
+    for v, (name, kind, spec) in zip(names, _COLUMNS):
         if kind is float and spec == _MEMO_SPEC:
-            cell = _MEMO_CELL.format(v=v, spec=spec, fresh=cell)
-        cells.append(f"({cell})")
+            cell = _MEMO_CELL.format(v=v, spec=spec)
+        else:
+            cell = _JSON_CELL[kind].format(v=v, spec=spec)
+        cells.append(f'"{name}": {{({cell})}}')
+    # the row's braces are doubled in the generated f-string
     source = (f"def _json_row(record, texts):\n"
               f"    {', '.join(names)} = record\n"
-              f"    return {template!r} % ({', '.join(cells)})\n")
+              f"    return f'''    {{{{{', '.join(cells)}}}}}'''\n")
     namespace = {"_encode": encode_basestring_ascii, "_isfinite": math.isfinite,
                  "_json_value": _json_value}
     exec(source, namespace)

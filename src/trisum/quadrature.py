@@ -462,17 +462,26 @@ def _beta_term(st, k, _):
     return _ipow(st.u, k) if k else _np.ones_like(st.u)
 
 
+def _bit_masks(ks: list) -> np.ndarray:
+    # has[j, i]: whether ks[i] has bit j, for j below max(ks).bit_length(),
+    # from each k's little-endian bytes, so exact at any size of k
+    top = max(ks).bit_length()
+    width = (top + 7) // 8
+    raw = _np.frombuffer(b"".join([k.to_bytes(width, "little") for k in ks]), _np.uint8)
+    bits = _np.unpackbits(raw.reshape(len(ks), width), axis=1, count=top, bitorder="little")
+    return bits.view(bool).T
+
+
 def _beta_rows(st, ks: list, _) -> np.ndarray:
     """u^k at st's nodes for each k of ks, one row each, every row bitwise
     _beta_term's: u^(2^j) by repeated squaring, as _ipow squares, and each
     row, from 1.0, multiplied by those powers in ascending bit order of its
     k, as _ipow multiplies.  A product with 1.0 is exact, so a row takes
     the first of its powers unchanged, and k = 0 keeps the row of ones."""
-    top = max(ks).bit_length()
-    has = _np.array([[k >> j & 1 for k in ks] for j in range(top)], dtype=bool)
+    has = _bit_masks(ks)
     out = _np.ones((len(ks), len(st.u)))
     power = st.u
-    for j in range(top):
+    for j in range(len(has)):
         if j:
             power = power * power
         _np.multiply(out, power, out, where=has[j, :, None])   # the rows whose k has bit j

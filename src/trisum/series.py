@@ -194,7 +194,9 @@ def check_point(family: SeriesFamily, spec: FamilySpec, z: float, m: int) -> Non
     family's domain.  Raises DomainError for a bad m or a non-finite z,
     NonConvergent for z outside the region where the series converges.
     """
-    check_m_z(m, z)
+    # an exact int m and a finite z first: the common case skips the calls
+    if not (m.__class__ is int and m >= 0 and math.isfinite(z)):
+        check_m_z(m, z)
     if spec.outer:
         if abs(z) < 1.0:
             raise NonConvergent(

@@ -125,3 +125,23 @@ def test_tracer_sees_one_beta_terms_stage_visit():
         tracer.uninstall()
     assert tracer.counts["quadrature.levels"] == 1
     assert tracer.counts["quadrature.nodes"] == 193
+
+
+def test_verify_round_shares_bases_and_stages():
+    # one round of the five suites, as the verify workload runs them: every
+    # z's pole basis computes each C_r value and coefficient list once, and
+    # every quadrature group visits one stage.  CI's traced step caps these
+    # per-round figures at 146, 140 and 38; a basis or a group that no
+    # longer shares fails here first
+    trisum.closedform._pole_basis.cache_clear()
+    tracer = _spans.Tracer(trisum)
+    tracer.install()
+    try:
+        for name in trisum.harness.SUITES:
+            trisum.harness.run_suite(name)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("closedform.C_of") == 146
+    assert names.count("jets.coeff") == 140
+    assert tracer.counts["quadrature.levels"] == 38

@@ -34,7 +34,7 @@ sys.exit(code)
 
 # modules import trisum must not load; some site setups preload them, so
 # a child reports only those its own imports added
-_UNWANTED = ("dataclasses", "inspect", "csv")
+_UNWANTED = ("dataclasses", "inspect", "csv", "random")
 
 # runs trisum.cli.main on its arguments, then reports on stderr whether
 # the import and the call loaded csv (numpy, on a quadrature call, loads
@@ -124,6 +124,16 @@ def test_import_loads_no_dataclasses_inspect_or_csv():
                          "import trisum, trisum.cli; "
                          f"print(sorted(set(sys.modules) - before & set({_UNWANTED!r})))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_import_loads_no_random_without_site():
+    # only the specfun-identities suite needs random.  Many site setups
+    # load it at start-up, so the child runs without site (-S), where the
+    # check above would not see it
+    proc = _python("-S", "-c", "import sys; before = set(sys.modules); "
+                               "import trisum, trisum.cli; "
+                               "print('random' in set(sys.modules) - before)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,9 +10,12 @@ import io
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from test_closedform import _libm_digest
+from test_quadrature import _numerics_digest
 
 from trisum import closedform, harness
 from trisum.closedform import REGISTRY, closed_sum
@@ -249,6 +252,27 @@ def _record_major(name):
 def _fields(record):
     # every field but runtime_ms, floats by their exact hex digits
     return tuple(v.hex() if isinstance(v, float) else v for v in record[:-1])
+
+
+def _suite_rows(records):
+    # what tests/data/suite_records.json holds for one suite
+    return [list(_fields(r)) for r in records]
+
+
+# every record of all five suites, as recorded before the suites' records
+# took their written-out shapes; "about" in the file says what it holds
+_FROZEN = json.loads((Path(__file__).parent / "data" / "suite_records.json").read_text())
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_suite_records_frozen(all_suites, name):
+    # every value, deviation and pass flag bitwise, as recorded.  Bitwise
+    # only on the numerics they were recorded with, those the closed and
+    # the oracle parity grids digest
+    if _libm_digest() != _FROZEN["libm"] or _numerics_digest() != _FROZEN["numerics"]:
+        pytest.skip("this libm or numpy differs in the last bit from those the records "
+                    "were recorded with")
+    assert _suite_rows(all_suites[name]) == _FROZEN["suites"][name]
 
 
 LAYERED = ("paper-constants", "theorem-grid", "concluding", "beta-terms")

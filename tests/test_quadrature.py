@@ -21,7 +21,7 @@ from trisum.quadrature import (
     tanh_sinh,
 )
 from trisum.quadrature import (
-    _ENTRIES, _ipow, _level_nodes, _pole_distance,
+    _ENTRIES, _beta_rows, _bit_masks, _ipow, _level_nodes, _pole_distance,
 )
 from trisum.closedform import closed_sum
 from trisum.series import FAMILIES, SeriesFamily, from_integral, sum_series
@@ -934,3 +934,29 @@ def test_beta_sequence_raises_a_bad_tol_as_the_scalar_calls(tol, at):
     for form in (list, tuple):
         assert _hexes(lambda: beta_term_integral(form(ks), tol=tol)) == want
     assert beta_term_integral([], tol=tol) == []
+
+
+def _nested_list_masks(ks):
+    # the bit masks from a nested list of each k's bits, (bits, k) shaped
+    top = max(ks).bit_length()
+    return np.array([[k >> j & 1 for k in ks] for j in range(top)], dtype=bool).reshape(top, len(ks))
+
+
+@pytest.mark.parametrize("ks", [list(range(31)), [0], [0, 0], [7],
+                                [*range(31), 2**62, 2**63, 2**64 + 1],
+                                [2**64 + 1, 0, 2**63 - 1, 1000]], ids=repr)
+def test_beta_bit_masks_and_rows_match_the_nested_list(ks):
+    # the masks from each k's bytes are the nested list's, at k past the
+    # int64 range too, and so are the u^k rows built with them (a stage
+    # build binds the module's numpy first)
+    st = _level_nodes(0)
+    got, want = _bit_masks(ks), _nested_list_masks(ks)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert (got == want).all()
+    rows = np.ones((len(ks), len(st.u)))
+    power = st.u
+    for j in range(len(want)):
+        if j:
+            power = power * power
+        np.multiply(rows, power, rows, where=want[j, :, None])
+    assert _beta_rows(st, ks, None).tobytes() == rows.tobytes()

@@ -195,8 +195,8 @@ def test_pairwise_deviation_bit_for_bit():
 
 
 def test_three_values_match_the_pair_chain():
-    # three values take the three pairs written out; the reference is the
-    # combinations chain that any other count of values still takes
+    # the three layers take the three pairs written out; the reference is
+    # the combinations chain, which three values with one as extra still take
     values = (0.0, -0.0, 0.75, -3.0, 5e-324, 1e308, -1e308, math.inf, -math.inf)
     for a, b, c in itertools.product(values, repeat=3):
         want = max(map(abs, starmap(sub, combinations((a, b, c), 2))), default=0.0)
