@@ -10,7 +10,8 @@ Four subcommands:
 
 Exit codes: 0 success / all records pass, 1 a verification comparison
 failed, 2 usage or domain error.  eval --method all judges agreement by
-the suites' rule (harness._record) with --tol as the tolerance.
+the suites' rule (harness._record) with --tol as the tolerance: the
+spread of the values, max - min, within tol * max(1, |reference|).
 
 z is the |z| >= 1 parameterization of the A and B families.  --w accepts
 the reciprocal convention (|w| <= 1) and converts via z = 1/w.  --z, --w
@@ -181,8 +182,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             family, args.z, args.m, tol=_QUAD_TOL)
     # the suites' verdict, so a nan value disagrees
     record = _record("eval", family.value, args.z, args.m, values.get("closed"),
-                     values.get("series"), values.get("quadrature"), args.tol,
-                     (time.perf_counter() - started) * 1000.0)
+                     values.get("series"), values.get("quadrature"), tuple(values.values()),
+                     args.tol, (time.perf_counter() - started) * 1000.0)
     agree = record.passed if args.method == "all" else None
 
     if agree is None:

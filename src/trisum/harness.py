@@ -15,11 +15,15 @@ Five suites:
     beta-terms         the generating integral identity in exact rationals
                        against quadrature, k = 0..30
 
-A record passes when the largest pairwise deviation among its available
-values is at most tol * max(1, |reference|), the reference being the
-closed-form value when present.  A nan value makes the deviation nan,
-so the record fails and its report says why.  Records are produced in a
-fixed order so reports are deterministic apart from timings.
+A record's deviation is the spread of its values, max - min: bit for bit
+their largest pairwise |a - b|.  Its values are those of the layers that
+ran for it and, on paper-constants, the published constant; a
+specfun-identities record's deviation is its identity grid's.  A record
+passes when its deviation is at most tol * max(1, |reference|), the
+reference being the closed-form value when present.  A nan value makes
+the deviation nan, so the record fails and its report says why.
+Records are produced in a fixed order so reports are deterministic apart
+from timings.
 
 The four suites that compare layers compute layer by layer: each layer
 (closed form, series, quadrature, and the published constant or exact
@@ -57,10 +61,8 @@ import io
 import json
 import math
 import time
-from itertools import combinations, starmap
 from json.encoder import encode_basestring_ascii
 from math import isnan
-from operator import sub
 from typing import NamedTuple
 
 from .closedform import REGISTRY, closed_sum
@@ -81,8 +83,8 @@ _QUAD_TOL = 1e-12
 
 
 class VerificationRecord(NamedTuple):
-    """One verified case: the values compared, their largest pairwise
-    deviation, and whether it is within tol.  A named tuple, so records
+    """One verified case: the values compared, their spread (max - min),
+    and whether it is within tol.  A named tuple, so records
     are immutable and hashable, _asdict() and _replace() give a dict and
     a changed copy, and equality is tuple equality."""
 
@@ -105,38 +107,21 @@ def _z_tag(z: float) -> str:
     return f"zneg{mag}" if z < 0 else f"z{mag}"
 
 
-def _record(rid, family, z, m, closed, series, quad, tol, runtime_ms,
-            extra=(), deviation=None) -> VerificationRecord:
-    # A nan value makes the deviation nan: max() would keep an earlier
-    # finite pair over a later nan one.  Otherwise it is the largest
-    # |a - b| over the pairs of values in order (a before b), as max() over
-    # them one at a time takes it, and 0.0 for fewer than two values.  The
-    # shapes the suites make have the chain's pairs written out, in its
-    # order; any other shape takes the chain itself
-    abs_diff = None
-    if deviation is None and quad is not None:
-        if closed is not None and series is not None:
-            if not extra:      # theorem-grid's three layers
-                abs_diff = (math.nan if isnan(closed) or isnan(series) or isnan(quad) else
-                            max(abs(closed - series), abs(closed - quad), abs(series - quad)))
-            elif len(extra) == 1 and extra[0] is not None:    # and paper-constants' published
-                (x,) = extra
-                abs_diff = (math.nan if isnan(closed) or isnan(series) or isnan(quad)
-                            or isnan(x) else
-                            max(abs(closed - series), abs(closed - quad), abs(closed - x),
-                                abs(series - quad), abs(series - x), abs(quad - x)))
-        elif not extra and (closed is not None or series is not None):
-            # one layer and quadrature: beta-terms' closed, concluding's series
-            a = series if closed is None else closed
-            abs_diff = math.nan if isnan(a) or isnan(quad) else abs(a - quad)
-    if abs_diff is None:
-        values = [v for v in (closed, series, quad, *extra) if v is not None]
-        if any(map(isnan, values)):
-            abs_diff = math.nan
-        elif deviation is not None:
-            abs_diff = float(deviation)
-        else:
-            abs_diff = max(map(abs, starmap(sub, combinations(values, 2))), default=0.0)
+def _record(rid, family, z, m, closed, series, quad, values, tol,
+            runtime_ms) -> VerificationRecord:
+    # values are all the values the record compares: its layers' and any
+    # published one.  Their deviation is their spread, max - min, which is
+    # the largest pairwise |a - b| bit for bit, as rounding is monotone; nan
+    # if any value is nan, which an ordering passes over, and 0.0 for fewer
+    # than two values.  One sort costs less than max() and min(); abs()
+    # turns the -0.0 of equal zeros sorted as (+0.0, -0.0) into +0.0
+    if any(map(isnan, values)):
+        abs_diff = math.nan
+    elif len(values) < 2:
+        abs_diff = 0.0
+    else:
+        ordered = sorted(values)
+        abs_diff = abs(ordered[-1] - ordered[0])
     ref = closed if closed is not None else series
     scale = max(1.0, abs(ref)) if ref is not None else 1.0
     rel_diff = abs_diff / scale
@@ -208,11 +193,13 @@ def _layer_records(points, tol, closed=None, series=None, quad=None,
     clock = time.perf_counter
     spent = [0.0] * len(points)
     columns = []
+    present = []        # the columns of the layers that run: a record's values
     for layer, grouped in ((closed, False), (series, False), (quad, True), (extra, False)):
         column = [None] * len(points)
         columns.append(column)
         if layer is None:
             continue
+        present.append(column)
         if grouped:
             for members in groups.values():
                 group = [points[i] for i in members]
@@ -228,9 +215,9 @@ def _layer_records(points, tol, closed=None, series=None, quad=None,
                 column[i] = layer(point)
                 spent[i] += clock() - t0
     return [
-        _record(rid, family, z, m, c, s, q, tol, 1000.0 * dt,
-                extra=() if x is None else (x,))
-        for (rid, family, z, m, _), c, s, q, x, dt in zip(points, *columns, spent)
+        _record(rid, family, z, m, c, s, q, values, tol, 1000.0 * dt)
+        for (rid, family, z, m, _), c, s, q, values, dt
+        in zip(points, *columns[:3], zip(*present), spent)
     ]
 
 
@@ -254,8 +241,9 @@ def _suite_concluding(tol: float) -> list[VerificationRecord]:
 
 
 def _identity_record(rid: str, tol: float, deviation: float, started: float):
-    return _record(rid, None, None, None, None, None, None, tol,
-                   (time.perf_counter() - started) * 1000.0, deviation=deviation)
+    # the spread of (0.0, deviation) is deviation, bitwise: it is >= +0.0 or nan
+    return _record(rid, None, None, None, None, None, None, (0.0, deviation), tol,
+                   (time.perf_counter() - started) * 1000.0)
 
 
 def _suite_identities(tol: float) -> list[VerificationRecord]:

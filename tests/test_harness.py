@@ -223,8 +223,8 @@ def _record_major(name):
             closed = s * closed_sum(entry.family, entry.z, entry.m).total
             series = s * sum_series(entry.family, entry.z, entry.m, tol=series_tol)
             quad = s * series_via_quadrature(entry.family, entry.z, entry.m, tol=quad_tol)
-            out.append(_record(entry.id, entry.family.value, entry.z, entry.m,
-                               closed, series, quad, tol, 0.0, extra=(entry.value(),)))
+            out.append(_record(entry.id, entry.family.value, entry.z, entry.m, closed,
+                               series, quad, (closed, series, quad, entry.value()), tol, 0.0))
     elif name == "theorem-grid":
         for family in harness._GRID_FAMILIES:
             for z in harness._GRID_Z:
@@ -233,19 +233,22 @@ def _record_major(name):
                     series = sum_series(family, z, m, tol=series_tol)
                     quad = series_via_quadrature(family, z, m, tol=quad_tol)
                     rid = f"{family}-{harness._z_tag(z)}-m{m}"
-                    out.append(_record(rid, family, z, m, closed, series, quad, tol, 0.0))
+                    out.append(_record(rid, family, z, m, closed, series, quad,
+                                       (closed, series, quad), tol, 0.0))
     elif name == "concluding":
         for family in harness._CONCLUDING_FAMILIES:
             for z in harness._CONCLUDING_Z:
                 series = sum_series(family, z, tol=series_tol)
                 quad = series_via_quadrature(family, z, tol=quad_tol)
                 rid = f"{family}-{harness._z_tag(z)}"
-                out.append(_record(rid, family, z, 0, None, series, quad, tol, 0.0))
+                out.append(_record(rid, family, z, 0, None, series, quad, (series, quad),
+                                   tol, 0.0))
     else:
         for k in range(31):
             closed = float(-base_term("A", k).exact)
             quad = beta_term_integral(k, tol=quad_tol)
-            out.append(_record(f"beta-k{k}", None, None, k, closed, None, quad, tol, 0.0))
+            out.append(_record(f"beta-k{k}", None, None, k, closed, None, quad, (closed, quad),
+                               tol, 0.0))
     return out
 
 

@@ -4,9 +4,15 @@ IntegrandSpec and ConstantEntry.
 
 All were frozen dataclasses.  They keep the fields, field order,
 attribute access, repr, immutability and hashability they had, and can
-be built with keywords or positionally.  _record's pairwise deviation
-is checked against the nested-loop formula bit for bit, non-finite
-values included.
+be built with keywords or positionally.
+
+_record's deviation is the spread of its values, max - min, which is
+their largest pairwise |a - b|.  It is checked bit for bit against the
+nested-loop formula over a grid of values, non-finite ones included,
+and against the pair chain over random doubles in every order.  Where
+the values hold the same infinity twice and another value, the spread
+is inf in every order; the nested loop gives nan where its first pair is
+the two infinities, and inf otherwise.
 """
 
 import itertools
@@ -16,10 +22,12 @@ from itertools import combinations, starmap
 from operator import sub
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trisum.closedform import (REGISTRY, ClosedFormBreakdown, ConstantEntry, _denominator,
                                closed_sum)
-from trisum.harness import VerificationRecord, _record
+from trisum.harness import VerificationRecord, _identity_record, _record
 from trisum.quadrature import IntegrandSpec
 from trisum.roots import CubicRoots, solve_cubic
 from trisum.series import FAMILIES, FamilySpec, SeriesFamily, TermValue, base_term
@@ -183,38 +191,67 @@ _VALUES = (None, 0.0, -0.0, 0.75, 0.75 + 2e-10, -3.0, 5e-324, 1e308, -1e308,
            math.inf, -math.inf, math.nan)
 
 
+def record_of(values, closed=None, series=None, quad=None):
+    return _record("x", "A1", 2.0, 0, closed, series, quad, tuple(values), 1e-9, 0.0)
+
+
+def twice_infinite(values):
+    # the same infinity twice and another value, no nan
+    return not any(map(math.isnan, values)) and any(
+        1 < values.count(inf) < len(values) for inf in (math.inf, -math.inf))
+
+
 def test_pairwise_deviation_bit_for_bit():
+    changed = 0
     for closed, series, quad in itertools.product(_VALUES, repeat=3):
         for extra in ((), (0.75,), (math.nan,), (-math.inf,)):
+            values = [v for v in (closed, series, quad, *extra) if v is not None]
             want_abs, want_rel, want_pass = pairwise_reference(closed, series, quad, extra, 1e-9)
-            got = _record("x", "A1", 2.0, 0, closed, series, quad, 1e-9, 0.0, extra=extra)
+            got = record_of(values, closed, series, quad)
             case = (closed, series, quad, extra)
+            if twice_infinite(values):
+                # inf in every order, where the nested loop gives nan when
+                # its first pair is the two infinities
+                changed += math.isnan(want_abs)
+                for order in itertools.permutations(values):
+                    assert record_of(order, closed, series, quad).abs_diff == math.inf, case
+                assert got.passed is want_pass is False, case
+                continue
             assert bits(got.abs_diff) == bits(want_abs), case
             assert bits(got.rel_diff) == bits(want_rel), case
             assert got.passed is want_pass, case
+    assert changed == 66
 
 
-def test_three_values_match_the_pair_chain():
-    # the three layers take the three pairs written out; the reference is
-    # the combinations chain, which three values with one as extra still take
-    values = (0.0, -0.0, 0.75, -3.0, 5e-324, 1e308, -1e308, math.inf, -math.inf)
-    for a, b, c in itertools.product(values, repeat=3):
-        want = max(map(abs, starmap(sub, combinations((a, b, c), 2))), default=0.0)
-        for closed, series, quad, extra in ((a, b, c, ()), (a, None, b, (c,)),
-                                            (None, a, b, (c,)), (a, b, None, (c,))):
-            got = _record("x", "A1", 2.0, 0, closed, series, quad, 1e-9, 0.0, extra=extra)
-            assert bits(got.abs_diff) == bits(want), (closed, series, quad, extra)
+# doubles at the edges: signed zeros, subnormals, the smallest normal and
+# values whose differences overflow
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+          1.7976931348623157e308)
+
+
+@given(st.lists(st.one_of(st.sampled_from(_EDGES),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=2, max_size=4),
+       st.sampled_from((None, math.inf, -math.inf)))
+def test_spread_matches_the_pair_chain(values, infinity):
+    # 2-4 doubles, at most one of them infinite, in every order
+    if infinity is not None:
+        values[0] = infinity
+    for order in itertools.permutations(values):
+        want = max(map(abs, starmap(sub, combinations(order, 2))), default=0.0)
+        assert bits(record_of(order).abs_diff) == bits(want), order
 
 
 def test_nan_value_fails_record():
-    # max() over the pairs would keep the first pair's 0.0 over the later
-    # nan pairs; the deviation is nan instead, so the report shows why
-    got = _record("x", "A1", 2.0, 0, 0.75, 0.75, math.nan, 1e-9, 0.0)
+    # max() and min() would pass over a nan after the first value; the
+    # deviation is nan instead, so the report shows why
+    got = record_of((0.75, 0.75, math.nan), 0.75, 0.75, math.nan)
     assert math.isnan(got.abs_diff) and math.isnan(got.rel_diff)
     assert got.passed is False
 
 
 def test_deviation_records():
+    # an identity record takes the spread of (0.0, deviation): deviation, bitwise
     for dev, passed in ((0.0, True), (1e-10, True), (math.inf, False), (math.nan, False)):
-        got = _record("x", None, None, None, None, None, None, 1e-9, 0.0, deviation=dev)
+        got = _identity_record("x", 1e-9, dev, 0.0)
         assert bits(got.abs_diff) == bits(dev) and got.passed is passed
